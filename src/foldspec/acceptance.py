@@ -148,10 +148,10 @@ def criterion_multiplicity_arithmetic() -> CriterionResult:
 def criterion_partitions_and_deficiency() -> CriterionResult:
     for n in (2, 3):
         for k in range(9):
-            flood = folding.partition_count(box(n), k)
+            counted = folding.partition_count(box(n), k)
             formula = folding.box_partition_formula(n, k)
-            if flood != formula:
-                return _fail(f"M({k}, box{n}) flood {flood} != {formula}")
+            if counted != formula:
+                return _fail(f"M({k}, box{n}) counted {counted} != {formula}")
     checked = 0
     for dom in (triangle(), box(2), box(3)):
         si = spectrum.build_index(dom, 200)

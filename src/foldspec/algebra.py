@@ -157,14 +157,18 @@ def _sign_of_combination(diff: tuple[int, ...], r: int) -> int:
     Fast path: double-precision evaluation with a rigorous error bound.
     Fallback: interval arithmetic, doubling the working precision until the
     interval separates from zero (terminates: the basis is linearly
-    independent over Q, so the value is a nonzero real).
+    independent over Q, so the value is a nonzero real).  Coefficients too
+    large for a double go straight to the fallback.
     """
     val = 0.0
     absum = 0.0
-    for j, d in enumerate(diff):
-        b = 2.0 ** (j / r)
-        val += d * b
-        absum += abs(d) * b
+    try:
+        for j, d in enumerate(diff):
+            b = 2.0 ** (j / r)
+            val += d * b
+            absum += abs(d) * b
+    except OverflowError:
+        absum = math.inf
     # each term carries a handful of ulps; (r + 3) ulps of absum is safe
     err = (r + 3) * absum * 2.0 ** -52
     if abs(val) > err:

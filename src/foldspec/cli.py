@@ -2,8 +2,7 @@
 
 Subcommands: spectrum, verdicts, nodal, frame, eval, checksym, checkframe,
 deficiency, dirichlet-check, selftest.  Output is deterministic for a fixed
-invocation: ordering is exact-value order, floats are emitted via repr, and
-sample offsets derive from the --seed flag (default 0).
+invocation: ordering is exact-value order and floats are emitted via repr.
 """
 
 from __future__ import annotations
@@ -45,7 +44,10 @@ def _parse_qn(text: str) -> tuple[int, ...]:
 
 def _parse_value(domain: Domain, text: str) -> AlgebraicValue:
     """A spectral value: either one integer or the full coefficient vector."""
-    parts = [int(p) for p in text.split(",")]
+    try:
+        parts = [int(p) for p in text.split(",")]
+    except ValueError:
+        raise SystemExit(f"invalid eigenvalue {text!r}; expected like 12 or 1,0")
     if len(parts) == 1:
         return algebra.integer_value(domain.ring, parts[0])
     return AlgebraicValue(domain.ring, tuple(parts))
@@ -322,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectra, folding structure, nodal counts and "
         "Courant-sharpness of 2-rep-tile domains.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="sorted eigenvalue table")

@@ -68,18 +68,6 @@ def classify(domain: Domain, cutoff: Cutoff) -> list[Verdict]:
     return [_classify_box_level(si, lv) for lv in si.levels]
 
 
-def classify_triangle(cutoff: Cutoff) -> list[Verdict]:
-    from .domains import triangle
-
-    return classify(triangle(), cutoff)
-
-
-def classify_box(n: int, cutoff: Cutoff) -> list[Verdict]:
-    from .domains import box
-
-    return classify(box(n), cutoff)
-
-
 def _base(si: SpectrumIndex, lv: Level) -> dict:
     value = lv.value
     if value.is_zero():

@@ -21,10 +21,6 @@ class InvalidEigenvalueError(FoldspecError, ValueError):
     """Value is not a member of the relevant spectrum."""
 
 
-class ResolutionError(FoldspecError, RuntimeError):
-    """Raster component count did not stabilise under refinement."""
-
-
 class GridInstabilityError(FoldspecError, RuntimeError):
     """Grid nodal count did not stabilise after repeated doubling."""
 

@@ -3,8 +3,9 @@
 Triangle frames are stored as exact segments with endpoints that are rational
 multiples of pi (Fraction coordinates in units of pi).  Box frames are unions
 of hyperplanes perpendicular to a single axis; a facet is (axis, f) meaning
-{x_axis = f * l_axis} with f an exact fraction.  Rasterisation happens only
-inside partition_count.
+{x_axis = f * l_axis} with f an exact fraction.  partition_count counts the
+frame's pieces exactly from these facets; nothing here is rasterised in
+floating point.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from scipy import ndimage
 from . import algebra
 from .algebra import AlgebraicValue
 from .domains import TRIANGLE, Domain, check_point
-from .errors import DomainError, FoldParityError, ResolutionError
+from .errors import DomainError, FoldParityError
 from .qlattice import QN
 
 FracPoint = tuple[Fraction, Fraction]
@@ -203,99 +204,80 @@ def segment_contains(outer: Segment, inner: Segment) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# partition counting (rasterised flood fill, stability-certified)
+# partition counting (exact)
 
-_OFFS = (0.4142135623730951, 0.7320508075688772, 0.2360679774997896)  # irrational
-
-
-def _triangle_component_count(frame: KFrame, cells: int) -> int:
-    h = 1.0 / cells  # work in units of pi
-    cx = (np.arange(cells) + _OFFS[0]) * h
-    cy = (np.arange(cells) + _OFFS[1]) * h
-    inside = cy[None, :] < cx[:, None]  # strict interior of the triangle
-    alive = inside.copy()
-
-    for seg in frame.facets:
-        (ax, ay), (bx, by) = (
-            (float(seg.a[0]), float(seg.a[1])),
-            (float(seg.b[0]), float(seg.b[1])),
-        )
-        x0, x1 = sorted((ax, bx))
-        y0, y1 = sorted((ay, by))
-        i0 = max(0, int(math.floor(x0 / h)) - 1)
-        i1 = min(cells - 1, int(math.ceil(x1 / h)))
-        j0 = max(0, int(math.floor(y0 / h)) - 1)
-        j1 = min(cells - 1, int(math.ceil(y1 / h)))
-        if i0 > i1 or j0 > j1:
-            continue
-        ii = np.arange(i0, i1 + 1)
-        jj = np.arange(j0, j1 + 1)
-        xlo = ii * h
-        xhi = xlo + h
-        ylo = jj * h
-        yhi = ylo + h
-        # the cell square meets the segment iff it meets the supporting line
-        # and both bounding-box projections overlap (1-D Helly); frame
-        # segments are vertical, horizontal or at 45 degrees, so this is exact
-        bbox = ((xlo <= x1) & (xhi >= x0))[:, None] & ((ylo <= y1) & (yhi >= y0))[None, :]
-        if ax == bx:  # vertical x = ax
-            line = ((xlo <= ax) & (xhi >= ax))[:, None] & np.ones(len(jj), bool)[None, :]
-        elif ay == by:  # horizontal
-            line = np.ones(len(ii), bool)[:, None] & ((ylo <= ay) & (yhi >= ay))[None, :]
-        elif (bx - ax) * (by - ay) > 0:  # slope +1: x - y = c
-            c = ax - ay
-            line = (xlo[:, None] - yhi[None, :] <= c) & (c <= xhi[:, None] - ylo[None, :])
-        else:  # slope -1: x + y = c
-            c = ax + ay
-            line = (xlo[:, None] + ylo[None, :] <= c) & (c <= xhi[:, None] + yhi[None, :])
-        alive[i0 : i1 + 1, j0 : j1 + 1] &= ~(line & bbox)
-
-    _, count = ndimage.label(alive)
-    return count
+# Memory budget of one partition count, checked before anything is built: a
+# facet costs about 1 KiB of Python objects (measured: 300 B per box slab,
+# 700 B per triangle segment, with the previous frame level still alive), a
+# triangle lattice point 5 bytes (a flag and an int32 label).
+FRAME_BUDGET = 256 << 20
 
 
-def _box_component_count(frame: KFrame, cells: int, n: int) -> int:
-    alive = np.ones((cells,) * n, dtype=bool)
-    for slab in frame.facets:
-        f = float(slab.frac)
-        i = int(f * cells)  # plane falls inside cell i: [i/cells, (i+1)/cells]
-        idx = [slice(None)] * n
-        lo = max(0, i - (1 if f * cells == i else 0))
-        idx[slab.axis] = slice(lo, min(cells, i + 1))
-        alive[tuple(idx)] = False
-    _, count = ndimage.label(alive)
-    return count
-
-
-def _component_count(domain: Domain, frame: KFrame, cells: int) -> int:
+def _check_budget(domain: Domain, k: int) -> None:
     if domain.kind == TRIANGLE:
-        return _triangle_component_count(frame, cells)
-    return _box_component_count(frame, cells, domain.n)
+        # two frame steps map (x, y) to (+-x/2 + a/2, +-y/2 + b/2), a, b
+        # integers (U o U halves, R is integer affine), and S^(0), S^(1) have
+        # denominator 2: so the largest endpoint denominator is <= 2^(k//2 + 1)
+        facets, points = 2 ** min(k, 64), (4 * 2 ** min(k // 2 + 1, 64) + 1) ** 2
+    else:
+        facets, points = 2 ** min(k // domain.n, 64), 0
+    if 1024 * facets + 5 * points > FRAME_BUDGET:
+        raise DomainError(
+            f"partition count of {domain.label()} k={k} is over the "
+            f"{FRAME_BUDGET >> 20} MiB memory budget"
+        )
+
+
+def _triangle_partition_count(frame: KFrame) -> int:
+    """Components of the open triangle minus the frame, on an exact lattice.
+
+    Let D be the largest denominator of the facet endpoints (in units of pi;
+    all are dyadic) and take the lattice of step pi/(4D).  Every facet and
+    every side of the triangle is horizontal, vertical or at 45 degrees and
+    lies on a line x, y or x +- y = c/D (c integer), so it passes through a
+    lattice point at every lattice step, its endpoints are lattice points,
+    and two of them cross only at lattice points.  These lines at spacing
+    1/D cut the plane into small triangles (a 1/D square split by both
+    diagonals, so their vertices are lattice points); each face of the
+    partition is a union of them.  Each small triangle holds a free interior
+    lattice point, and each of its edges that is not on the frame holds free
+    lattice points 4-adjacent to it, so the free points of one face are
+    4-connected.  Two 4-adjacent lattice points span an edge of length
+    pi/(4D) that no facet crosses, so free points of different faces are
+    never adjacent.  Hence the 4-connected components of the free lattice
+    points are the faces: no offsets, no resolution, no certificate.
+    """
+    d = max(c.denominator for seg in frame.facets for p in (seg.a, seg.b) for c in p)
+    size = 4 * d
+    i = np.arange(size + 1)
+    # free[x, y]: the open triangle 0 < y < x < 1, in lattice units
+    free = (i[None, :] > 0) & (i[None, :] < i[:, None]) & (i[:, None] < size)
+    for seg in frame.facets:
+        (x0, y0), (x1, y1) = (
+            tuple(c.numerator * (size // c.denominator) for c in p) for p in (seg.a, seg.b)
+        )
+        t = np.arange(max(abs(x1 - x0), abs(y1 - y0)) + 1)
+        free[x0 + t * np.sign(x1 - x0), y0 + t * np.sign(y1 - y0)] = False
+    _, count = ndimage.label(free)
+    return count
 
 
 @lru_cache(maxsize=None)
-def partition_count(domain: Domain, k: int, base_cells: int | None = None) -> int:
+def partition_count(domain: Domain, k: int) -> int:
     """M(k): connected components of the open domain minus the k-frame.
 
-    Counts by pixel flood fill at two resolutions and requires agreement;
-    one escalation is attempted before giving up.
+    Exact.  Every box facet is a whole hyperplane, so the box count is the
+    product over the axes of (distinct cut positions + 1); the triangle is
+    counted on an exact lattice (see _triangle_partition_count).
     """
+    _check_budget(domain, k)
     frame = build_frame(domain, k)
-    if base_cells is None:
-        if domain.kind == TRIANGLE:
-            base_cells = max(64, 16 * 2 ** ((k + 1) // 2))
-        else:
-            base_cells = max(32, 8 * 2 ** (k // domain.n))
-    cells = base_cells
-    for _ in range(2):
-        c1 = _component_count(domain, frame, cells)
-        c2 = _component_count(domain, frame, cells * 2)
-        if c1 == c2:
-            return c1
-        cells *= 2
-    raise ResolutionError(
-        f"component count unstable for {domain.label()} k={k} at {cells} cells"
-    )
+    if domain.kind == TRIANGLE:
+        return _triangle_partition_count(frame)
+    cuts: list[set[Fraction]] = [set() for _ in range(domain.n)]
+    for slab in frame.facets:
+        cuts[slab.axis].add(slab.frac)
+    return math.prod(len(c) + 1 for c in cuts)
 
 
 def box_partition_formula(n: int, k: int) -> int:

@@ -34,15 +34,9 @@ class LatticeRegion:
         return frozenset(self.points)
 
 
-def _cutoff_float(cutoff: Cutoff) -> float:
-    if isinstance(cutoff, AlgebraicValue):
-        return float(cutoff)
-    return float(cutoff)
-
-
 def _axis_bound(domain: Domain, axis: int, cutoff: Cutoff) -> int:
     """Largest m with gamma^(2*axis) m^2 possibly below cutoff (inclusive bound)."""
-    c = _cutoff_float(cutoff)
+    c = float(cutoff)
     if c <= 0:
         return -1
     w = 1.0 if domain.kind == TRIANGLE else domain.gamma2_float() ** axis
@@ -97,11 +91,6 @@ def right_boundary(region: LatticeRegion) -> list[QN]:
         if neighbor not in members:
             out.append(m)
     return out
-
-
-def boundary_map(m: QN) -> QN:
-    """The bijection witness B: decrement of the first coordinate."""
-    return (m[0] - 1,) + m[1:]
 
 
 def reference_set_diagonal(m: int) -> set[QN]:

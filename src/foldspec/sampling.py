@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 # fractional parts of square roots of primes: irrational, pairwise independent
 _ALPHAS = (
     math.sqrt(2) - 1,
@@ -20,7 +22,7 @@ _ALPHAS = (
 def kronecker(count: int, dim: int, seed: int = 0) -> np.ndarray:
     """count x dim array of points equidistributed in (0, 1)^dim."""
     if dim > len(_ALPHAS):
-        raise ValueError(f"at most {len(_ALPHAS)} dimensions supported")
+        raise DomainError(f"sampling supports at most {len(_ALPHAS)} dimensions, got {dim}")
     idx = np.arange(1, count + 1, dtype=float)
     cols = []
     golden = (math.sqrt(5) - 1) / 2

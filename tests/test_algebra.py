@@ -129,3 +129,28 @@ def test_ordering_operators():
     b = algebra.integer_value(1, 5)
     assert a < b and b > a and a <= a and b >= b
     assert sorted([b, a]) == [a, b]
+
+
+def test_huge_coefficients_fall_back_to_intervals():
+    # 10**400 does not fit a double; the float fast path must not raise
+    big = 10**400
+    one2 = AlgebraicValue(2, (1,))
+    assert algebra.compare(AlgebraicValue(2, (big,)), one2) == algebra.GREATER
+    assert algebra.compare(AlgebraicValue(2, (-big,)), one2) == algebra.LESS
+    assert not algebra.is_below(AlgebraicValue(1, (big,)), 5)
+    assert algebra.is_below(AlgebraicValue(1, (5,)), Fraction(big))
+    # ring 4 (t = sqrt 2): big - big*sqrt 2 nearly cancels its own terms
+    zero4 = algebra.zero(4)
+    assert algebra.compare(AlgebraicValue(4, (big, -big)), zero4) == algebra.LESS
+    assert algebra.compare(AlgebraicValue(4, (-big, big)), zero4) == algebra.GREATER
+
+
+def test_huge_pell_near_tie():
+    # p^2 - 2 q^2 = 1 with p ~ 10^400: q*sqrt 2 - p is about -10^-400
+    p, q = 3, 2
+    while p < 10**400:
+        p, q = 3 * p + 4 * q, 2 * p + 3 * q
+    assert p * p - 2 * q * q == 1
+    zero4 = algebra.zero(4)
+    assert algebra.compare(AlgebraicValue(4, (-p, q)), zero4) == algebra.LESS
+    assert algebra.compare(AlgebraicValue(4, (p, -q)), zero4) == algebra.GREATER

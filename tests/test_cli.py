@@ -182,3 +182,20 @@ def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--domain", "pyramid", "--cutoff", "5"])
     assert exc.value.code == 2
+
+
+def test_bad_eigenvalue_exits_cleanly():
+    with pytest.raises(SystemExit, match="invalid eigenvalue '1,x'"):
+        main(["deficiency", "--domain", "box", "--lambda", "1,x"])
+
+
+def test_checkframe_beyond_sampling_dimensions(capsys):
+    code = main(["checkframe", "--domain", "box", "--dim", "8", "--qn", "1,0,0,0,0,0,0,0"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_deficiency_box6_counts_the_frame_exactly(capsys):
+    code, out = run_cli(capsys, ["deficiency", "--domain", "box", "--dim", "6", "--lambda", "1"])
+    assert code == 0
+    assert json.loads(out)["partition_size"] == 2

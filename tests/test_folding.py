@@ -3,7 +3,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from scipy import ndimage
 
 from foldspec import algebra, folding
 from foldspec.domains import box, eigenvalue, triangle
@@ -130,19 +132,114 @@ def test_frame_nesting():
 
 def test_partition_counts_triangle():
     # k = 0..3 equal the nodal counts of the Courant-sharp chain; M(4) = 9
-    # was derived independently by an Euler-characteristic count
-    want = {0: 2, 1: 3, 2: 4, 3: 6, 4: 9}
-    for k, m in want.items():
+    # was derived independently by an Euler-characteristic count; k = 5..13
+    # are the values of the earlier float flood fill
+    want = [2, 3, 4, 6, 9, 15, 25, 45, 81, 153, 289, 561, 1089, 2145]
+    for k, m in enumerate(want):
         assert folding.partition_count(triangle(), k) == m
-    assert folding.partition_count(triangle(), 5) >= 9
 
 
 def test_partition_counts_box_formula():
-    for n in (2, 3):
-        for k in range(9):
+    for n in range(2, 7):
+        for k in range(13):
             assert folding.partition_count(
                 box(n), k
             ) == folding.box_partition_formula(n, k)
+
+
+# -- test-only oracle: pixel flood fill of the frame ---------------------------
+
+_OFFS = (0.4142135623730951, 0.7320508075688772, 0.2360679774997896)  # irrational
+
+
+def _raster_triangle(frame, cells: int) -> int:
+    h = 1.0 / cells  # work in units of pi
+    cx = (np.arange(cells) + _OFFS[0]) * h
+    cy = (np.arange(cells) + _OFFS[1]) * h
+    alive = cy[None, :] < cx[:, None]  # strict interior of the triangle
+    for seg in frame.facets:
+        (ax, ay), (bx, by) = ((float(c) for c in p) for p in (seg.a, seg.b))
+        x0, x1 = sorted((ax, bx))
+        y0, y1 = sorted((ay, by))
+        i0 = max(0, math.floor(x0 / h) - 1)
+        i1 = min(cells - 1, math.ceil(x1 / h))
+        j0 = max(0, math.floor(y0 / h) - 1)
+        j1 = min(cells - 1, math.ceil(y1 / h))
+        if i0 > i1 or j0 > j1:
+            continue
+        xlo = np.arange(i0, i1 + 1) * h
+        xhi = xlo + h
+        ylo = np.arange(j0, j1 + 1) * h
+        yhi = ylo + h
+        # a cell square meets the segment iff it meets the supporting line and
+        # both bounding-box projections overlap; facets are vertical,
+        # horizontal or at 45 degrees
+        bbox = ((xlo <= x1) & (xhi >= x0))[:, None] & ((ylo <= y1) & (yhi >= y0))[None, :]
+        if ax == bx:
+            line = ((xlo <= ax) & (xhi >= ax))[:, None] & np.ones(len(ylo), bool)[None, :]
+        elif ay == by:
+            line = np.ones(len(xlo), bool)[:, None] & ((ylo <= ay) & (yhi >= ay))[None, :]
+        elif (bx - ax) * (by - ay) > 0:  # x - y = c
+            c = ax - ay
+            line = (xlo[:, None] - yhi[None, :] <= c) & (c <= xhi[:, None] - ylo[None, :])
+        else:  # x + y = c
+            c = ax + ay
+            line = (xlo[:, None] + ylo[None, :] <= c) & (c <= xhi[:, None] + yhi[None, :])
+        alive[i0 : i1 + 1, j0 : j1 + 1] &= ~(line & bbox)
+    return ndimage.label(alive)[1]
+
+
+def _raster_box(frame, cells: int, n: int) -> int:
+    alive = np.ones((cells,) * n, dtype=bool)
+    for slab in frame.facets:
+        f = float(slab.frac)
+        i = int(f * cells)  # the plane falls inside cell i
+        idx = [slice(None)] * n
+        lo = max(0, i - (1 if f * cells == i else 0))
+        idx[slab.axis] = slice(lo, min(cells, i + 1))
+        alive[tuple(idx)] = False
+    return ndimage.label(alive)[1]
+
+
+def raster_partition_count(dom, k: int) -> int:
+    """Flood fill at two resolutions that must agree, with one escalation."""
+    frame = folding.build_frame(dom, k)
+    if dom.kind == "triangle":
+        cells = max(64, 16 * 2 ** ((k + 1) // 2))
+    else:
+        cells = max(32, 8 * 2 ** (k // dom.n))
+
+    def count(cells: int) -> int:
+        if dom.kind == "triangle":
+            return _raster_triangle(frame, cells)
+        return _raster_box(frame, cells, dom.n)
+
+    for _ in range(2):
+        c1, c2 = count(cells), count(2 * cells)
+        if c1 == c2:
+            return c1
+        cells *= 2
+    raise AssertionError(f"raster count unstable for {dom.label()} k={k}")
+
+
+@pytest.mark.parametrize("dom", [triangle(), box(2), box(3)], ids=lambda d: d.label())
+def test_partition_counts_match_raster_oracle(dom):
+    for k in range(9):
+        assert folding.partition_count(dom, k) == raster_partition_count(dom, k), k
+
+
+def test_triangle_denominator_bound_is_tight():
+    # the budget check predicts the lattice from this bound before building
+    for k in range(13):
+        frame = folding.build_frame(triangle(), k)
+        d = max(c.denominator for s in frame.facets for p in (s.a, s.b) for c in p)
+        assert d == 2 ** (k // 2 + 1), k
+
+
+def test_partition_count_budget_fails_fast():
+    for dom, k in ((triangle(), 60), (triangle(), 10**9), (box(2), 120), (box(6), 10**9)):
+        with pytest.raises(DomainError, match="budget"):
+            folding.partition_count(dom, k)
 
 
 def test_square_subdomain_values():
