@@ -16,11 +16,13 @@ two values are equal as reals iff their coefficient vectors are identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from .errors import DivisibilityError, DomainError
 
@@ -40,6 +42,16 @@ def _gamma2_steps(n: int) -> int:
     return 2 if (n % 2 and n > 1) else 1
 
 
+@functools.lru_cache(maxsize=None)
+def _basis_floats(r: int) -> tuple[float, ...]:
+    return tuple(2.0 ** (j / r) for j in range(r))
+
+
+def coeffs_float(coeffs: tuple[int, ...]) -> float:
+    """float() of the value with these coefficients, without building it."""
+    return float(sum(c * b for c, b in zip(coeffs, _basis_floats(len(coeffs)))))
+
+
 @dataclass(frozen=True)
 class AlgebraicValue:
     """Element of Z[gamma^2] as an integer coefficient vector over {t^j}."""
@@ -57,8 +69,7 @@ class AlgebraicValue:
             raise DomainError("coefficients must be integers")
 
     def __float__(self) -> float:
-        r = len(self.coeffs)
-        return float(sum(c * 2.0 ** (j / r) for j, c in enumerate(self.coeffs)))
+        return coeffs_float(self.coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -126,6 +137,20 @@ def from_quantum_number(n: int, m: tuple[int, ...]) -> AlgebraicValue:
     return AlgebraicValue(n, tuple(coeffs))
 
 
+def coefficient_rows(n: int, pts: np.ndarray) -> np.ndarray:
+    """from_quantum_number over an int64 array of quantum numbers, one
+    coefficient row per point; entries must stay below 2^62."""
+    sq = pts * pts
+    if n == 1:
+        return sq.sum(axis=1, keepdims=True)
+    r = basis_len(n)
+    rows = np.zeros((len(pts), r), dtype=np.int64)
+    for j in range(n):
+        q, rem = divmod(2 * j if n % 2 else j, r)
+        rows[:, rem] += sq[:, j] << q
+    return rows
+
+
 def parity(v: AlgebraicValue) -> str:
     """Parity of the coefficient multiplying gamma^0 = 1."""
     return "odd" if v.coeffs[0] % 2 else "even"
@@ -163,8 +188,7 @@ def _sign_of_combination(diff: tuple[int, ...], r: int) -> int:
     val = 0.0
     absum = 0.0
     try:
-        for j, d in enumerate(diff):
-            b = 2.0 ** (j / r)
+        for d, b in zip(diff, _basis_floats(r)):
             val += d * b
             absum += abs(d) * b
     except OverflowError:
@@ -191,6 +215,16 @@ def _sign_of_combination(diff: tuple[int, ...], r: int) -> int:
         finally:
             iv.prec = old
         prec *= 2
+
+
+def certainly_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise test that coefficient rows a are below rows b, by the
+    double-precision bound of _sign_of_combination (which holds for any
+    summation order).  False means undecided, not a >= b."""
+    r = a.shape[1]
+    basis = np.array(_basis_floats(r))
+    diff = (b - a).astype(float)  # exact: entries stay below 2^53
+    return diff @ basis > (r + 3) * (np.abs(diff) @ basis) * 2.0**-52
 
 
 def compare(a: AlgebraicValue, b: AlgebraicValue) -> int:

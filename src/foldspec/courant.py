@@ -10,6 +10,7 @@ ConsistencyError rather than classifying silently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import algebra, folding, nodal, qlattice
 from .algebra import LESS, AlgebraicValue
@@ -85,9 +86,11 @@ def _base(si: SpectrumIndex, lv: Level) -> dict:
     }
 
 
-def _require(cond: bool, message: str) -> None:
+def _require(cond: bool, message: Callable[[], str]) -> None:
+    """Raise ConsistencyError with message() when cond fails; the message is
+    built only then."""
     if not cond:
-        raise ConsistencyError(message)
+        raise ConsistencyError(message())
 
 
 # ---------------------------------------------------------------------------
@@ -105,9 +108,9 @@ def _boundary_witnesses(si: SpectrumIndex, value: AlgebraicValue, m: QN) -> list
             qn_parity(dom, w) == "even"
             and algebra.compare(eigenvalue(dom, w), value) == LESS
             and algebra.compare(eigenvalue(dom, (w[0] + 1, w[1])), value) != LESS,
-            f"boundary witness {w} failed for {value.text()}",
+            lambda: f"boundary witness {w} failed for {value.text()}",
         )
-    _require(w1 != w2, "boundary witnesses coincide")
+    _require(w1 != w2, lambda: "boundary witnesses coincide")
     return [w1, w2]
 
 
@@ -121,7 +124,7 @@ def _classify_triangle_level(si: SpectrumIndex, lv: Level) -> Verdict:
     if base["parity"] == "odd":
         if lv.members == ((1, 0),):
             nu = nodal.count_grid(_combo(si.domain, (1, 0))).count
-            _require(nu == n_pos, f"lambda_2 grid count {nu} != N {n_pos}")
+            _require(nu == n_pos, lambda: f"lambda_2 grid count {nu} != N {n_pos}")
             return Verdict(**base, sharp=True, reason=ORTHOGONALITY_SECOND, nu=nu)
         witnesses = _boundary_witnesses(si, value, lv.members[0])
         return Verdict(
@@ -159,9 +162,9 @@ def _classify_triangle_level(si: SpectrumIndex, lv: Level) -> Verdict:
             )
             _require(
                 sub_val.coeffs == value.coeffs,
-                f"subdomain value {sub_val.text()} != {value.text()}",
+                lambda: f"subdomain value {sub_val.text()} != {value.text()}",
             )
-        _require(pairs[0] != pairs[1], "subdomain witness pair degenerate")
+        _require(pairs[0] != pairs[1], lambda: "subdomain witness pair degenerate")
         return Verdict(
             **base,
             sharp=False,
@@ -176,7 +179,7 @@ def _classify_triangle_level(si: SpectrumIndex, lv: Level) -> Verdict:
     # core of shape (m, 0): the unfolding chain of an odd axis point
     if cm == 1 and k <= 3:
         nu = nodal.count_formula(si.domain, member).count
-        _require(nu == n_pos, f"explicit count {nu} != N {n_pos}")
+        _require(nu == n_pos, lambda: f"explicit count {nu} != N {n_pos}")
         return Verdict(**base, sharp=True, reason=EXPLICIT_COUNT, nu=nu)
 
     return _reference_set_verdict(si, lv, base, member)
@@ -205,23 +208,25 @@ def _reference_set_verdict(
         ref = qlattice.reference_set_diagonal(a)
         extra = (a + 1, 0)
     else:
-        _require(b == 0 and a % 2 == 0, f"unexpected reference shape {member}")
+        _require(b == 0 and a % 2 == 0, lambda: f"unexpected reference shape {member}")
         ref = qlattice.reference_set_axis(a // 2)
         extra = (a - 1, 2)
     nu = nodal.count_formula(si.domain, member).count
-    _require(nu == len(ref), f"reference set size {len(ref)} != nu {nu}")
+    _require(nu == len(ref), lambda: f"reference set size {len(ref)} != nu {nu}")
     for p in ref:
         cmp = algebra.compare(eigenvalue(si.domain, p), value)
         _require(
             cmp == LESS or p == member,
-            f"reference point {p} is not below {value.text()}",
+            lambda: f"reference point {p} is not below {value.text()}",
         )
-    _require(extra not in ref, f"strictness witness {extra} inside reference set")
+    _require(
+        extra not in ref, lambda: f"strictness witness {extra} inside reference set"
+    )
     _require(
         algebra.compare(eigenvalue(si.domain, extra), value) == LESS,
-        f"strictness witness {extra} is not below {value.text()}",
+        lambda: f"strictness witness {extra} is not below {value.text()}",
     )
-    _require(nu < n_pos, f"nu {nu} not below N {n_pos}")
+    _require(nu < n_pos, lambda: f"nu {nu} not below N {n_pos}")
     return Verdict(
         **base,
         sharp=False,
@@ -303,20 +308,22 @@ def _classify_box_level(si: SpectrumIndex, lv: Level) -> Verdict:
     elif n == 2 and member in ((1, 1), (2, 1)):
         sharp_reason = EXPLICIT_COUNT
     if sharp_reason:
-        _require(nu == n_pos, f"sharp candidate {member}: nu {nu} != N {n_pos}")
+        _require(nu == n_pos, lambda: f"sharp candidate {member}: nu {nu} != N {n_pos}")
         return Verdict(**base, sharp=True, reason=sharp_reason, nu=nu)
 
     smaller = _box_smaller_point(member, n)
-    _require(smaller is not None, f"decision tree found no witness for {member}")
+    _require(
+        smaller is not None, lambda: f"decision tree found no witness for {member}"
+    )
     _require(
         any(w > e for w, e in zip(smaller, member)),
-        f"witness {smaller} lies inside the nodal box of {member}",
+        lambda: f"witness {smaller} lies inside the nodal box of {member}",
     )
     _require(
         algebra.compare(eigenvalue(si.domain, smaller), value) == LESS,
-        f"witness {smaller} is not below {value.text()}",
+        lambda: f"witness {smaller} is not below {value.text()}",
     )
-    _require(nu < n_pos, f"nu {nu} not below N {n_pos}")
+    _require(nu < n_pos, lambda: f"nu {nu} not below N {n_pos}")
     return Verdict(
         **base,
         sharp=False,

@@ -133,10 +133,37 @@ def _r_frac(p: FracPoint) -> FracPoint:
     return (1 - y, 1 - x)
 
 
+# Memory budget of one frame or partition count, checked before anything is
+# built: a facet costs about 1 KiB of Python objects (measured: 300 B per box
+# slab, 700 B per triangle segment, with the previous frame level still
+# alive), a triangle lattice point 5 bytes (a flag and an int32 label).
+FRAME_BUDGET = 256 << 20
+
+
+def _check_budget(domain: Domain, k: int, lattice: bool) -> None:
+    """Raise DomainError when the k-frame, plus the triangle's counting
+    lattice if asked for, is over FRAME_BUDGET."""
+    if domain.kind == TRIANGLE:
+        # two frame steps map (x, y) to (+-x/2 + a/2, +-y/2 + b/2), a, b
+        # integers (U o U halves, R is integer affine), and S^(0), S^(1) have
+        # denominator 2: so the largest endpoint denominator is <= 2^(k//2 + 1)
+        facets = 2 ** min(k, 64)
+        points = (4 * 2 ** min(k // 2 + 1, 64) + 1) ** 2 if lattice else 0
+    else:
+        facets, points = 2 ** min(k // domain.n, 64), 0
+    if 1024 * facets + 5 * points > FRAME_BUDGET:
+        what = "partition count" if lattice else "frame"
+        raise DomainError(
+            f"{what} of {domain.label()} k={k} is over the "
+            f"{FRAME_BUDGET >> 20} MiB memory budget"
+        )
+
+
 def build_frame(domain: Domain, k: int) -> KFrame:
     """S^(0) = L and S^(k) = U(S^(k-1)), stored exactly."""
     if k < 0:
         raise DomainError("frame index must be >= 0")
+    _check_budget(domain, k, lattice=False)
     if domain.kind == TRIANGLE:
         segs = [Segment((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0)))]
         for _ in range(k):
@@ -206,27 +233,6 @@ def segment_contains(outer: Segment, inner: Segment) -> bool:
 # ---------------------------------------------------------------------------
 # partition counting (exact)
 
-# Memory budget of one partition count, checked before anything is built: a
-# facet costs about 1 KiB of Python objects (measured: 300 B per box slab,
-# 700 B per triangle segment, with the previous frame level still alive), a
-# triangle lattice point 5 bytes (a flag and an int32 label).
-FRAME_BUDGET = 256 << 20
-
-
-def _check_budget(domain: Domain, k: int) -> None:
-    if domain.kind == TRIANGLE:
-        # two frame steps map (x, y) to (+-x/2 + a/2, +-y/2 + b/2), a, b
-        # integers (U o U halves, R is integer affine), and S^(0), S^(1) have
-        # denominator 2: so the largest endpoint denominator is <= 2^(k//2 + 1)
-        facets, points = 2 ** min(k, 64), (4 * 2 ** min(k // 2 + 1, 64) + 1) ** 2
-    else:
-        facets, points = 2 ** min(k // domain.n, 64), 0
-    if 1024 * facets + 5 * points > FRAME_BUDGET:
-        raise DomainError(
-            f"partition count of {domain.label()} k={k} is over the "
-            f"{FRAME_BUDGET >> 20} MiB memory budget"
-        )
-
 
 def _triangle_partition_count(frame: KFrame) -> int:
     """Components of the open triangle minus the frame, on an exact lattice.
@@ -270,7 +276,7 @@ def partition_count(domain: Domain, k: int) -> int:
     product over the axes of (distinct cut positions + 1); the triangle is
     counted on an exact lattice (see _triangle_partition_count).
     """
-    _check_budget(domain, k)
+    _check_budget(domain, k, lattice=True)
     frame = build_frame(domain, k)
     if domain.kind == TRIANGLE:
         return _triangle_partition_count(frame)

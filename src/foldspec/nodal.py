@@ -25,6 +25,17 @@ from .spectrum import SpectrumIndex, odd_core
 
 _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 
+# count_grid doubles its resolution at most this often, so its largest grid
+# has 2^_DOUBLINGS times the starting cells along every axis
+_DOUBLINGS = 3
+
+# Largest sampling grid, in points, that count_grid may reach; checked before
+# anything is evaluated.  Box3 basis functions at the default resolution of
+# 112 cells can reach 3.6e8 points.  At this size one float64 grid is 4 GiB,
+# so a request far beyond it (box6 at 64 cells reaches 3.2e15) fails with
+# DomainError instead of a numpy allocation error.
+GRID_BUDGET = 1 << 29
+
 
 @dataclass(frozen=True)
 class NodalCount:
@@ -102,6 +113,15 @@ def _sign_components(sign: np.ndarray, ok_x: np.ndarray, ok_y: np.ndarray) -> in
     return total
 
 
+def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
+    """Sample counts per axis of the grid with `cells` cells along axis 0."""
+    if domain.kind == TRIANGLE:
+        n = max(8, cells)
+        return (n, n)
+    lengths = domain.edge_lengths()
+    return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
+
+
 def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     """Triangle count with edge-verified connectivity.
 
@@ -110,7 +130,7 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     a nodal crossing between the centers always forces a sign dip there,
     so diagonal nodal lines cannot silently bridge distinct domains.
     """
-    n = max(8, cells0)
+    n, _ = _grid_shape(f.domain, cells0)
     h = math.pi / n
     ax = (np.arange(n) + _GRID_OFFS[0]) * h
     ay = (np.arange(n) + _GRID_OFFS[1]) * h
@@ -139,12 +159,10 @@ def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
         return _triangle_grid_count(f, cells0, halve)
     # box basis functions: nodal sets are axis-perpendicular hyperplanes, so
     # plain strict-sign orthogonal adjacency is already exact
-    lengths = dom.edge_lengths()
-    axes = []
-    for j, lj in enumerate(lengths):
-        nj = max(8, int(math.ceil(cells0 * lj / lengths[0])))
-        h = lj / nj
-        axes.append((np.arange(nj) + _GRID_OFFS[j % 3]) * h)
+    axes = [
+        (np.arange(nj) + _GRID_OFFS[j % 3]) * (lj / nj)
+        for j, (nj, lj) in enumerate(zip(_grid_shape(dom, cells0), dom.edge_lengths()))
+    ]
     vals = eval_on_axes(f, tuple(axes))
     pos = vals > 0.0
     neg = vals < 0.0
@@ -169,20 +187,26 @@ def count_grid(
         resolution = max(16, 8 * _max_halfperiods(f))
     if resolution < 16:
         raise DomainError("resolution must be >= 16 cells along the first axis")
+    largest = math.prod(_grid_shape(f.domain, resolution << _DOUBLINGS))
+    if largest > GRID_BUDGET:
+        raise DomainError(
+            f"nodal grids at resolution {resolution} reach {largest:.3g} points, "
+            f"over the budget of {GRID_BUDGET}"
+        )
     halve = (
         use_antisymmetry
         and f.domain.kind == TRIANGLE
         and _antisymmetric_wrt_cut(f)
     )
     cells = resolution
-    for _ in range(3):
+    for _ in range(_DOUBLINGS):
         c1 = _grid_count_once(f, cells, halve)
         c2 = _grid_count_once(f, cells * 2, halve)
         if c1 == c2:
             return NodalCount(c1, "grid", resolution=cells, stable=True)
         cells *= 2
     raise GridInstabilityError(
-        f"nodal count unstable after 3 doublings (last {c1} vs {c2})"
+        f"nodal count unstable after {_DOUBLINGS} doublings (last {c1} vs {c2})"
     )
 
 
@@ -240,7 +264,7 @@ def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyRepo
     oc = odd_core(value)
     d = si.multiplicity_of(oc.core)
     mk = folding.partition_count(dom, oc.k)
-    region = qlattice.enumerate_below(dom, oc.core)
+    region = si.region_below(oc.core)
     _, even = qlattice.parity_split(
         qlattice.LatticeRegion(dom, oc.core, tuple(qlattice.right_boundary(region)))
     )
@@ -307,7 +331,7 @@ def dirichlet_deficiency_check(
     folded = algebra.scale_gamma2(value, -1)
     lhs = _simple_deficiency(si, value)
     folded_def = _simple_deficiency(si, folded)
-    region = qlattice.enumerate_below(si.domain, value)
+    region = si.region_below(value)
     odd, _ = qlattice.parity_split(
         qlattice.LatticeRegion(
             si.domain, value, tuple(qlattice.right_boundary(region))

@@ -1,7 +1,15 @@
 """Quantum-number lattices and the combinatorial sets over them.
 
-Regions Q(lambda) are enumerated strictly below a cutoff; the ordering is
-(eigenvalue, lexicographic) so all downstream output is deterministic.
+enumerate_below lists the lattice points with eigenvalue strictly below a
+cutoff.  It grows the lattice one axis at a time inside the ellipsoid
+sum_j w_j m_j^2 < cutoff (w_j = gamma^(2j) for the box, 1 for the
+triangle), holding quantum numbers as int64 numpy columns: each axis's
+range comes from the budget the earlier axes leave, with one step of slack.
+A point is accepted or rejected by its double value when that value lies
+farther from the cutoff than a rigorous bound on the rounding error; the
+few points inside that margin are decided exactly by algebra.is_below.
+Points are ordered by (float value, quantum number), so all downstream
+output is deterministic.
 """
 
 from __future__ import annotations
@@ -11,14 +19,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import algebra
 from .algebra import AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue, qn_parity
+from .domains import NEUMANN, TRIANGLE, Domain, qn_parity
 from .errors import DomainError
 
 Cutoff = AlgebraicValue | Fraction | int | float
 
 QN = tuple[int, ...]
+
+# Largest number of lattice points one enumeration may hold, checked before
+# anything is allocated.  The region, its levels and the expansion's columns
+# cost a few hundred bytes per point, so this is a few hundred MiB.  Every
+# cutoff it admits is below 2^44, so coefficients (at most the value, see
+# algebra.coefficient_rows) and squared quantum numbers stay far below 2^53:
+# exact in int64 and in doubles.
+POINT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -34,45 +52,130 @@ class LatticeRegion:
         return frozenset(self.points)
 
 
-def _axis_bound(domain: Domain, axis: int, cutoff: Cutoff) -> int:
-    """Largest m with gamma^(2*axis) m^2 possibly below cutoff (inclusive bound)."""
-    c = float(cutoff)
-    if c <= 0:
-        return -1
-    w = 1.0 if domain.kind == TRIANGLE else domain.gamma2_float() ** axis
-    return int(math.floor(math.sqrt(c / w) + 1.0))
+def _weights(domain: Domain) -> list[float]:
+    if domain.kind == TRIANGLE:
+        return [1.0, 1.0]
+    return [2.0 ** (2 * j / domain.n) for j in range(domain.n)]
 
 
-def _below(domain: Domain, m: QN, cutoff: Cutoff) -> bool:
-    return algebra.is_below(eigenvalue(domain, m), cutoff)
+def _float_cutoff(domain: Domain, cutoff: Cutoff) -> tuple[float, float]:
+    """(c, tol): the cutoff as a double and a margin such that a point whose
+    double value v has |v - c| > tol lies on the side of the exact cutoff
+    that v says.
+
+    The double of an AlgebraicValue cutoff is within (r + 3) ulps of its
+    coefficients' absolute sum (see algebra._sign_of_combination); int and
+    Fraction cutoffs round once.  A point's value is a sum of n nonnegative
+    terms w_j m_j^2, each weight within 2 ulps, so its double is within
+    (n + 8) ulps of the value.  tol covers both at twice their size for
+    every v up to twice the scale; larger v are rejected anyway.  The scale
+    is at least 1, the smallest nonzero eigenvalue, so an underflowing
+    cutoff still leaves the origin to the exact test.
+    """
+    if isinstance(cutoff, float) and not math.isfinite(cutoff):
+        raise DomainError("cutoff must be finite")
+    n = domain.coords
+    r = algebra.basis_len(domain.ring)
+    try:
+        if isinstance(cutoff, AlgebraicValue):
+            if cutoff.n != domain.ring:
+                raise DomainError(
+                    f"cutoff lives in ring n={cutoff.n}, the {domain.label()} "
+                    f"spectrum in n={domain.ring}"
+                )
+            c = float(cutoff)
+            absum = algebra.coeffs_float(tuple(abs(x) for x in cutoff.coeffs))
+        else:
+            c = float(cutoff)
+            absum = abs(c)
+    except OverflowError:  # far over the budget; _check_budget says so
+        c = absum = math.inf
+    scale = max(abs(c), absum, 1.0)
+    return c, (n + r + 16) * 2.0 ** -51 * scale
+
+
+def _check_budget(domain: Domain, weights: list[float], top: float) -> None:
+    """Raise DomainError when more than POINT_BUDGET points may lie below top.
+
+    The estimate is an upper bound: the smaller of the bounding-box count
+    and the volume of the positive part of the ellipsoid of W-radius
+    sqrt(top) + sqrt(sum w), which holds the unit cube [m, m + 1) of every
+    point m below top.
+    """
+    if not math.isfinite(top) or top >= 2.0**44:
+        estimate = math.inf
+    elif top < 0:
+        estimate = 0.0
+    elif domain.kind == TRIANGLE:
+        a = math.isqrt(math.floor(top))
+        estimate = (a + 1) * (a + 2) / 2
+    else:
+        n = len(weights)
+        box = math.prod(math.floor(math.sqrt(top / w)) + 1 for w in weights)
+        radius = math.sqrt(top) + math.sqrt(sum(weights))
+        log_volume = (
+            (n / 2) * math.log(math.pi) - math.lgamma(n / 2 + 1) + n * math.log(radius)
+            - n * math.log(2) - sum(math.log(w) for w in weights) / 2
+        )
+        estimate = min(box, math.exp(min(log_volume, 700.0)))
+    if estimate > POINT_BUDGET:
+        raise DomainError(
+            f"the {domain.label()} lattice below the cutoff may hold "
+            f"{estimate:.3g} points, over the budget of {POINT_BUDGET}"
+        )
 
 
 def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     """All quantum numbers with eigenvalue strictly below cutoff."""
-    pts: list[tuple[float, QN]] = []
-    if domain.kind == TRIANGLE:
-        lo = 0 if domain.bc == NEUMANN else 1
-        bound = _axis_bound(domain, 0, cutoff)
-        for m in range(lo, bound + 1):
-            n_lo = lo
-            n_hi = m if domain.bc == NEUMANN else m - 1
-            for n in range(n_lo, n_hi + 1):
-                qn = (m, n)
-                if _below(domain, qn, cutoff):
-                    pts.append((float(eigenvalue(domain, qn)), qn))
-    else:
-        lo = 0 if domain.bc == NEUMANN else 1
-        ranges = [
-            range(lo, _axis_bound(domain, j, cutoff) + 1) for j in range(domain.n)
-        ]
-        if all(len(r) > 0 for r in ranges):
-            for qn in itertools.product(*ranges):
-                if _below(domain, qn, cutoff):
-                    pts.append((float(eigenvalue(domain, qn)), qn))
-    pts.sort(key=lambda t: (t[0], t[1]))
-    # float ties across distinct eigenvalues are far below the value gaps at
-    # these cutoffs; the spectrum index re-groups by exact value anyway
-    return LatticeRegion(domain, cutoff, tuple(qn for _, qn in pts))
+    c, tol = _float_cutoff(domain, cutoff)
+    weights = _weights(domain)
+    top = c + tol
+    _check_budget(domain, weights, top)
+    lo = 0 if domain.bc == NEUMANN else 1
+    # rest[j]: the smallest contribution of the axes after j (each m >= lo)
+    rest = [lo * sum(weights[j + 1:]) for j in range(len(weights))]
+    qn = np.zeros((1, 0), dtype=np.int64)
+    acc = np.zeros(1)  # double value of each partial point
+    for j, w in enumerate(weights):
+        room = np.maximum(top - rest[j] - acc, 0.0)
+        hi = np.floor(np.sqrt(room / w)).astype(np.int64) + 1
+        if domain.kind == TRIANGLE and j == 1:
+            hi = np.minimum(hi, qn[:, 0] - lo)  # n <= m, n < m for Dirichlet
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(acc)), counts)
+        m = lo + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        acc = acc[parent] + w * (m * m)
+        qn = np.column_stack([qn[parent], m])
+        keep = acc + rest[j] <= top
+        acc, qn = acc[keep], qn[keep]
+    below = acc < c - tol
+    near = np.flatnonzero(~below)  # every point left is within tol of c
+    ring = domain.ring
+    for i, row in zip(near, algebra.coefficient_rows(ring, qn[near]).tolist()):
+        below[i] = algebra.is_below(AlgebraicValue(ring, tuple(row)), cutoff)
+    qn = qn[below]
+    order, rows, starts = sort_by_value(ring, qn)
+    # order by the double of each distinct exact value, then lexicographically
+    floats = [algebra.coeffs_float(tuple(row)) for row in rows[starts].tolist()]
+    key = np.empty(len(qn))
+    key[order] = np.repeat(floats, np.diff(np.append(starts, len(qn))))
+    order = np.lexsort([qn[:, j] for j in reversed(range(qn.shape[1]))] + [key])
+    return LatticeRegion(domain, cutoff, tuple(map(tuple, qn[order].tolist())))
+
+
+def sort_by_value(
+    ring: int, qn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts quantum numbers by (coefficient row, quantum
+    number), the coefficient rows in that order, and the index at which each
+    distinct row starts."""
+    rows = algebra.coefficient_rows(ring, qn)
+    keys = [qn[:, j] for j in reversed(range(qn.shape[1]))]
+    order = np.lexsort(keys + [rows[:, j] for j in reversed(range(rows.shape[1]))])
+    rows = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return order, rows, np.flatnonzero(first)
 
 
 def parity_split(region: LatticeRegion) -> tuple[list[QN], list[QN]]:

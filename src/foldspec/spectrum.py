@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import algebra
 from .algebra import LESS, AlgebraicValue
 from .domains import NEUMANN, Domain, qn_parity, triangle
 from .errors import DomainError, InvalidEigenvalueError, OutOfRangeError
-from .qlattice import QN, Cutoff, LatticeRegion, enumerate_below
+from .qlattice import QN, Cutoff, LatticeRegion, enumerate_below, sort_by_value
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ class SpectrumIndex:
         for lv in self.levels:
             cum.append(cum[-1] + lv.multiplicity)
         self._cum = cum  # cum[i] = number of eigenvalues strictly before level i
+        self._members = tuple(m for lv in self.levels for m in lv.members)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -83,6 +87,17 @@ class SpectrumIndex:
         position = below + 1 if d else below
         return Counting(below=below, upto=below + d, position=position, multiplicity=d)
 
+    def region_below(self, value: AlgebraicValue) -> LatticeRegion:
+        """The members of every level strictly below value, in level order:
+        Q(value) for an index from build_index.  value must lie below the
+        cutoff."""
+        if not algebra.is_below(value, self.cutoff):
+            raise OutOfRangeError(
+                f"{value.text()} is not below the index cutoff"
+            )
+        below = self._cum[self._level_index_at_or_above(value)]
+        return LatticeRegion(self.domain, value, self._members[:below])
+
     def position_of(self, value: AlgebraicValue) -> int:
         return self.counting(value).position
 
@@ -92,22 +107,26 @@ class SpectrumIndex:
 
 
 def _group_levels(domain: Domain, region: LatticeRegion) -> list[Level]:
-    from .domains import eigenvalue
-
-    groups: dict[tuple[int, ...], list[QN]] = {}
-    values: dict[tuple[int, ...], AlgebraicValue] = {}
-    for m in region.points:
-        v = eigenvalue(domain, m)
-        groups.setdefault(v.coeffs, []).append(m)
-        values.setdefault(v.coeffs, v)
-    keys = sorted(values, key=lambda c: (float(values[c]), c))
-    levels = [Level(values[c], tuple(sorted(groups[c]))) for c in keys]
-    # float sort first; fall back to exact comparison if any neighbors are
-    # too close for doubles to order
-    for a, b in zip(levels, levels[1:]):
-        if algebra.compare(a.value, b.value) != LESS:
-            import functools
-
+    """One Level per distinct coefficient row, members sorted, levels in
+    exact value order."""
+    if not region.points:
+        return []
+    ring = domain.ring
+    pts = np.array(region.points, dtype=np.int64)
+    by_value, rows, starts = sort_by_value(ring, pts)
+    members = [region.points[i] for i in by_value.tolist()]
+    rows = rows[starts]
+    starts = starts.tolist()
+    ends = starts[1:] + [len(members)]
+    values = [AlgebraicValue(ring, tuple(row)) for row in rows.tolist()]
+    floats = [float(v) for v in values]
+    order = sorted(range(len(values)), key=lambda i: (floats[i], values[i].coeffs))
+    levels = [Level(values[i], tuple(members[starts[i] : ends[i]])) for i in order]
+    # float sort first; every adjacent pair the float bound cannot certify
+    # is compared exactly, and a misordered one falls back to an exact sort
+    rows = rows[order]
+    for i in np.flatnonzero(~algebra.certainly_less(rows[:-1], rows[1:])).tolist():
+        if algebra.compare(levels[i].value, levels[i + 1].value) != LESS:
             levels.sort(
                 key=functools.cmp_to_key(
                     lambda a, b: algebra.compare(a.value, b.value)

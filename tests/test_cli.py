@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -199,3 +201,56 @@ def test_deficiency_box6_counts_the_frame_exactly(capsys):
     code, out = run_cli(capsys, ["deficiency", "--domain", "box", "--dim", "6", "--lambda", "1"])
     assert code == 0
     assert json.loads(out)["partition_size"] == 2
+
+
+def test_frame_beyond_the_budget_fails_fast(capsys):
+    for argv in (
+        ["frame", "--domain", "triangle", "--k", "40"],
+        ["checkframe", "--domain", "triangle", "--qn", f"{2**20},0"],
+    ):
+        t0 = time.perf_counter()
+        code = main(argv)
+        assert time.perf_counter() - t0 < 1.0, argv
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_nodal_grid_beyond_the_budget_fails_cleanly(capsys):
+    argv = ["nodal", "--domain", "box", "--dim", "6", "--qn", "1,0,0,0,0,0", "--grid", "64"]
+    assert main(argv) == 1
+    assert "budget" in capsys.readouterr().err
+
+
+# sha256 of stdout, recorded before the spectrum core was rebuilt on numpy
+# columns; the rebuild keeps every byte
+PINNED_OUTPUTS = [
+    (["spectrum", "--domain", "box", "--dim", "3", "--cutoff", "60"],
+     "3c45c87978045242db261685eaad587dbd4bb2fccacb0d57d873339398fe71fe"),
+    (["spectrum", "--domain", "box", "--dim", "4", "--cutoff", "40"],
+     "094658b70913184d95e6c5cb045b03f16be971a7c3553cfb06359c09392ce131"),
+    (["spectrum", "--domain", "box", "--dim", "6", "--cutoff", "30"],
+     "05dcc8e92e027125f3becff8987bc75a83019d67f6976ced8c4fb9685a9fc976"),
+    (["spectrum", "--domain", "triangle", "--cutoff", "2000"],
+     "7e8ff4f01b10cf2c164b29cd0e6e5d458cfad55e0992035f26b1d98b6689ba9a"),
+    (["spectrum", "--domain", "box", "--dim", "2", "--bc", "dirichlet", "--cutoff", "300"],
+     "9cc4b9b976c2b80f98c92e37f88f4cbb8ddb7c0dc1fd8668e83d850bc23569d3"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_OUTPUTS, ids=[" ".join(a[2:]) for a, _ in PINNED_OUTPUTS]
+)
+def test_spectrum_points_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, argv + ["--points", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_verdicts_bytes_are_pinned(capsys):
+    argv = ["verdicts", "--domain", "box", "--dim", "3", "--cutoff", "60", "--format", "json"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "1e73a5eeec0abb943f58bf38fdd7f56690e3201532edada0f95b484754529796"
+    )

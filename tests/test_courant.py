@@ -1,7 +1,10 @@
 from __future__ import annotations
 
-from foldspec import courant, eigenfn, nodal, spectrum
+import pytest
+
+from foldspec import algebra, courant, eigenfn, nodal, spectrum
 from foldspec.domains import box, triangle
+from foldspec.errors import ConsistencyError
 
 
 def verdict_for(verdicts, value: float):
@@ -116,3 +119,11 @@ def test_explain_covers_multiplicity_range():
     verdicts = courant.classify(triangle(), 60)
     v50 = verdict_for(verdicts, 50.0)
     assert courant.explain(verdicts, v50.position + 1) is v50
+
+
+def test_failed_witness_check_names_the_witness():
+    # (3, 0) is not on the level 5, so its second boundary witness (2, 2),
+    # with eigenvalue 8, is not below 5; the message is built on failure
+    si = spectrum.build_index(triangle(), 100)
+    with pytest.raises(ConsistencyError, match=r"boundary witness \(2, 2\) failed for 5"):
+        courant._boundary_witnesses(si, algebra.integer_value(1, 5), (3, 0))

@@ -162,3 +162,11 @@ def test_dirichlet_identity_preconditions():
     sin = spectrum.build_index(box(2), 40)
     with pytest.raises(DomainError):
         nodal.dirichlet_deficiency_check(sin, algebra.integer_value(2, 6))
+
+
+def test_grid_budget_is_checked_before_evaluating():
+    f = eigenfn.basis_fn(box(6), (1, 0, 0, 0, 0, 0))
+    with pytest.raises(DomainError, match="budget"):
+        nodal.count_grid(f, resolution=64)
+    # the largest grids the box3 oracle checks reach stay inside the budget
+    assert nodal.count_grid(eigenfn.basis_fn(box(3), (1, 6, 0)), resolution=112).count == 14

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import time
+from fractions import Fraction
 
-from foldspec import qlattice
-from foldspec.domains import box, eigenvalue, qn_parity, triangle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from foldspec import algebra, qlattice, spectrum
+from foldspec.algebra import LESS, AlgebraicValue
+from foldspec.domains import NEUMANN, TRIANGLE, box, eigenvalue, qn_parity, triangle
+from foldspec.errors import DomainError
+from foldspec.spectrum import Level
 
 
 def brute_triangle_region(cutoff: float, dirichlet: bool = False) -> set:
@@ -181,3 +191,167 @@ def test_reference_set_box_inside_region():
         value = eigenvalue(dom, m)
         region = set(qlattice.enumerate_below(dom, value).points) | {m}
         assert qlattice.reference_set_box(m) <= region
+
+
+# ---------------------------------------------------------------------------
+# oracle: the former enumeration, which scanned the whole bounding box and
+# decided every candidate exactly, and the former per-point level grouping
+
+
+def oracle_enumerate(domain, cutoff) -> tuple:
+    def axis_bound(axis: int) -> int:
+        c = float(cutoff)
+        if c <= 0:
+            return -1
+        w = 1.0 if domain.kind == TRIANGLE else domain.gamma2_float() ** axis
+        return int(math.floor(math.sqrt(c / w) + 1.0))
+
+    lo = 0 if domain.bc == NEUMANN else 1
+    if domain.kind == TRIANGLE:
+        n_hi = (lambda m: m) if domain.bc == NEUMANN else (lambda m: m - 1)
+        candidates = [
+            (m, n) for m in range(lo, axis_bound(0) + 1) for n in range(lo, n_hi(m) + 1)
+        ]
+    else:
+        candidates = itertools.product(
+            *(range(lo, axis_bound(j) + 1) for j in range(domain.n))
+        )
+    pts = [
+        (float(eigenvalue(domain, qn)), qn)
+        for qn in candidates
+        if algebra.is_below(eigenvalue(domain, qn), cutoff)
+    ]
+    pts.sort()
+    return tuple(qn for _, qn in pts)
+
+
+def oracle_group_levels(domain, points) -> list:
+    groups: dict = {}
+    values: dict = {}
+    for m in points:
+        v = eigenvalue(domain, m)
+        groups.setdefault(v.coeffs, []).append(m)
+        values.setdefault(v.coeffs, v)
+    keys = sorted(values, key=lambda c: (float(values[c]), c))
+    levels = [Level(values[c], tuple(sorted(groups[c]))) for c in keys]
+    for a, b in zip(levels, levels[1:]):
+        if algebra.compare(a.value, b.value) != LESS:
+            levels.sort(
+                key=functools.cmp_to_key(lambda a, b: algebra.compare(a.value, b.value))
+            )
+            break
+    return levels
+
+
+ORACLE_CASES = [
+    (triangle(), (0, 1, 2, 50, 400, 50.5, Fraction(1201, 3))),
+    (box(2), (1, 7, 200, 50.25, Fraction(2001, 10))),
+    (box(3), (60, 17.5, Fraction(121, 2))),
+    (box(4), (40, 22.75)),
+    (box(5), (30, Fraction(51, 2))),
+    (box(6), (20, 16.5)),
+]
+
+# lattice points whose exact eigenvalues serve as cutoffs: the points on the
+# cutoff itself then fall inside the float margin and are decided exactly
+VALUE_CUTOFF_QNS = {
+    2: [(5, 3), (9, 1)],
+    3: [(3, 2, 1), (4, 0, 2)],
+    4: [(2, 2, 1, 1), (3, 1, 0, 2)],
+    5: [(2, 1, 1, 1, 1), (1, 2, 0, 1, 2)],
+    6: [(1, 2, 1, 1, 1, 1), (2, 1, 0, 1, 0, 1)],
+}
+
+
+def _with_dirichlet(cases):
+    for dom, cutoffs in cases:
+        yield dom, cutoffs
+        if dom.kind == TRIANGLE:
+            yield triangle("dirichlet"), cutoffs
+        else:
+            yield box(dom.n, "dirichlet"), cutoffs
+
+
+@pytest.mark.parametrize(
+    "dom,cutoffs",
+    list(_with_dirichlet(ORACLE_CASES)),
+    ids=[dom.label() for dom, _ in _with_dirichlet(ORACLE_CASES)],
+)
+def test_enumerate_matches_bounding_box_oracle(dom, cutoffs):
+    cutoffs = list(cutoffs)
+    if dom.kind == TRIANGLE:
+        values = [algebra.integer_value(1, 325)]  # (18, 1), (17, 6), (15, 10)
+    else:
+        values = [algebra.from_quantum_number(dom.n, qn) for qn in VALUE_CUTOFF_QNS[dom.n]]
+    for v in values:
+        # the value itself, and rationals within 1e-14 of it on either side
+        near = Fraction(float(v))
+        cutoffs += [v, near, near - Fraction(1, 10**14), near + Fraction(1, 10**14)]
+    for cutoff in cutoffs:
+        got = qlattice.enumerate_below(dom, cutoff)
+        want = oracle_enumerate(dom, cutoff)
+        assert got.points == want, (dom.label(), cutoff)
+        assert spectrum.build_index(dom, cutoff).levels == tuple(
+            oracle_group_levels(dom, want)
+        ), (dom.label(), cutoff)
+
+
+# largest random cutoff per domain, small enough for the oracle's box scan
+_CUTOFF_LIMITS = {"triangle": 3000, "box2": 1500, "box3": 150, "box4": 60, "box5": 40}
+
+
+@st.composite
+def _domain_and_cutoff(draw):
+    kind = draw(st.sampled_from(sorted(_CUTOFF_LIMITS)))
+    bc = draw(st.sampled_from(["neumann", "dirichlet"]))
+    dom = triangle(bc) if kind == "triangle" else box(int(kind[3:]), bc)
+    cutoff = draw(
+        st.fractions(min_value=-2, max_value=_CUTOFF_LIMITS[kind], max_denominator=40)
+    )
+    return dom, float(cutoff) if draw(st.booleans()) else cutoff
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_domain_and_cutoff())
+def test_enumerate_matches_oracle_at_random_cutoffs(case):
+    dom, cutoff = case
+    assert qlattice.enumerate_below(dom, cutoff).points == oracle_enumerate(dom, cutoff)
+
+
+def test_region_below_is_the_enumerated_region():
+    for dom, cutoff in ((triangle(), 300), (box(2), 200), (box(3), 60), (box(5), 30)):
+        si = spectrum.build_index(dom, cutoff)
+        for lv in si.levels[:: max(1, len(si.levels) // 25)]:
+            region = si.region_below(lv.value)
+            assert region.point_set() == qlattice.enumerate_below(dom, lv.value).point_set()
+            assert len(region) == len(region.point_set())
+
+
+def test_over_budget_cutoffs_fail_fast():
+    huge = AlgebraicValue(4, (10**400, 0))
+    cases = [
+        (box(6), 10**6),
+        (box(2, "dirichlet"), 1e30),
+        (triangle(), 10**9),
+        (triangle(), 10**400),
+        (box(3), Fraction(10**500, 3)),
+        (box(4), huge),
+    ]
+    for dom, cutoff in cases:
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="budget"):
+            qlattice.enumerate_below(dom, cutoff)
+        assert time.perf_counter() - t0 < 0.5, (dom.label(), cutoff)
+
+
+def test_bad_cutoffs_raise_domain_error():
+    with pytest.raises(DomainError, match="finite"):
+        qlattice.enumerate_below(box(2), float("nan"))
+    with pytest.raises(DomainError, match="ring"):
+        qlattice.enumerate_below(box(3), algebra.integer_value(2, 5))
+
+
+def test_tiny_positive_cutoff_keeps_the_ground_state():
+    assert qlattice.enumerate_below(box(3), Fraction(1, 10**400)).points == ((0, 0, 0),)
+    assert qlattice.enumerate_below(triangle(), 0).points == ()
+    assert qlattice.enumerate_below(triangle(), -3.5).points == ()
