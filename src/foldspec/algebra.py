@@ -127,14 +127,18 @@ def from_quantum_number(n: int, m: tuple[int, ...]) -> AlgebraicValue:
         return AlgebraicValue(1, (m[0] ** 2 + m[1] ** 2,))
     if len(m) != n:
         raise DomainError(f"expected {n} entries, got {len(m)}")
-    r = basis_len(n)
-    coeffs = [0] * r
-    for j, mj in enumerate(m):
-        # gamma^(2j) m_j^2 contributes at t-exponent e, reduced by t^r = 2
-        e = 2 * j if n % 2 else j
-        q, rem = divmod(e, r)
+    coeffs = [0] * basis_len(n)
+    for mj, (q, rem) in zip(m, _axis_slots(n)):
         coeffs[rem] += (mj * mj) << q
     return AlgebraicValue(n, tuple(coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_slots(n: int) -> tuple[tuple[int, int], ...]:
+    """(q, rem) per box axis j: gamma^(2j) = 2^q * t^rem (t^r = 2), so m_j^2
+    adds m_j^2 << q to coefficient rem."""
+    r = basis_len(n)
+    return tuple(divmod(2 * j if n % 2 else j, r) for j in range(n))
 
 
 def coefficient_rows(n: int, pts: np.ndarray) -> np.ndarray:
@@ -143,10 +147,8 @@ def coefficient_rows(n: int, pts: np.ndarray) -> np.ndarray:
     sq = pts * pts
     if n == 1:
         return sq.sum(axis=1, keepdims=True)
-    r = basis_len(n)
-    rows = np.zeros((len(pts), r), dtype=np.int64)
-    for j in range(n):
-        q, rem = divmod(2 * j if n % 2 else j, r)
+    rows = np.zeros((len(pts), basis_len(n)), dtype=np.int64)
+    for j, (q, rem) in enumerate(_axis_slots(n)):
         rows[:, rem] += sq[:, j] << q
     return rows
 
@@ -215,16 +217,6 @@ def _sign_of_combination(diff: tuple[int, ...], r: int) -> int:
         finally:
             iv.prec = old
         prec *= 2
-
-
-def certainly_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise test that coefficient rows a are below rows b, by the
-    double-precision bound of _sign_of_combination (which holds for any
-    summation order).  False means undecided, not a >= b."""
-    r = a.shape[1]
-    basis = np.array(_basis_floats(r))
-    diff = (b - a).astype(float)  # exact: entries stay below 2^53
-    return diff @ basis > (r + 3) * (np.abs(diff) @ basis) * 2.0**-52
 
 
 def compare(a: AlgebraicValue, b: AlgebraicValue) -> int:

@@ -25,16 +25,14 @@ from .spectrum import SpectrumIndex, odd_core
 
 _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 
-# count_grid doubles its resolution at most this often, so its largest grid
-# has 2^_DOUBLINGS times the starting cells along every axis
-_DOUBLINGS = 3
-
-# Largest sampling grid, in points, that count_grid may reach; checked before
-# anything is evaluated.  Box3 basis functions at the default resolution of
-# 112 cells can reach 3.6e8 points.  At this size one float64 grid is 4 GiB,
-# so a request far beyond it (box6 at 64 cells reaches 3.2e15) fails with
-# DomainError instead of a numpy allocation error.
-GRID_BUDGET = 1 << 29
+# Largest sampling grid, in points, that count_grid evaluates; each grid is
+# checked just before it is evaluated, so a count fails only when a grid it
+# needs is too large (box6 at 64 cells: 1.3e10 points) and ends in
+# DomainError instead of a numpy allocation error.  A box grid costs about
+# 18 bytes per point and a triangle grid, with its edge samples, about 80,
+# so the budget holds peak memory near 0.6 and 2.7 GiB.  The test suite's
+# largest grid has 5.7e6 points (box3 at 224 cells).
+GRID_BUDGET = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -155,6 +153,12 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
 
 def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
     dom = f.domain
+    size = math.prod(_grid_shape(dom, cells0))
+    if size > GRID_BUDGET:
+        raise DomainError(
+            f"the nodal grid at {cells0} cells has {size:.3g} points, "
+            f"over the budget of {GRID_BUDGET}"
+        )
     if dom.kind == TRIANGLE:
         return _triangle_grid_count(f, cells0, halve)
     # box basis functions: nodal sets are axis-perpendicular hyperplanes, so
@@ -187,26 +191,20 @@ def count_grid(
         resolution = max(16, 8 * _max_halfperiods(f))
     if resolution < 16:
         raise DomainError("resolution must be >= 16 cells along the first axis")
-    largest = math.prod(_grid_shape(f.domain, resolution << _DOUBLINGS))
-    if largest > GRID_BUDGET:
-        raise DomainError(
-            f"nodal grids at resolution {resolution} reach {largest:.3g} points, "
-            f"over the budget of {GRID_BUDGET}"
-        )
     halve = (
         use_antisymmetry
         and f.domain.kind == TRIANGLE
         and _antisymmetric_wrt_cut(f)
     )
     cells = resolution
-    for _ in range(_DOUBLINGS):
+    for _ in range(3):
         c1 = _grid_count_once(f, cells, halve)
         c2 = _grid_count_once(f, cells * 2, halve)
         if c1 == c2:
             return NodalCount(c1, "grid", resolution=cells, stable=True)
         cells *= 2
     raise GridInstabilityError(
-        f"nodal count unstable after {_DOUBLINGS} doublings (last {c1} vs {c2})"
+        f"nodal count unstable after 3 doublings (last {c1} vs {c2})"
     )
 
 

@@ -30,10 +30,14 @@ Cutoff = AlgebraicValue | Fraction | int | float
 
 QN = tuple[int, ...]
 
-# Largest number of lattice points one enumeration may hold, checked before
-# anything is allocated.  The region, its levels and the expansion's columns
-# cost a few hundred bytes per point, so this is a few hundred MiB.  Every
-# cutoff it admits is below 2^44, so coefficients (at most the value, see
+# Largest number of candidates one axis of the expansion may hold, checked
+# before that axis's columns are allocated.  The last axis holds the most,
+# a little over the final region (box6 at 200: 241,798 candidates for
+# 198,085 points; triangle at 10^6: 393,841 for 393,544).  The region, its
+# levels and the columns cost a few hundred bytes per point, so this is a
+# few hundred MiB.
+# Cutoffs of 2^44 and more are refused before the first axis, which alone
+# would hold over 2^22 candidates, so coefficients (at most the value, see
 # algebra.coefficient_rows) and squared quantum numbers stay far below 2^53:
 # exact in int64 and in doubles.
 POINT_BUDGET = 1 << 20
@@ -88,41 +92,10 @@ def _float_cutoff(domain: Domain, cutoff: Cutoff) -> tuple[float, float]:
         else:
             c = float(cutoff)
             absum = abs(c)
-    except OverflowError:  # far over the budget; _check_budget says so
+    except OverflowError:  # far over the budget; enumerate_below says so
         c = absum = math.inf
     scale = max(abs(c), absum, 1.0)
     return c, (n + r + 16) * 2.0 ** -51 * scale
-
-
-def _check_budget(domain: Domain, weights: list[float], top: float) -> None:
-    """Raise DomainError when more than POINT_BUDGET points may lie below top.
-
-    The estimate is an upper bound: the smaller of the bounding-box count
-    and the volume of the positive part of the ellipsoid of W-radius
-    sqrt(top) + sqrt(sum w), which holds the unit cube [m, m + 1) of every
-    point m below top.
-    """
-    if not math.isfinite(top) or top >= 2.0**44:
-        estimate = math.inf
-    elif top < 0:
-        estimate = 0.0
-    elif domain.kind == TRIANGLE:
-        a = math.isqrt(math.floor(top))
-        estimate = (a + 1) * (a + 2) / 2
-    else:
-        n = len(weights)
-        box = math.prod(math.floor(math.sqrt(top / w)) + 1 for w in weights)
-        radius = math.sqrt(top) + math.sqrt(sum(weights))
-        log_volume = (
-            (n / 2) * math.log(math.pi) - math.lgamma(n / 2 + 1) + n * math.log(radius)
-            - n * math.log(2) - sum(math.log(w) for w in weights) / 2
-        )
-        estimate = min(box, math.exp(min(log_volume, 700.0)))
-    if estimate > POINT_BUDGET:
-        raise DomainError(
-            f"the {domain.label()} lattice below the cutoff may hold "
-            f"{estimate:.3g} points, over the budget of {POINT_BUDGET}"
-        )
 
 
 def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
@@ -130,7 +103,11 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     c, tol = _float_cutoff(domain, cutoff)
     weights = _weights(domain)
     top = c + tol
-    _check_budget(domain, weights, top)
+    if not top < 2.0**44:  # also catches inf and nan
+        raise DomainError(
+            f"the cutoff {c:.3g} is over the {domain.label()} lattice budget "
+            f"of {POINT_BUDGET} points"
+        )
     lo = 0 if domain.bc == NEUMANN else 1
     # rest[j]: the smallest contribution of the axes after j (each m >= lo)
     rest = [lo * sum(weights[j + 1:]) for j in range(len(weights))]
@@ -142,6 +119,12 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
         if domain.kind == TRIANGLE and j == 1:
             hi = np.minimum(hi, qn[:, 0] - lo)  # n <= m, n < m for Dirichlet
         counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > POINT_BUDGET:
+            raise DomainError(
+                f"the {domain.label()} lattice below the cutoff needs {total} "
+                f"candidates on axis {j}, over the budget of {POINT_BUDGET}"
+            )
         parent = np.repeat(np.arange(len(acc)), counts)
         m = lo + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
         acc = acc[parent] + w * (m * m)

@@ -122,11 +122,10 @@ def _group_levels(domain: Domain, region: LatticeRegion) -> list[Level]:
     floats = [float(v) for v in values]
     order = sorted(range(len(values)), key=lambda i: (floats[i], values[i].coeffs))
     levels = [Level(values[i], tuple(members[starts[i] : ends[i]])) for i in order]
-    # float sort first; every adjacent pair the float bound cannot certify
-    # is compared exactly, and a misordered one falls back to an exact sort
-    rows = rows[order]
-    for i in np.flatnonzero(~algebra.certainly_less(rows[:-1], rows[1:])).tolist():
-        if algebra.compare(levels[i].value, levels[i + 1].value) != LESS:
+    # float sort first; fall back to exact comparison if any neighbors are
+    # too close for doubles to order
+    for a, b in zip(levels, levels[1:]):
+        if algebra.compare(a.value, b.value) != LESS:
             levels.sort(
                 key=functools.cmp_to_key(
                     lambda a, b: algebra.compare(a.value, b.value)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from foldspec import algebra, eigenfn, nodal, spectrum
@@ -166,7 +168,11 @@ def test_dirichlet_identity_preconditions():
 
 def test_grid_budget_is_checked_before_evaluating():
     f = eigenfn.basis_fn(box(6), (1, 0, 0, 0, 0, 0))
+    t0 = time.perf_counter()
     with pytest.raises(DomainError, match="budget"):
         nodal.count_grid(f, resolution=64)
-    # the largest grids the box3 oracle checks reach stay inside the budget
+    assert time.perf_counter() - t0 < 0.5
+    # only the grids a count evaluates are checked, not the largest grid
+    # its doublings could reach: box5 stabilises on 3.2e5 and 9.9e6 points
+    assert nodal.count_grid(eigenfn.basis_fn(box(5), (1, 0, 0, 0, 0))).count == 2
     assert nodal.count_grid(eigenfn.basis_fn(box(3), (1, 6, 0)), resolution=112).count == 14
