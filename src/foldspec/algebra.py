@@ -37,7 +37,7 @@ def basis_len(n: int) -> int:
     return n if n % 2 else n // 2
 
 
-def _gamma2_steps(n: int) -> int:
+def gamma2_steps(n: int) -> int:
     # number of t-shifts that make up one gamma^2 factor
     return 2 if (n % 2 and n > 1) else 1
 
@@ -48,8 +48,15 @@ def _basis_floats(r: int) -> tuple[float, ...]:
 
 
 def coeffs_float(coeffs: tuple[int, ...]) -> float:
-    """float() of the value with these coefficients, without building it."""
-    return float(sum(c * b for c, b in zip(coeffs, _basis_floats(len(coeffs)))))
+    """float() of the value with these coefficients, without building it.
+
+    Summed left to right in a loop: builtin sum() rounds differently from
+    Python 3.12 on, and the printed floats must not depend on the version.
+    """
+    total = 0.0
+    for c, b in zip(coeffs, _basis_floats(len(coeffs))):
+        total += c * b
+    return total
 
 
 @dataclass(frozen=True)
@@ -161,7 +168,7 @@ def parity(v: AlgebraicValue) -> str:
 def scale_gamma2(v: AlgebraicValue, k: int) -> AlgebraicValue:
     """gamma^(2k) * v, exact; negative k requires divisibility."""
     r = len(v.coeffs)
-    t = k * _gamma2_steps(v.n)
+    t = k * gamma2_steps(v.n)
     out = [0] * r
     for j, c in enumerate(v.coeffs):
         if c == 0:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from . import algebra, folding, nodal, qlattice
 from .algebra import LESS, AlgebraicValue
 from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue, qn_parity
@@ -64,12 +66,11 @@ def classify(domain: Domain, cutoff: Cutoff) -> list[Verdict]:
     if domain.bc != NEUMANN:
         raise DomainError("Courant-sharpness classification covers the Neumann problem")
     si = build_index(domain, cutoff)
-    if domain.kind == TRIANGLE:
-        return [_classify_triangle_level(si, lv) for lv in si.levels]
-    return [_classify_box_level(si, lv) for lv in si.levels]
+    level = _classify_triangle_level if domain.kind == TRIANGLE else _classify_box_level
+    return [level(si, lv, si.position_at(i)) for i, lv in enumerate(si.levels)]
 
 
-def _base(si: SpectrumIndex, lv: Level) -> dict:
+def _base(lv: Level, position: int) -> dict:
     value = lv.value
     if value.is_zero():
         core, k = value, 0
@@ -77,7 +78,7 @@ def _base(si: SpectrumIndex, lv: Level) -> dict:
         oc = odd_core(value)
         core, k = oc.core, oc.k
     return {
-        "position": si.position_of(value),
+        "position": position,
         "value": value,
         "multiplicity": lv.multiplicity,
         "parity": algebra.parity(value),
@@ -114,8 +115,8 @@ def _boundary_witnesses(si: SpectrumIndex, value: AlgebraicValue, m: QN) -> list
     return [w1, w2]
 
 
-def _classify_triangle_level(si: SpectrumIndex, lv: Level) -> Verdict:
-    base = _base(si, lv)
+def _classify_triangle_level(si: SpectrumIndex, lv: Level, position: int) -> Verdict:
+    base = _base(lv, position)
     value, n_pos, d = lv.value, base["position"], lv.multiplicity
 
     if value.is_zero():
@@ -202,25 +203,46 @@ def _subdomain_pairs(cm: int, cn: int, k: int) -> list[tuple[int, int]]:
 def _reference_set_verdict(
     si: SpectrumIndex, lv: Level, base: dict, member: QN
 ) -> Verdict:
+    """The nu reference points lie below value (the member aside) and extra
+    lies below it outside them, so N(value) > nu.  Every reference point is
+    checked, as a row of an int64 array."""
     value, n_pos = lv.value, base["position"]
     a, b = member
     if a == b:
-        ref = qlattice.reference_set_diagonal(a)
+        ref = qlattice.reference_points_diagonal(a)
         extra = (a + 1, 0)
     else:
         _require(b == 0 and a % 2 == 0, lambda: f"unexpected reference shape {member}")
-        ref = qlattice.reference_set_axis(a // 2)
+        ref = qlattice.reference_points_axis(a // 2)
         extra = (a - 1, 2)
     nu = nodal.count_formula(si.domain, member).count
-    _require(nu == len(ref), lambda: f"reference set size {len(ref)} != nu {nu}")
-    for p in ref:
-        cmp = algebra.compare(eigenvalue(si.domain, p), value)
-        _require(
-            cmp == LESS or p == member,
-            lambda: f"reference point {p} is not below {value.text()}",
-        )
+    p0, p1 = ref[:, 0], ref[:, 1]
+
+    def first(bad: np.ndarray) -> QN:
+        return tuple(ref[np.flatnonzero(bad)[0]].tolist())
+
+    bad = (p1 < 0) | (p0 < p1)
     _require(
-        extra not in ref, lambda: f"strictness witness {extra} inside reference set"
+        not bad.any(),
+        lambda: f"reference point {first(bad)} is not a {si.domain.label()} "
+        "quantum number",
+    )
+    # exact in int64: enumerate_below refuses cutoffs of 2^44 or more, so the
+    # value z is below 2^44; the builders' coordinates are at most a, with
+    # a^2 <= z, so p0^2 + p1^2 < 2^45
+    z = value.coeffs[0]
+    above = (p0 * p0 + p1 * p1 >= z) & ((p0 != a) | (p1 != b))
+    _require(
+        not above.any(),
+        lambda: f"reference point {first(above)} is not below {value.text()}",
+    )
+    side = max(int(ref.max()), *extra) + 1
+    seen = np.zeros((side, side), dtype=bool)
+    seen[p0, p1] = True
+    size = int(seen.sum())
+    _require(nu == size, lambda: f"reference set size {size} != nu {nu}")
+    _require(
+        not seen[extra], lambda: f"strictness witness {extra} inside reference set"
     )
     _require(
         algebra.compare(eigenvalue(si.domain, extra), value) == LESS,
@@ -232,7 +254,7 @@ def _reference_set_verdict(
         sharp=False,
         reason=REFERENCE_SET_STRICT,
         nu=nu,
-        witness={"reference_size": len(ref), "extra_point": extra},
+        witness={"reference_size": size, "extra_point": extra},
     )
 
 
@@ -282,8 +304,8 @@ def _box_smaller_point(m: QN, n: int) -> QN | None:
     return unit(1, 1) if m1 >= 2 else None  # (1, 0) is the second eigenvalue
 
 
-def _classify_box_level(si: SpectrumIndex, lv: Level) -> Verdict:
-    base = _base(si, lv)
+def _classify_box_level(si: SpectrumIndex, lv: Level, position: int) -> Verdict:
+    base = _base(lv, position)
     value, n_pos, d = lv.value, base["position"], lv.multiplicity
     n = si.domain.n
 

@@ -179,20 +179,32 @@ def right_boundary(region: LatticeRegion) -> list[QN]:
     return out
 
 
-def reference_set_diagonal(m: int) -> set[QN]:
-    """Lattice triangle {(i, j): 0 <= j <= i <= m}; nodal-count reference for (m, m)."""
+def reference_points_diagonal(m: int) -> np.ndarray:
+    """Lattice triangle {(i, j): 0 <= j <= i <= m} as an (N, 2) int64 array,
+    one row per point; nodal-count reference for (m, m)."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    return {(i, j) for i in range(m + 1) for j in range(i + 1)}
+    return np.column_stack(np.tril_indices(m + 1)).astype(np.int64)
+
+
+def reference_points_axis(m: int) -> np.ndarray:
+    """Reference set {(m+j, m-i): 0 <= i <= m, -i <= j <= i} for (2m, 0) as
+    an (N, 2) int64 array, one row per point."""
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    i = np.repeat(np.arange(m + 1, dtype=np.int64), 2 * np.arange(m + 1) + 1)
+    j = np.arange(len(i)) - i * i - i  # row i holds i^2 earlier points
+    return np.column_stack([m + j, m - i])
+
+
+def reference_set_diagonal(m: int) -> set[QN]:
+    """reference_points_diagonal(m) as a set of quantum numbers."""
+    return set(map(tuple, reference_points_diagonal(m).tolist()))
 
 
 def reference_set_axis(m: int) -> set[QN]:
-    """Reference set {(m+j, m-i): 0 <= i <= m, -i <= j <= i} for (2m, 0)."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    return {
-        (m + j, m - i) for i in range(m + 1) for j in range(-i, i + 1)
-    }
+    """reference_points_axis(m) as a set of quantum numbers."""
+    return set(map(tuple, reference_points_axis(m).tolist()))
 
 
 def reference_set_box(m: QN) -> set[QN]:

@@ -12,7 +12,7 @@ import numpy as np
 from . import algebra
 from .algebra import LESS, AlgebraicValue
 from .domains import NEUMANN, Domain, qn_parity, triangle
-from .errors import DomainError, InvalidEigenvalueError, OutOfRangeError
+from .errors import DivisibilityError, DomainError, InvalidEigenvalueError, OutOfRangeError
 from .qlattice import QN, Cutoff, LatticeRegion, enumerate_below, sort_by_value
 
 
@@ -101,6 +101,10 @@ class SpectrumIndex:
     def position_of(self, value: AlgebraicValue) -> int:
         return self.counting(value).position
 
+    def position_at(self, i: int) -> int:
+        """First spectral position of levels[i]."""
+        return self._cum[i] + 1
+
     def multiplicity_of(self, value: AlgebraicValue) -> int:
         lv = self.level_of(value)
         return lv.multiplicity if lv else 0
@@ -151,15 +155,27 @@ def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
 
 
 def odd_core(value: AlgebraicValue) -> OddCore:
-    """Unique odd value core and exponent k with value = gamma^(2k) * core."""
+    """Unique odd value core and exponent k with value = gamma^(2k) * core.
+
+    Works on the coefficient tuple over {t^j}: dividing by t rotates the
+    coefficients one slot down, the wrapped t^0 coefficient halved (t^r = 2),
+    and gamma^2 is one such step (two for odd n > 1).
+    """
     if value.is_zero():
         raise DomainError("zero has no odd core")
+    steps = algebra.gamma2_steps(value.n)
+    coeffs = value.coeffs
     k = 0
-    v = value
-    while algebra.parity(v) == "even":
-        v = algebra.scale_gamma2(v, -1)
+    while coeffs[0] % 2 == 0:
+        start = coeffs
+        for _ in range(steps):
+            if coeffs[0] % 2:
+                raise DivisibilityError(
+                    f"{AlgebraicValue(value.n, start).text()} is not divisible by gamma^2"
+                )
+            coeffs = coeffs[1:] + (coeffs[0] >> 1,)
         k += 1
-    return OddCore(core=v, k=k)
+    return OddCore(core=AlgebraicValue(value.n, coeffs), k=k)
 
 
 def r2(z: int) -> int:

@@ -154,3 +154,11 @@ def test_huge_pell_near_tie():
     zero4 = algebra.zero(4)
     assert algebra.compare(AlgebraicValue(4, (-p, q)), zero4) == algebra.LESS
     assert algebra.compare(AlgebraicValue(4, (p, -q)), zero4) == algebra.GREATER
+
+
+def test_float_is_summed_left_to_right():
+    # 4 + 2 * 2^(1/3) + 9 * 2^(2/3): a compensated sum (builtin sum() from
+    # Python 3.12 on) rounds this to 20.80645156750354
+    v = algebra.from_quantum_number(3, (2, 3, 1))
+    assert v.coeffs == (4, 2, 9)
+    assert float(v) == 20.806451567503544

@@ -254,3 +254,14 @@ def test_verdicts_bytes_are_pinned(capsys):
         hashlib.sha256(out.encode("utf-8")).hexdigest()
         == "1e73a5eeec0abb943f58bf38fdd7f56690e3201532edada0f95b484754529796"
     )
+
+
+def test_triangle_verdicts_bytes_are_pinned(capsys):
+    # sha256 recorded before the witness checks moved to integer arrays
+    argv = ["verdicts", "--domain", "triangle", "--cutoff", "50000", "--format", "json"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "aec7cb75c12ceafff81a4b41c4045bbf2025beabec8e72101b88d6f242f30f06"
+    )

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from foldspec import algebra, courant, eigenfn, nodal, spectrum
-from foldspec.domains import box, triangle
+from foldspec import algebra, courant, eigenfn, nodal, qlattice, spectrum
+from foldspec.algebra import LESS
+from foldspec.domains import box, eigenvalue, triangle
 from foldspec.errors import ConsistencyError
 
 
@@ -127,3 +129,144 @@ def test_failed_witness_check_names_the_witness():
     si = spectrum.build_index(triangle(), 100)
     with pytest.raises(ConsistencyError, match=r"boundary witness \(2, 2\) failed for 5"):
         courant._boundary_witnesses(si, algebra.integer_value(1, 5), (3, 0))
+
+
+# ---------------------------------------------------------------------------
+# integer witness checks over reference-set arrays
+
+
+def diagonal_set(m: int) -> set:
+    return {(i, j) for i in range(m + 1) for j in range(i + 1)}
+
+
+def axis_set(m: int) -> set:
+    return {(m + j, m - i) for i in range(m + 1) for j in range(-i, i + 1)}
+
+
+@pytest.mark.parametrize(
+    "build,closed_form",
+    [
+        (qlattice.reference_points_diagonal, diagonal_set),
+        (qlattice.reference_points_axis, axis_set),
+    ],
+    ids=["diagonal", "axis"],
+)
+def test_reference_point_arrays_are_their_closed_forms(build, closed_form):
+    for m in range(61):
+        ref = build(m)
+        assert ref.dtype == np.int64 and ref.shape == (ref.shape[0], 2)
+        rows = list(map(tuple, ref.tolist()))
+        assert len(set(rows)) == len(rows)
+        assert set(rows) == closed_form(m)
+
+
+def reference_level(value: int):
+    """The spectrum index of the triangle below 20 and its level at value."""
+    si = spectrum.build_index(triangle(), 20)
+    return si, si.level_of(algebra.integer_value(1, value))
+
+
+def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tuple):
+    """The reference-set verdict of the triangle level at value, with one row
+    of the builder's array replaced."""
+    build = getattr(qlattice, builder)
+
+    def patched(m):
+        ref = build(m)
+        rows = list(map(tuple, ref.tolist()))
+        ref[rows.index(old)] = new
+        return ref
+
+    monkeypatch.setattr(qlattice, builder, patched)
+    si, lv = reference_level(value)
+    i = si.levels.index(lv)
+    return courant._classify_triangle_level(si, lv, si.position_at(i))
+
+
+# 18 = (3, 3) is checked against the diagonal set, 16 = (4, 0) against the
+# axis set; both levels are reference-set verdicts when nothing is patched
+@pytest.mark.parametrize("value,extra", [(18, (4, 0)), (16, (3, 2))])
+def test_reference_set_levels_unpatched(value, extra):
+    si, lv = reference_level(value)
+    v = courant._classify_triangle_level(si, lv, si.position_at(si.levels.index(lv)))
+    assert v.reason == courant.REFERENCE_SET_STRICT
+    assert v.witness["extra_point"] == extra
+
+
+@pytest.mark.parametrize(
+    "value,builder,old,new,message",
+    [
+        # a row moved above the value: 5^2 = 25 > 18, 5^2 + 1 = 26 > 16
+        (18, "reference_points_diagonal", (0, 0), (5, 0),
+         r"reference point \(5, 0\) is not below 18"),
+        (16, "reference_points_axis", (0, 0), (5, 1),
+         r"reference point \(5, 1\) is not below 16"),
+        # a row that is no Neumann triangle quantum number
+        (18, "reference_points_diagonal", (1, 0), (0, 1),
+         r"reference point \(0, 1\) is not a triangle-neumann quantum number"),
+        (16, "reference_points_axis", (1, 1), (1, -1),
+         r"reference point \(1, -1\) is not a triangle-neumann quantum number"),
+        # the strictness witness inside the set
+        (18, "reference_points_diagonal", (0, 0), (4, 0),
+         r"strictness witness \(4, 0\) inside reference set"),
+        (16, "reference_points_axis", (0, 0), (3, 2),
+         r"strictness witness \(3, 2\) inside reference set"),
+        # a duplicate row: one point fewer than the nodal count
+        (18, "reference_points_diagonal", (0, 0), (1, 0),
+         r"reference set size 9 != nu 10"),
+    ],
+)
+def test_reference_set_check_rejects_a_bad_row(
+    monkeypatch, value, builder, old, new, message
+):
+    with pytest.raises(ConsistencyError, match=message):
+        patched_verdict(monkeypatch, value, builder, old, new)
+
+
+def test_reference_point_at_the_value_is_not_below_it(monkeypatch):
+    # 50 = 5^2 + 5^2 = 7^2 + 1^2: of the points with the value itself, only
+    # the member (5, 5) may stand in its reference set, so (7, 1) must fail
+    build = qlattice.reference_points_diagonal
+
+    def patched(m):
+        ref = build(m)
+        ref[0] = (7, 1)  # was (0, 0)
+        return ref
+
+    monkeypatch.setattr(qlattice, "reference_points_diagonal", patched)
+    si = spectrum.build_index(triangle(), 60)
+    lv = si.level_of(algebra.integer_value(1, 50))
+    base = courant._base(lv, si.position_at(si.levels.index(lv)))
+    with pytest.raises(ConsistencyError, match=r"reference point \(7, 1\) is not below 50"):
+        courant._reference_set_verdict(si, lv, base, (5, 5))
+
+
+def oracle_reference_check(si, v, member):
+    """The former per-point check, on the closed-form sets: every reference
+    point through the exact eigenvalue and algebra.compare."""
+    a, b = member
+    if a == b:
+        ref, extra = diagonal_set(a), (a + 1, 0)
+    else:
+        ref, extra = axis_set(a // 2), (a - 1, 2)
+    assert len(ref) == v.nu
+    for p in ref:
+        assert algebra.compare(eigenvalue(si.domain, p), v.value) == LESS or p == member
+    assert extra not in ref
+    assert algebra.compare(eigenvalue(si.domain, extra), v.value) == LESS
+    assert v.nu < v.position
+    return {"reference_size": len(ref), "extra_point": extra}
+
+
+def test_positions_and_reference_verdicts_match_the_exact_path():
+    si = spectrum.build_index(triangle(), 5000)
+    verdicts = courant.classify(triangle(), 5000)
+    assert len(verdicts) == len(si.levels)
+    checked = 0
+    for v, lv in zip(verdicts, si.levels):
+        assert v.value == lv.value
+        assert v.position == si.position_of(lv.value)
+        if v.reason == courant.REFERENCE_SET_STRICT:
+            assert v.witness == oracle_reference_check(si, v, lv.members[0])
+            checked += 1
+    assert checked > 20

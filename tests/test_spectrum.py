@@ -3,11 +3,18 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foldspec import algebra, spectrum
 from foldspec.algebra import AlgebraicValue
 from foldspec.domains import box, triangle
-from foldspec.errors import DomainError, InvalidEigenvalueError, OutOfRangeError
+from foldspec.errors import (
+    DivisibilityError,
+    DomainError,
+    InvalidEigenvalueError,
+    OutOfRangeError,
+)
 
 
 def test_triangle_index_values():
@@ -136,3 +143,56 @@ def test_dnn_index_is_odd_sublattice():
     # first DNN eigenvalue is 1, with the lowest odd lattice point
     assert dnn.levels[0].value.coeffs == (1,)
     assert dnn.levels[0].members == ((1, 0),)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the former odd_core, one exact gamma^2 division per step
+
+
+def odd_core_by_division(value: AlgebraicValue) -> spectrum.OddCore:
+    k = 0
+    v = value
+    while algebra.parity(v) == "even":
+        v = algebra.scale_gamma2(v, -1)
+        k += 1
+    return spectrum.OddCore(core=v, k=k)
+
+
+@pytest.mark.parametrize(
+    "dom,cutoff",
+    [(triangle(), 3000), (box(2), 400), (box(3), 60), (box(4), 40), (box(5), 40),
+     (box(6), 30)],
+    ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+)
+def test_odd_core_matches_division_oracle_on_every_level(dom, cutoff):
+    levels = spectrum.build_index(dom, cutoff).levels
+    assert len(levels) > 100
+    for lv in levels[1:]:  # levels[0] is the ground state 0
+        assert spectrum.odd_core(lv.value) == odd_core_by_division(lv.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                min_size=algebra.basis_len(n),
+                max_size=algebra.basis_len(n),
+            ).filter(any),
+            st.integers(min_value=0, max_value=12),
+        )
+    )
+)
+def test_odd_core_matches_division_oracle_on_random_rows(case):
+    n, coeffs, k = case
+    # scaling by gamma^(2k) makes long division chains likely
+    value = algebra.scale_gamma2(AlgebraicValue(n, tuple(coeffs)), k)
+    try:
+        want = odd_core_by_division(value)
+    except DivisibilityError:
+        with pytest.raises(DivisibilityError):
+            spectrum.odd_core(value)
+        return
+    assert spectrum.odd_core(value) == want
