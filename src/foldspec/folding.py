@@ -189,47 +189,6 @@ def build_frame(domain: Domain, k: int) -> KFrame:
     return KFrame(domain, k, tuple(slabs))
 
 
-def frame_parent_facet(domain: Domain, facet) -> object:
-    """Image of a facet under F (or F o R when it lies in the far half).
-
-    Every facet of S^(k) must land inside a facet of S^(k-1); used as the
-    nesting check.  Exact arithmetic throughout.
-    """
-    def f_frac(p: FracPoint) -> FracPoint:
-        return (p[0] + p[1], p[0] - p[1])
-
-    if domain.kind == TRIANGLE:
-        a, b = facet.a, facet.b
-        if a[0] + a[1] <= 1 and b[0] + b[1] <= 1:
-            return Segment(f_frac(a), f_frac(b))
-        return Segment(f_frac(_r_frac(a)), f_frac(_r_frac(b)))
-    if facet.axis > 0:
-        return Slab(facet.axis - 1, facet.frac)
-    if facet.frac <= Fraction(1, 2):
-        return Slab(domain.n - 1, 2 * facet.frac)
-    return Slab(domain.n - 1, 2 * (1 - facet.frac))
-
-
-def segment_contains(outer: Segment, inner: Segment) -> bool:
-    """Exact test that inner lies inside outer (collinear, within range)."""
-
-    def cross(o: FracPoint, p: FracPoint, q: FracPoint) -> Fraction:
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    if cross(outer.a, outer.b, inner.a) != 0 or cross(outer.a, outer.b, inner.b) != 0:
-        return False
-    dx = outer.b[0] - outer.a[0]
-    dy = outer.b[1] - outer.a[1]
-
-    def param(p: FracPoint) -> Fraction:
-        if dx:
-            return (p[0] - outer.a[0]) / dx
-        return (p[1] - outer.a[1]) / dy
-
-    ta, tb = param(inner.a), param(inner.b)
-    return 0 <= min(ta, tb) and max(ta, tb) <= 1
-
-
 # ---------------------------------------------------------------------------
 # partition counting (exact)
 

@@ -17,7 +17,7 @@ from scipy import ndimage
 
 from . import algebra, folding, qlattice
 from .algebra import AlgebraicValue
-from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn
+from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn, qn_parity
 from .eigenfn import Combo, basis_fn, eval_on_axes, product_terms
 from .errors import DomainError, GridInstabilityError
 from .qlattice import QN
@@ -197,9 +197,10 @@ def count_grid(
         and _antisymmetric_wrt_cut(f)
     )
     cells = resolution
+    c2 = _grid_count_once(f, cells, halve)
     for _ in range(3):
-        c1 = _grid_count_once(f, cells, halve)
-        c2 = _grid_count_once(f, cells * 2, halve)
+        # each round doubles the grid the round before counted last
+        c1, c2 = c2, _grid_count_once(f, cells * 2, halve)
         if c1 == c2:
             return NodalCount(c1, "grid", resolution=cells, stable=True)
         cells *= 2
@@ -262,11 +263,8 @@ def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyRepo
     oc = odd_core(value)
     d = si.multiplicity_of(oc.core)
     mk = folding.partition_count(dom, oc.k)
-    region = si.region_below(oc.core)
-    _, even = qlattice.parity_split(
-        qlattice.LatticeRegion(dom, oc.core, tuple(qlattice.right_boundary(region)))
-    )
-    boundary_even = len(even)
+    boundary = qlattice.right_boundary(si.region_below(oc.core))
+    boundary_even = sum(qn_parity(dom, m) == "even" for m in boundary)
     b1 = (d - 1) * (mk - 1)
     b2 = boundary_even - 1 if oc.k == 0 else None
     bound = max(b1, b2 if b2 is not None else 0, 0)
@@ -329,18 +327,14 @@ def dirichlet_deficiency_check(
     folded = algebra.scale_gamma2(value, -1)
     lhs = _simple_deficiency(si, value)
     folded_def = _simple_deficiency(si, folded)
-    region = si.region_below(value)
-    odd, _ = qlattice.parity_split(
-        qlattice.LatticeRegion(
-            si.domain, value, tuple(qlattice.right_boundary(region))
-        )
-    )
-    rhs = 2 * folded_def + len(odd) - 1
+    boundary = qlattice.right_boundary(si.region_below(value))
+    boundary_odd = sum(qn_parity(si.domain, m) == "odd" for m in boundary)
+    rhs = 2 * folded_def + boundary_odd - 1
     return DirichletDeficiencyCheck(
         value=value,
         folded=folded,
         lhs=lhs,
         folded_deficiency=folded_def,
-        boundary_odd=len(odd),
+        boundary_odd=boundary_odd,
         rhs=rhs,
     )

@@ -8,13 +8,16 @@ range comes from the budget the earlier axes leave, with one step of slack.
 A point is accepted or rejected by its double value when that value lies
 farther from the cutoff than a rigorous bound on the rounding error; the
 few points inside that margin are decided exactly by algebra.is_below.
-Points are ordered by (float value, quantum number), so all downstream
-output is deterministic.
+
+A region is its levels: one Level per distinct exact value, the levels in
+exact increasing order and each level's members sorted by quantum number.
+This is the one place that orders eigenvalues; spectrum indexes and the
+regions they serve reuse it.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import algebra
-from .algebra import AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain, qn_parity
+from .algebra import LESS, AlgebraicValue
+from .domains import NEUMANN, TRIANGLE, Domain
 from .errors import DomainError
 
 Cutoff = AlgebraicValue | Fraction | int | float
@@ -44,13 +47,30 @@ POINT_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
+class Level:
+    value: AlgebraicValue
+    members: tuple[QN, ...]
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.members)
+
+
+@dataclass(frozen=True)
 class LatticeRegion:
+    """The levels below cutoff, in exact increasing order."""
+
     domain: Domain
     cutoff: Cutoff
-    points: tuple[QN, ...]
+    levels: tuple[Level, ...]
+
+    @property
+    def points(self) -> tuple[QN, ...]:
+        """Every member, level by level."""
+        return tuple(m for lv in self.levels for m in lv.members)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return sum(lv.multiplicity for lv in self.levels)
 
     def point_set(self) -> frozenset[QN]:
         return frozenset(self.points)
@@ -99,7 +119,9 @@ def _float_cutoff(domain: Domain, cutoff: Cutoff) -> tuple[float, float]:
 
 
 def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
-    """All quantum numbers with eigenvalue strictly below cutoff."""
+    """All quantum numbers with eigenvalue strictly below cutoff, as levels
+    in exact increasing order, each level's members sorted by quantum
+    number."""
     c, tol = _float_cutoff(domain, cutoff)
     weights = _weights(domain)
     top = c + tol
@@ -137,46 +159,42 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     for i, row in zip(near, algebra.coefficient_rows(ring, qn[near]).tolist()):
         below[i] = algebra.is_below(AlgebraicValue(ring, tuple(row)), cutoff)
     qn = qn[below]
-    order, rows, starts = sort_by_value(ring, qn)
-    # order by the double of each distinct exact value, then lexicographically
-    floats = [algebra.coeffs_float(tuple(row)) for row in rows[starts].tolist()]
-    key = np.empty(len(qn))
-    key[order] = np.repeat(floats, np.diff(np.append(starts, len(qn))))
-    order = np.lexsort([qn[:, j] for j in reversed(range(qn.shape[1]))] + [key])
-    return LatticeRegion(domain, cutoff, tuple(map(tuple, qn[order].tolist())))
-
-
-def sort_by_value(
-    ring: int, qn: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The order that sorts quantum numbers by (coefficient row, quantum
-    number), the coefficient rows in that order, and the index at which each
-    distinct row starts."""
+    # group by coefficient row, members by quantum number within a row
     rows = algebra.coefficient_rows(ring, qn)
-    keys = [qn[:, j] for j in reversed(range(qn.shape[1]))]
-    order = np.lexsort(keys + [rows[:, j] for j in reversed(range(rows.shape[1]))])
-    rows = rows[order]
+    order = np.lexsort(
+        [qn[:, j] for j in reversed(range(qn.shape[1]))]
+        + [rows[:, j] for j in reversed(range(rows.shape[1]))]
+    )
+    qn, rows = qn[order], rows[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return order, rows, np.flatnonzero(first)
-
-
-def parity_split(region: LatticeRegion) -> tuple[list[QN], list[QN]]:
-    """(odd, even) sublists of the region, order preserved."""
-    odd = [m for m in region.points if qn_parity(region.domain, m) == "odd"]
-    even = [m for m in region.points if qn_parity(region.domain, m) == "even"]
-    return odd, even
+    starts = np.flatnonzero(first)
+    coeffs = list(map(tuple, rows[starts].tolist()))
+    members = list(map(tuple, qn.tolist()))
+    bounds = np.append(starts, len(qn)).tolist()
+    # the rows are in coefficient order, so a stable sort by double orders
+    # the levels by (double, coefficients)
+    floats = [algebra.coeffs_float(c) for c in coeffs]
+    levels = [
+        Level(AlgebraicValue(ring, coeffs[i]), tuple(members[bounds[i] : bounds[i + 1]]))
+        for i in np.argsort(floats, kind="stable").tolist()
+    ]
+    # certify every adjacent pair exactly; where doubles could not order one,
+    # sort by exact comparison
+    for a, b in zip(levels, levels[1:]):
+        if algebra.compare(a.value, b.value) != LESS:
+            levels.sort(
+                key=functools.cmp_to_key(lambda a, b: algebra.compare(a.value, b.value))
+            )
+            break
+    return LatticeRegion(domain, cutoff, tuple(levels))
 
 
 def right_boundary(region: LatticeRegion) -> list[QN]:
     """Points of the region whose right neighbor (first coordinate + 1) is outside."""
-    members = region.point_set()
-    out = []
-    for m in region.points:
-        neighbor = (m[0] + 1,) + m[1:]
-        if neighbor not in members:
-            out.append(m)
-    return out
+    points = region.points
+    members = set(points)
+    return [m for m in points if (m[0] + 1,) + m[1:] not in members]
 
 
 def reference_points_diagonal(m: int) -> np.ndarray:
@@ -195,20 +213,3 @@ def reference_points_axis(m: int) -> np.ndarray:
     i = np.repeat(np.arange(m + 1, dtype=np.int64), 2 * np.arange(m + 1) + 1)
     j = np.arange(len(i)) - i * i - i  # row i holds i^2 earlier points
     return np.column_stack([m + j, m - i])
-
-
-def reference_set_diagonal(m: int) -> set[QN]:
-    """reference_points_diagonal(m) as a set of quantum numbers."""
-    return set(map(tuple, reference_points_diagonal(m).tolist()))
-
-
-def reference_set_axis(m: int) -> set[QN]:
-    """reference_points_axis(m) as a set of quantum numbers."""
-    return set(map(tuple, reference_points_axis(m).tolist()))
-
-
-def reference_set_box(m: QN) -> set[QN]:
-    """Axis-aligned lattice box {q : 0 <= q_j <= m_j}."""
-    if any(e < 0 for e in m):
-        raise DomainError("box quantum number entries must be >= 0")
-    return set(itertools.product(*(range(e + 1) for e in m)))

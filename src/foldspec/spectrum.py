@@ -2,28 +2,17 @@
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from operator import attrgetter
 
 from . import algebra
-from .algebra import LESS, AlgebraicValue
-from .domains import NEUMANN, Domain, qn_parity, triangle
+from .algebra import AlgebraicValue
+from .domains import NEUMANN, Domain, triangle
 from .errors import DivisibilityError, DomainError, InvalidEigenvalueError, OutOfRangeError
-from .qlattice import QN, Cutoff, LatticeRegion, enumerate_below, sort_by_value
-
-
-@dataclass(frozen=True)
-class Level:
-    value: AlgebraicValue
-    members: tuple[QN, ...]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.members)
+from .qlattice import Cutoff, LatticeRegion, Level, enumerate_below
 
 
 @dataclass(frozen=True)
@@ -43,17 +32,15 @@ class OddCore:
 class SpectrumIndex:
     """Eigenvalues below a cutoff, grouped by exact value, positions 1-based."""
 
-    def __init__(self, domain: Domain, cutoff: Cutoff, levels: list[Level]):
+    def __init__(self, domain: Domain, cutoff: Cutoff, levels: Sequence[Level]):
         self.domain = domain
         self.cutoff = cutoff
         self.levels = tuple(levels)
-        self._floats = [float(lv.value) for lv in self.levels]
         self._by_coeffs = {lv.value.coeffs: i for i, lv in enumerate(self.levels)}
         cum = [0]
         for lv in self.levels:
             cum.append(cum[-1] + lv.multiplicity)
         self._cum = cum  # cum[i] = number of eigenvalues strictly before level i
-        self._members = tuple(m for lv in self.levels for m in lv.members)
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -66,13 +53,9 @@ class SpectrumIndex:
         return None if i is None else self.levels[i]
 
     def _level_index_at_or_above(self, value: AlgebraicValue) -> int:
-        """Index of the first level with level.value >= value."""
-        i = bisect_left(self._floats, float(value) - 1e-9)
-        while i < len(self.levels) and algebra.compare(self.levels[i].value, value) == LESS:
-            i += 1
-        while i > 0 and algebra.compare(self.levels[i - 1].value, value) != LESS:
-            i -= 1
-        return i
+        """Index of the first level with level.value >= value (exact: the
+        values compare with algebra.compare)."""
+        return bisect_left(self.levels, value, key=attrgetter("value"))
 
     def counting(self, value: AlgebraicValue) -> Counting:
         """Counting functions at value; value must lie below the cutoff."""
@@ -88,15 +71,14 @@ class SpectrumIndex:
         return Counting(below=below, upto=below + d, position=position, multiplicity=d)
 
     def region_below(self, value: AlgebraicValue) -> LatticeRegion:
-        """The members of every level strictly below value, in level order:
-        Q(value) for an index from build_index.  value must lie below the
-        cutoff."""
+        """Every level strictly below value: Q(value) for an index from
+        build_index.  value must lie below the cutoff."""
         if not algebra.is_below(value, self.cutoff):
             raise OutOfRangeError(
                 f"{value.text()} is not below the index cutoff"
             )
-        below = self._cum[self._level_index_at_or_above(value)]
-        return LatticeRegion(self.domain, value, self._members[:below])
+        i = self._level_index_at_or_above(value)
+        return LatticeRegion(self.domain, value, self.levels[:i])
 
     def position_of(self, value: AlgebraicValue) -> int:
         return self.counting(value).position
@@ -110,48 +92,19 @@ class SpectrumIndex:
         return lv.multiplicity if lv else 0
 
 
-def _group_levels(domain: Domain, region: LatticeRegion) -> list[Level]:
-    """One Level per distinct coefficient row, members sorted, levels in
-    exact value order."""
-    if not region.points:
-        return []
-    ring = domain.ring
-    pts = np.array(region.points, dtype=np.int64)
-    by_value, rows, starts = sort_by_value(ring, pts)
-    members = [region.points[i] for i in by_value.tolist()]
-    rows = rows[starts]
-    starts = starts.tolist()
-    ends = starts[1:] + [len(members)]
-    values = [AlgebraicValue(ring, tuple(row)) for row in rows.tolist()]
-    floats = [float(v) for v in values]
-    order = sorted(range(len(values)), key=lambda i: (floats[i], values[i].coeffs))
-    levels = [Level(values[i], tuple(members[starts[i] : ends[i]])) for i in order]
-    # float sort first; fall back to exact comparison if any neighbors are
-    # too close for doubles to order
-    for a, b in zip(levels, levels[1:]):
-        if algebra.compare(a.value, b.value) != LESS:
-            levels.sort(
-                key=functools.cmp_to_key(
-                    lambda a, b: algebra.compare(a.value, b.value)
-                )
-            )
-            break
-    return levels
-
-
 def build_index(domain: Domain, cutoff: Cutoff) -> SpectrumIndex:
-    region = enumerate_below(domain, cutoff)
-    return SpectrumIndex(domain, cutoff, _group_levels(domain, region))
+    return SpectrumIndex(domain, cutoff, enumerate_below(domain, cutoff).levels)
 
 
 def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
     """Spectrum of the half-triangle problem with Dirichlet on the cut L and
-    Neumann elsewhere: the odd part of the Neumann triangle spectrum."""
+    Neumann elsewhere: the odd part of the Neumann triangle spectrum (a
+    level is odd exactly when its members have m - n odd, as
+    m - n = m^2 + n^2 mod 2)."""
     dom = triangle(NEUMANN)
-    region = enumerate_below(dom, cutoff)
-    odd_pts = tuple(m for m in region.points if qn_parity(dom, m) == "odd")
-    odd_region = LatticeRegion(dom, cutoff, odd_pts)
-    return SpectrumIndex(dom, cutoff, _group_levels(dom, odd_region))
+    levels = enumerate_below(dom, cutoff).levels
+    odd = [lv for lv in levels if algebra.parity(lv.value) == "odd"]
+    return SpectrumIndex(dom, cutoff, odd)
 
 
 def odd_core(value: AlgebraicValue) -> OddCore:

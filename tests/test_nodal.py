@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -42,12 +44,18 @@ def test_grid_resolution_floor():
         nodal.count_grid(eigenfn.basis_fn(triangle(), (1, 0)), resolution=8)
 
 
-def test_grid_instability_is_reported():
+def test_grid_instability_is_reported(monkeypatch):
     # this eigenfunction has structure finer than the escalation budget at
     # default resolution; the oracle must refuse rather than guess
     f = eigenfn.basis_fn(triangle(), (16, 4))
-    with pytest.raises(GridInstabilityError):
+    once = nodal._grid_count_once
+    cells = []
+    monkeypatch.setattr(
+        nodal, "_grid_count_once", lambda f, c, halve: cells.append(c) or once(f, c, halve)
+    )
+    with pytest.raises(GridInstabilityError, match="after 3 doublings"):
         nodal.count_grid(f, resolution=64)
+    assert cells == [64, 128, 256, 512]  # each grid is counted once
 
 
 def test_grid_dirichlet_box():
@@ -176,3 +184,23 @@ def test_grid_budget_is_checked_before_evaluating():
     # its doublings could reach: box5 stabilises on 3.2e5 and 9.9e6 points
     assert nodal.count_grid(eigenfn.basis_fn(box(5), (1, 0, 0, 0, 0))).count == 2
     assert nodal.count_grid(eigenfn.basis_fn(box(3), (1, 6, 0)), resolution=112).count == 14
+
+
+# sha256 of json.dumps of the deficiency reports of every nonzero level of
+# triangle@400, box2@400 and box3@60 (the sizes of the nodal-deficiency
+# benchmark), recorded before regions became lists of levels, so that the
+# boundary parity counts are pinned to the earlier code's output
+DEFICIENCY_PIN = "7100ce588e2890ea1b6194a3473c03e476d382666617c99d50d0348890592e38"
+
+
+def test_deficiency_reports_are_pinned():
+    rows = []
+    for dom, cutoff in ((triangle(), 400), (box(2), 400), (box(3), 60)):
+        si = spectrum.build_index(dom, cutoff)
+        rows += [
+            nodal.deficiency_bound(si, lv.value).as_dict()
+            for lv in si.levels
+            if not lv.value.is_zero()
+        ]
+    assert len(rows) == 476
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFICIENCY_PIN

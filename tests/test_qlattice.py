@@ -6,14 +6,15 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foldspec import algebra, qlattice, spectrum
-from foldspec.algebra import LESS, AlgebraicValue
+from foldspec.algebra import GREATER, LESS, AlgebraicValue
 from foldspec.domains import NEUMANN, TRIANGLE, box, eigenvalue, qn_parity, triangle
-from foldspec.errors import DomainError
+from foldspec.errors import DomainError, OutOfRangeError
 from foldspec.spectrum import Level
 
 
@@ -81,14 +82,6 @@ def test_enumerate_monotone_in_cutoff():
         prev = cur
 
 
-def test_parity_split_example():
-    r = qlattice.enumerate_below(triangle(), 9)
-    odd, even = qlattice.parity_split(r)
-    assert set(odd) == {(1, 0), (2, 1)}
-    assert set(even) == {(0, 0), (1, 1), (2, 0), (2, 2)}
-    assert len(odd) + len(even) == len(r)
-
-
 def test_parity_rules():
     assert qn_parity(triangle(), (1, 1)) == "even"
     assert qn_parity(box(3), (1, 0, 2)) == "odd"
@@ -148,24 +141,22 @@ def test_dirichlet_boundary_bijection():
         assert odd[lam] == even[lam] + boundary_odd[lam], lam
 
 
+def _rows(points) -> set:
+    return set(map(tuple, points.tolist()))
+
+
 def test_reference_set_diagonal():
-    assert qlattice.reference_set_diagonal(1) == {(0, 0), (1, 0), (1, 1)}
-    assert len(qlattice.reference_set_diagonal(3)) == 10
-    assert len(qlattice.reference_set_diagonal(5)) == 21
+    assert _rows(qlattice.reference_points_diagonal(1)) == {(0, 0), (1, 0), (1, 1)}
+    assert len(_rows(qlattice.reference_points_diagonal(3))) == 10
+    assert len(_rows(qlattice.reference_points_diagonal(5))) == 21
 
 
 def test_reference_set_axis():
-    assert len(qlattice.reference_set_axis(3)) == 16
-    assert qlattice.reference_set_axis(1) == {(1, 1), (0, 0), (1, 0), (2, 0)}
+    assert len(_rows(qlattice.reference_points_axis(3))) == 16
+    assert _rows(qlattice.reference_points_axis(1)) == {(1, 1), (0, 0), (1, 0), (2, 0)}
     # sizes are sums of odd numbers
     for m in range(7):
-        assert len(qlattice.reference_set_axis(m)) == (m + 1) ** 2
-
-
-def test_reference_set_box():
-    assert len(qlattice.reference_set_box((2, 1))) == 6
-    assert qlattice.reference_set_box((0, 0, 0)) == {(0, 0, 0)}
-    assert len(qlattice.reference_set_box((4, 3))) == 20
+        assert len(_rows(qlattice.reference_points_axis(m))) == (m + 1) ** 2
 
 
 def test_reference_sets_sit_inside_regions():
@@ -175,12 +166,12 @@ def test_reference_sets_sit_inside_regions():
     for m in range(3, 9):
         value = 2 * m * m
         region = set(qlattice.enumerate_below(dom, value).points)
-        ref = qlattice.reference_set_diagonal(m)
+        ref = _rows(qlattice.reference_points_diagonal(m))
         assert ref <= region | {(m, m)}
         assert (m + 1, 0) in region - ref
         axis_val = 4 * m * m
         axis_region = set(qlattice.enumerate_below(dom, axis_val).points)
-        axis_ref = qlattice.reference_set_axis(m)
+        axis_ref = _rows(qlattice.reference_points_axis(m))
         assert axis_ref <= axis_region | {(2 * m, 0)}
         assert (2 * m - 1, 2) in axis_region - axis_ref
 
@@ -190,7 +181,7 @@ def test_reference_set_box_inside_region():
     for m in itertools.product(range(1, 5), repeat=2):
         value = eigenvalue(dom, m)
         region = set(qlattice.enumerate_below(dom, value).points) | {m}
-        assert qlattice.reference_set_box(m) <= region
+        assert set(itertools.product(*(range(e + 1) for e in m))) <= region
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +310,109 @@ def test_enumerate_matches_oracle_at_random_cutoffs(case):
 
 
 def test_region_below_is_the_enumerated_region():
+    assert Level is qlattice.Level
     for dom, cutoff in ((triangle(), 300), (box(2), 200), (box(3), 60), (box(5), 30)):
         si = spectrum.build_index(dom, cutoff)
-        for lv in si.levels[:: max(1, len(si.levels) // 25)]:
+        assert qlattice.enumerate_below(dom, cutoff).levels == si.levels
+        step = max(1, len(si.levels) // 25)
+        for i in range(0, len(si.levels), step):
+            lv = si.levels[i]
             region = si.region_below(lv.value)
             assert region.point_set() == qlattice.enumerate_below(dom, lv.value).point_set()
             assert len(region) == len(region.point_set())
+            assert region.levels == si.levels[:i]
+
+
+@pytest.mark.parametrize(
+    "dom,cutoff",
+    [(triangle(), 300), (box(2), 200), (box(3), 60), (box(4), 40), (box(5), 30)],
+    ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+)
+def test_levels_keep_the_exact_order_without_the_double_key(dom, cutoff, monkeypatch):
+    # with every double equal, the levels come out in coefficient order,
+    # which is not the value order in rings with more than one basis element;
+    # only the exact comparison can put them back
+    want = qlattice.enumerate_below(dom, cutoff)
+    monkeypatch.setattr(algebra, "coeffs_float", lambda coeffs: 0.0)
+    got = qlattice.enumerate_below(dom, cutoff)
+    assert got.levels == want.levels
+    assert got.points == want.points
+
+
+@functools.lru_cache(maxsize=None)
+def _tiny(r: int) -> tuple:
+    """Coefficients of q*t - p for the first continued-fraction convergent
+    p/q of t = 2^(1/r) with |q*t - p| < 1e-14: a nonzero ring element closer
+    to 0 than doubles can tell.  Rings with r = 1 hold only integers."""
+    with mpmath.workdps(80):
+        t = mpmath.mpf(2) ** (mpmath.mpf(1) / r)
+        x, h0, h1, k0, k1 = t, 0, 1, 1, 0
+        while True:
+            a = int(mpmath.floor(x))
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            if abs(k1 * t - h1) < mpmath.mpf(10) ** -14:
+                return (-h1, k1) + (0,) * (r - 2)
+            x = 1 / (x - a)
+
+
+@st.composite
+def _index_case(draw):
+    dom, cutoff = draw(_domain_and_cutoff())
+    if draw(st.booleans()):
+        # a rational within 1e-14 of a lattice value
+        limit, n = _CUTOFF_LIMITS[dom.label().split("-")[0]], dom.coords
+        entries = st.integers(0, math.isqrt(limit // n))
+        qn = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
+        v = float(algebra.from_quantum_number(dom.ring, qn))
+        assume(v <= limit)
+        cutoff = Fraction(v) + Fraction(draw(st.sampled_from([-1, 0, 1])), 10**14)
+    return dom, cutoff
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_index_case(), data=st.data())
+def test_counting_matches_brute_counts(case, data):
+    """Index lookups against exact brute counts over the oracle's points, at
+    eigenvalues, one above them, ring elements within 1e-14 of them, and
+    random ring elements; values at or above the cutoff must be refused."""
+    dom, cutoff = case
+    si = spectrum.build_index(dom, cutoff)
+    points = oracle_enumerate(dom, cutoff)
+    values = [eigenvalue(dom, m) for m in points]
+    ring, r = dom.ring, algebra.basis_len(dom.ring)
+
+    def shift(v: AlgebraicValue, d: tuple) -> AlgebraicValue:
+        return AlgebraicValue(ring, tuple(a + b for a, b in zip(v.coeffs, d)))
+
+    coeffs = data.draw(st.lists(st.integers(-3, 40), min_size=r, max_size=r))
+    queries = [algebra.zero(ring), algebra.integer_value(ring, -1)]
+    queries.append(AlgebraicValue(ring, tuple(coeffs)))
+    if si.levels:
+        picks = data.draw(
+            st.lists(st.integers(0, len(si.levels) - 1), min_size=1, max_size=4),
+            label="levels",
+        )
+        for lv in (si.levels[i] for i in picks + [0, len(si.levels) - 1]):
+            queries += [lv.value, shift(lv.value, (1,) + (0,) * (r - 1))]
+            if r > 1:
+                tiny = _tiny(r)
+                minus = tuple(-x for x in tiny)
+                queries += [shift(lv.value, tiny), shift(lv.value, minus)]
+    for q in queries:
+        if not algebra.is_below(q, cutoff):
+            with pytest.raises(OutOfRangeError):
+                si.counting(q)
+            continue
+        below = sum(algebra.compare(v, q) == LESS for v in values)
+        upto = sum(algebra.compare(v, q) != GREATER for v in values)
+        c = si.counting(q)
+        assert (c.below, c.upto, c.multiplicity) == (below, upto, upto - below), q
+        assert c.position == (below + 1 if upto > below else below), q
+        assert si.position_of(q) == c.position and si.multiplicity_of(q) == upto - below
+        region = si.region_below(q)
+        assert region.point_set() == {m for m, v in zip(points, values) if v < q}, q
+        assert len(region) == below
+        assert region.levels == tuple(lv for lv in si.levels if lv.value < q), q
 
 
 def test_over_budget_cutoffs_fail_fast():
