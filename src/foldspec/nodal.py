@@ -1,10 +1,12 @@
 """Nodal-domain counting and nodal-deficiency bounds.
 
 The closed-form counts cover box basis functions and the two triangle shapes
-with straight nodal lines; everything else goes through the grid oracle,
-which classifies strict signs on an irrationally offset grid, merges
-same-sign orthogonal neighbors, and certifies the count by agreement under
-one resolution doubling.
+with straight nodal lines; the grid oracle counts everything from samples on
+an irrationally offset grid and certifies the count by agreement under one
+resolution doubling.  A box basis function is a product of one factor per
+axis, so the oracle counts the runs of one strict sign on each sampled axis
+and multiplies them; it never reads the quantum number.  Every other combo
+is sampled on the full grid, and same-sign orthogonal neighbors are merged.
 """
 
 from __future__ import annotations
@@ -27,11 +29,16 @@ _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 
 # Largest sampling grid, in points, that count_grid evaluates; each grid is
 # checked just before it is evaluated, so a count fails only when a grid it
-# needs is too large (box6 at 64 cells: 1.3e10 points) and ends in
-# DomainError instead of a numpy allocation error.  A box grid costs about
-# 18 bytes per point and a triangle grid, with its edge samples, about 80,
-# so the budget holds peak memory near 0.6 and 2.7 GiB.  The test suite's
-# largest grid has 5.7e6 points (box3 at 224 cells).
+# needs is too large, and ends in DomainError instead of a numpy allocation
+# error.  A box basis function is counted on its axes alone, so for it the
+# budget bounds the total of the axis sample counts; the n-D grid is sampled
+# only for triangle combos and box combos of several terms (two box6 terms at
+# 64 cells: 1.3e10 points, refused).  A box grid costs about 18 bytes per
+# point, a triangle grid with its edge samples about 80 and the axes of a box
+# basis function at most about 19 per sample, so the budget holds peak memory
+# near 0.6 and 2.7 GiB.  In the test suite, the largest grid count_grid
+# samples has 1.0e6 points (a triangle at 1024 cells) and its largest set of
+# axes 589 samples.
 GRID_BUDGET = 1 << 25
 
 
@@ -151,27 +158,52 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     return 2 * count if halve else count
 
 
-def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
-    dom = f.domain
-    size = math.prod(_grid_shape(dom, cells0))
-    if size > GRID_BUDGET:
+def _box_axes(domain: Domain, cells: int) -> list[np.ndarray]:
+    """Sample coordinates per axis of the box grid with `cells` cells along axis 0."""
+    return [
+        (np.arange(nj) + _GRID_OFFS[j % 3]) * (lj / nj)
+        for j, (nj, lj) in enumerate(zip(_grid_shape(domain, cells), domain.edge_lengths()))
+    ]
+
+
+def _sign_runs(vals: np.ndarray) -> int:
+    """Maximal runs of one nonzero sign along a sampled axis; a zero splits a run."""
+    s = np.sign(vals)
+    starts = np.concatenate(([True], s[1:] != s[:-1])) & (s != 0)
+    return int(np.count_nonzero(starts))
+
+
+def _check_budget(points: int, cells0: int, what: str) -> None:
+    if points > GRID_BUDGET:
         raise DomainError(
-            f"the nodal grid at {cells0} cells has {size:.3g} points, "
+            f"the nodal {what} at {cells0} cells: {points:.3g} points, "
             f"over the budget of {GRID_BUDGET}"
         )
+
+
+def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
+    dom = f.domain
+    shape = _grid_shape(dom, cells0)
+    terms = product_terms(f)
+    if dom.kind != TRIANGLE and len(terms) == 1:
+        # one product of a factor per axis: two same-sign neighbours of the
+        # grid differ in one factor only, so the components of {f > 0} and
+        # {f < 0} are the products of the sign runs on each axis
+        _check_budget(sum(shape), cells0, "axes")
+        trig = np.cos if dom.bc == NEUMANN else np.sin
+        [(_, freqs)] = terms
+        count = 1
+        for w, ax in zip(freqs, _box_axes(dom, cells0)):
+            count *= _sign_runs(trig(w * ax))
+        return count
+    _check_budget(math.prod(shape), cells0, "grid")
     if dom.kind == TRIANGLE:
         return _triangle_grid_count(f, cells0, halve)
-    # box basis functions: nodal sets are axis-perpendicular hyperplanes, so
-    # plain strict-sign orthogonal adjacency is already exact
-    axes = [
-        (np.arange(nj) + _GRID_OFFS[j % 3]) * (lj / nj)
-        for j, (nj, lj) in enumerate(zip(_grid_shape(dom, cells0), dom.edge_lengths()))
-    ]
-    vals = eval_on_axes(f, tuple(axes))
-    pos = vals > 0.0
-    neg = vals < 0.0
-    _, npos = ndimage.label(pos)
-    _, nneg = ndimage.label(neg)
+    # box combos of several terms: strict signs on the offset grid, joined
+    # across orthogonal neighbours
+    vals = eval_on_axes(f, tuple(_box_axes(dom, cells0)))
+    _, npos = ndimage.label(vals > 0.0)
+    _, nneg = ndimage.label(vals < 0.0)
     return npos + nneg
 
 
@@ -181,7 +213,10 @@ def count_grid(
     """Grid nodal count with a stability certificate.
 
     resolution is the cell count along the first axis; the default gives at
-    least 8 cells per sign half-period of the fastest term.  For combos that
+    least 8 cells per sign half-period of the fastest term.  A box basis
+    function is counted as the product of its sign runs along each sampled
+    axis, which equals the labelled count of the same samples on the full
+    grid; other combos are labelled on the full grid.  For combos that
     are antisymmetric across the cut L the count is taken on the open half
     domain and doubled (they vanish on L, so nodal domains come in mirror
     pairs); this keeps the diagonal cut of the triangle off the sampling

@@ -216,8 +216,11 @@ def test_frame_beyond_the_budget_fails_fast(capsys):
 
 
 def test_nodal_grid_beyond_the_budget_fails_cleanly(capsys):
-    argv = ["nodal", "--domain", "box", "--dim", "6", "--qn", "1,0,0,0,0,0", "--grid", "64"]
+    # the axes alone hold 1.7e8 samples, against a budget of 3.4e7
+    argv = ["nodal", "--domain", "box", "--dim", "2", "--qn", "1,0", "--grid", "100000000"]
+    t0 = time.perf_counter()
     assert main(argv) == 1
+    assert time.perf_counter() - t0 < 0.5
     assert "budget" in capsys.readouterr().err
 
 

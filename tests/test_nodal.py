@@ -1,12 +1,19 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from foldspec import algebra, eigenfn, nodal, spectrum
+from foldspec.eigenfn import product_terms
 from foldspec.domains import box, triangle
 from foldspec.errors import DomainError, GridInstabilityError
 
@@ -175,15 +182,97 @@ def test_dirichlet_identity_preconditions():
 
 
 def test_grid_budget_is_checked_before_evaluating():
-    f = eigenfn.basis_fn(box(6), (1, 0, 0, 0, 0, 0))
+    # two terms of value 9, so the count takes the n-D grid: 1.3e10 points
+    f = eigenfn.combo(box(6), [(1.0, (3, 0, 0, 0, 0, 0)), (1.0, (1, 0, 0, 2, 0, 0))])
     t0 = time.perf_counter()
     with pytest.raises(DomainError, match="budget"):
         nodal.count_grid(f, resolution=64)
     assert time.perf_counter() - t0 < 0.5
-    # only the grids a count evaluates are checked, not the largest grid
-    # its doublings could reach: box5 stabilises on 3.2e5 and 9.9e6 points
+    # a basis function is counted on its axes, whose samples are few even
+    # where the n-D grid would be far over the budget
+    assert nodal.count_grid(eigenfn.basis_fn(box(6), (1, 0, 0, 0, 0, 0)), resolution=64).count == 2
     assert nodal.count_grid(eigenfn.basis_fn(box(5), (1, 0, 0, 0, 0))).count == 2
     assert nodal.count_grid(eigenfn.basis_fn(box(3), (1, 6, 0)), resolution=112).count == 14
+    # ... and the total of those samples is held to the budget too
+    with pytest.raises(DomainError, match="axes at .* over the budget"):
+        nodal.count_grid(eigenfn.basis_fn(box(2), (1, 0)), resolution=nodal.GRID_BUDGET)
+
+
+def test_sign_runs_are_split_by_sign_changes_and_zeros():
+    assert nodal._sign_runs(np.array([1.0, 0.0, 1.0, -1.0, -3.0, 0.0, 0.0, 2.0])) == 4
+    assert nodal._sign_runs(np.array([0.0, -1.0, -2.0])) == 1
+    assert nodal._sign_runs(np.zeros(5)) == 0
+
+
+def _label_count(f, cells):
+    """n-D oracle: components of {f > 0} plus those of {f < 0} on the full
+    sampling grid, 4-connected (2n-connected in n dimensions)."""
+    vals = eigenfn.eval_on_axes(f, tuple(nodal._box_axes(f.domain, cells)))
+    return ndimage.label(vals > 0.0)[1] + ndimage.label(vals < 0.0)[1]
+
+
+# largest n-D grid the oracle labels.  Left out above it: 3 box3 grids at 2x
+# the default resolution, 9 box4 grids at 1x and 180 at 2x, 107 box5 grids at
+# 1x and all 155 at 2x (up to 2.8e8 points); the random test below reaches
+# box5 and box6 on coarser grids
+_ORACLE_POINTS = 1 << 20
+
+
+def test_axis_runs_match_the_labelled_grid():
+    compared = skipped = 0
+    for dom, cutoff in (
+        (box(2), 400), (box(3), 60), (box(2, "dirichlet"), 400),
+        (box(3, "dirichlet"), 60), (box(4), 30), (box(5), 16),
+    ):
+        for lv in spectrum.build_index(dom, cutoff).levels:
+            for m in lv.members:
+                f = eigenfn.basis_fn(dom, m)
+                default = max(16, 8 * nodal._max_halfperiods(f))
+                for cells in (default, 2 * default):
+                    if math.prod(nodal._grid_shape(dom, cells)) > _ORACLE_POINTS:
+                        skipped += 1
+                        continue
+                    got = nodal._grid_count_once(f, cells, False)
+                    assert got == _label_count(f, cells), (dom.label(), m, cells)
+                    compared += 1
+    assert (compared, skipped) == (1648, 454)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    dirichlet=st.booleans(),
+    coeff=st.sampled_from([1.0, -1.0, 2.5, -0.25]),
+    data=st.data(),
+)
+def test_axis_runs_match_the_labelled_grid_on_random_qn(n, dirichlet, coeff, data):
+    dom = box(n, "dirichlet" if dirichlet else "neumann")
+    m = tuple(data.draw(st.lists(st.integers(int(dirichlet), 7), min_size=n, max_size=n)))
+    # keep the n-D grid under about 3e5 points
+    top = {2: 512, 3: 64, 4: 24, 5: 14, 6: 8}[n]
+    cells = data.draw(st.integers(8, top))
+    f = eigenfn.combo(dom, [(coeff, m)])
+    assert nodal._grid_count_once(f, cells, False) == _label_count(f, cells)
+
+
+def test_axis_count_comes_from_the_samples(monkeypatch):
+    # doubling every frequency doubles the sign changes on each axis; a
+    # count that read m_j + 1 off the quantum number would not notice
+    def doubled(f):
+        return [(c, tuple(2 * w for w in freqs)) for c, freqs in product_terms(f)]
+
+    monkeypatch.setattr(nodal, "product_terms", doubled)
+    for m in ((1, 0), (2, 3), (0, 4), (2, 1, 3)):
+        f = eigenfn.basis_fn(box(len(m)), m)
+        assert nodal.count_grid(f).count == math.prod(2 * mj + 1 for mj in m), m
+
+
+@pytest.mark.parametrize("n,below", [(4, 5), (5, 3), (6, 3)])
+def test_grid_matches_formula_in_higher_dimensions(n, below):
+    dom = box(n)
+    for m in itertools.product(range(below), repeat=n):
+        c = nodal.count_grid(eigenfn.basis_fn(dom, m))
+        assert c.stable and c.count == nodal.count_formula(dom, m).count, m
 
 
 # sha256 of json.dumps of the deficiency reports of every nonzero level of
