@@ -5,8 +5,14 @@ with straight nodal lines; the grid oracle counts everything from samples on
 an irrationally offset grid and certifies the count by agreement under one
 resolution doubling.  A box basis function is a product of one factor per
 axis, so the oracle counts the runs of one strict sign on each sampled axis
-and multiplies them; it never reads the quantum number.  Every other combo
-is sampled on the full grid, and same-sign orthogonal neighbors are merged.
+and multiplies them; it never reads the quantum number.  Box combos of
+several terms are refused.  A triangle combo is sampled on the full grid,
+and two same-sign orthogonal neighbors are joined only where f is proven to
+keep that sign on the segment between them: by a bound on its second
+derivative along the segment, bisecting where that bound does not suffice.
+So no join bridges two nodal domains; what the grid can still miss is a neck
+of one domain narrower than a cell, which splits it and over-counts, and the
+doubling check guards against that.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from scipy import ndimage
 from . import algebra, folding, qlattice
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn, qn_parity
-from .eigenfn import Combo, basis_fn, eval_on_axes, product_terms
+from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms
 from .errors import DomainError, GridInstabilityError
 from .qlattice import QN
 from .spectrum import SpectrumIndex, odd_core
@@ -31,15 +37,17 @@ _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 # checked just before it is evaluated, so a count fails only when a grid it
 # needs is too large, and ends in DomainError instead of a numpy allocation
 # error.  A box basis function is counted on its axes alone, so for it the
-# budget bounds the total of the axis sample counts; the n-D grid is sampled
-# only for triangle combos and box combos of several terms (two box6 terms at
-# 64 cells: 1.3e10 points, refused).  A box grid costs about 18 bytes per
-# point, a triangle grid with its edge samples about 80 and the axes of a box
-# basis function at most about 19 per sample, so the budget holds peak memory
-# near 0.6 and 2.7 GiB.  In the test suite, the largest grid count_grid
-# samples has 1.0e6 points (a triangle at 1024 cells) and its largest set of
-# axes 589 samples.
+# budget bounds the total of the axis sample counts; only triangle combos are
+# sampled on the full grid.  The edge bisection of a triangle grid holds its
+# live intervals to the budget too, counting _INTERVAL_POINTS points for each.
+# Peak memory, measured with tracemalloc: a triangle grid about 41 bytes per
+# point (at 1024 and 2048 cells), a live interval about 283 bytes and the
+# axes of a box basis function at most about 19 per sample, so the budget
+# holds peak memory near 1.3, 1.1 and 0.6 GiB.  In the test suite, the largest
+# grid count_grid samples has 4.2e6 points (a triangle at 2048 cells) and its
+# largest set of axes 589 samples.
 GRID_BUDGET = 1 << 25
+_INTERVAL_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -95,27 +103,67 @@ def _antisymmetric_wrt_cut(f: Combo) -> bool:
     return p == ("odd" if f.domain.bc == NEUMANN else "even")
 
 
-_EDGE_SAMPLES = 8
+# bisections of a grid edge before its join is refused as undecided: an
+# interval is then 2^-32 of a cell long, still far above the float spacing
+# of the coordinates at any grid the budget admits
+_BISECT_DEPTH = 32
 
 
-def _sign_components(sign: np.ndarray, ok_x: np.ndarray, ok_y: np.ndarray) -> int:
-    """Components of {sign == +1} and {sign == -1} on the cell grid, joining
-    orthogonal neighbors only where the connecting edge is marked clean.
+def _rounding_margin(terms) -> float:
+    """Bound on the rounding error of one value of f at a point of [0, pi]^2.
 
-    Encoded as a doubled-resolution image whose odd pixels carry the edge
-    states, so a single 4-connectivity labelling realises the constrained
-    union.
+    A term c * trig(wx x) * trig(wy y) is evaluated within a few units in the
+    last place of |c| * (1 + pi (wx + wy)): the phases w x are rounded once,
+    and trig, the products and the sum add a few more roundings.  2^-46 is
+    over a hundred times that.
     """
-    nx, ny = sign.shape
-    total = 0
-    for s in (1, -1):
-        img = np.zeros((2 * nx - 1, 2 * ny - 1), dtype=bool)
-        img[::2, ::2] = sign == s
-        img[1::2, ::2] = (sign[:-1, :] == s) & (sign[1:, :] == s) & ok_x
-        img[::2, 1::2] = (sign[:, :-1] == s) & (sign[:, 1:] == s) & ok_y
-        _, cnt = ndimage.label(img)
-        total += cnt
-    return total
+    return 2.0**-46 * sum(abs(c) * (4.0 + math.pi * sum(freqs)) for c, freqs in terms)
+
+
+def _cut_edges(
+    f: Combo, lo, hi, f_lo, f_hi, curv: float, eps: float, cells0: int
+) -> np.ndarray:
+    """Bisect grid edges whose join is not yet proven; True where an edge is cut.
+
+    Edge e runs from the point lo[e] to hi[e] along one axis, and f takes the
+    values f_lo[e] and f_hi[e] of one strict sign at its ends.  On an interval
+    of length l, f stays at least min(f_lo, f_hi) - curv * l^2 (curv is an
+    eighth of a bound on |f''| along the edge's axis), so an interval whose
+    end values clear curv * l^2 + eps in their sign is proven.  Every live
+    interval is halved through eval_points, all edges at once; a midpoint of
+    the other sign, or zero, cuts its edge.  An edge still undecided after
+    _BISECT_DEPTH halvings raises GridInstabilityError.
+    """
+    sign = np.sign(f_lo)
+    cut = np.zeros(len(sign), dtype=bool)
+    edge = np.arange(len(sign))
+    for _ in range(_BISECT_DEPTH):
+        if not edge.size:
+            return cut
+        _check_budget(_INTERVAL_POINTS * edge.size, cells0, "edge bisection")
+        mid = 0.5 * (lo + hi)
+        f_mid = eval_points(f, mid)
+        cut[edge[np.sign(f_mid) != sign[edge]]] = True
+        keep = ~cut[edge]
+        edge, lo, hi, f_lo, f_hi, mid, f_mid = (
+            a[keep] for a in (edge, lo, hi, f_lo, f_hi, mid, f_mid)
+        )
+        edge = np.concatenate((edge, edge))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
+        # an edge moves along one axis only, so its length is the sum of its
+        # coordinate differences
+        length = (hi - lo).sum(axis=1)
+        s = sign[edge]
+        live = np.minimum(s * f_lo, s * f_hi) <= curv * length**2 + eps
+        edge, lo, hi, f_lo, f_hi = (a[live] for a in (edge, lo, hi, f_lo, f_hi))
+    if edge.size:
+        raise GridInstabilityError(
+            f"nodal count undecided at {cells0} cells: {np.unique(edge).size} grid "
+            f"edges keep their sign at every sample but are not proven after "
+            f"{_BISECT_DEPTH} bisections"
+        )
+    return cut
 
 
 def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
@@ -128,33 +176,51 @@ def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
 
 
 def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
-    """Triangle count with edge-verified connectivity.
+    """Triangle count with proven joins.
 
-    Two same-sign neighbors are joined only if the function holds that
-    strict sign at interior samples of the segment between their centers;
-    a nodal crossing between the centers always forces a sign dip there,
-    so diagonal nodal lines cannot silently bridge distinct domains.
+    Two orthogonal same-sign neighbors are joined only when f is proven to
+    keep that strict sign on the segment between their centers: at once when
+    min(|f0|, |f1|) > M2 h^2 / 8 + eps, with M2 = sum |c| w^2 over the terms
+    and w their frequency along the segment, and otherwise by bisection
+    (_cut_edges).  A nodal line between the centers always leaves a sample
+    of the other sign or an unproven interval, so diagonal nodal lines and
+    their crossings cannot silently bridge distinct domains.
     """
     n, _ = _grid_shape(f.domain, cells0)
     h = math.pi / n
-    ax = (np.arange(n) + _GRID_OFFS[0]) * h
-    ay = (np.arange(n) + _GRID_OFFS[1]) * h
-    vals = eval_on_axes(f, (ax, ay))
+    axes = tuple((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
+    ax, ay = axes
+    vals = eval_on_axes(f, axes)
     inside = ay[None, :] < ax[:, None]
     if halve:
         inside &= ax[:, None] + ay[None, :] < math.pi
-    sign = np.where(inside, np.sign(vals), 0.0)
+    sign = np.where(inside, np.sign(vals), 0.0).astype(np.int8)
+    mag = np.abs(vals)
 
-    ok_x = np.ones((n - 1, n), dtype=bool)
-    ok_y = np.ones((n, n - 1), dtype=bool)
-    for s in range(1, _EDGE_SAMPLES):
-        t = s * h / _EDGE_SAMPLES
-        vx = eval_on_axes(f, (ax[:-1] + t, ay))
-        ok_x &= np.sign(vx) == sign[:-1, :]
-        vy = eval_on_axes(f, (ax, ay[:-1] + t))
-        ok_y &= np.sign(vy) == sign[:, :-1]
+    terms = product_terms(f)
+    eps = _rounding_margin(terms)
+    step = max(np.diff(ax).max(), np.diff(ay).max())
+    joins = []
+    # k = 0 joins cells (i, j) and (i + 1, j), k = 1 joins (i, j) and (i, j + 1)
+    for k, (a, b) in enumerate(((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))):
+        join = (sign[a] == sign[b]) & (sign[a] != 0)
+        curv = sum(abs(c) * freqs[k] ** 2 for c, freqs in terms) / 8.0
+        unsure = join & (np.minimum(mag[a], mag[b]) <= curv * step**2 + eps)
+        i, j = np.nonzero(unsure)
+        i1, j1 = i + (k == 0), j + (k == 1)
+        cut = _cut_edges(
+            f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
+            vals[i, j], vals[i1, j1], curv, eps, cells0,
+        )
+        join[i[cut], j[cut]] = False
+        joins.append(join)
 
-    count = _sign_components(sign, ok_x, ok_y)
+    # one labelling of a doubled-resolution image whose odd pixels carry the
+    # joins; a join links two cells of one sign, so the labels never mix signs
+    img = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
+    img[::2, ::2] = sign != 0
+    img[1::2, ::2], img[::2, 1::2] = joins
+    _, count = ndimage.label(img)
     return 2 * count if halve else count
 
 
@@ -184,27 +250,24 @@ def _check_budget(points: int, cells0: int, what: str) -> None:
 def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
     dom = f.domain
     shape = _grid_shape(dom, cells0)
-    terms = product_terms(f)
-    if dom.kind != TRIANGLE and len(terms) == 1:
-        # one product of a factor per axis: two same-sign neighbours of the
-        # grid differ in one factor only, so the components of {f > 0} and
-        # {f < 0} are the products of the sign runs on each axis
-        _check_budget(sum(shape), cells0, "axes")
-        trig = np.cos if dom.bc == NEUMANN else np.sin
-        [(_, freqs)] = terms
-        count = 1
-        for w, ax in zip(freqs, _box_axes(dom, cells0)):
-            count *= _sign_runs(trig(w * ax))
-        return count
-    _check_budget(math.prod(shape), cells0, "grid")
     if dom.kind == TRIANGLE:
+        _check_budget(math.prod(shape), cells0, "grid")
         return _triangle_grid_count(f, cells0, halve)
-    # box combos of several terms: strict signs on the offset grid, joined
-    # across orthogonal neighbours
-    vals = eval_on_axes(f, tuple(_box_axes(dom, cells0)))
-    _, npos = ndimage.label(vals > 0.0)
-    _, nneg = ndimage.label(vals < 0.0)
-    return npos + nneg
+    terms = product_terms(f)
+    if len(terms) != 1:
+        raise DomainError(
+            f"no grid nodal count for box combos of several terms ({len(terms)} given)"
+        )
+    # one product of a factor per axis: two same-sign neighbours of the grid
+    # differ in one factor only, so the components of {f > 0} and {f < 0} are
+    # the products of the sign runs on each axis
+    _check_budget(sum(shape), cells0, "axes")
+    trig = np.cos if dom.bc == NEUMANN else np.sin
+    [(_, freqs)] = terms
+    count = 1
+    for w, ax in zip(freqs, _box_axes(dom, cells0)):
+        count *= _sign_runs(trig(w * ax))
+    return count
 
 
 def count_grid(
@@ -216,11 +279,16 @@ def count_grid(
     least 8 cells per sign half-period of the fastest term.  A box basis
     function is counted as the product of its sign runs along each sampled
     axis, which equals the labelled count of the same samples on the full
-    grid; other combos are labelled on the full grid.  For combos that
-    are antisymmetric across the cut L the count is taken on the open half
-    domain and doubled (they vanish on L, so nodal domains come in mirror
-    pairs); this keeps the diagonal cut of the triangle off the sampling
-    grid.  Pass use_antisymmetry=False to force a full-domain count.
+    grid; box combos of several terms raise DomainError.  A triangle combo
+    is labelled on the full grid with proven joins (_triangle_grid_count):
+    a join never crosses a nodal line, and the doubling check guards against
+    a domain pinched narrower than a cell, which the grid would split.  An
+    edge that neither a proof nor a sample of the other sign decides raises
+    GridInstabilityError.  For combos that are antisymmetric across the cut
+    L the count is taken on the open half domain and doubled (they vanish on
+    L, so nodal domains come in mirror pairs); this keeps the diagonal cut
+    of the triangle off the sampling grid.  Pass use_antisymmetry=False to
+    force a full-domain count.
     """
     if resolution is None:
         resolution = max(16, 8 * _max_halfperiods(f))

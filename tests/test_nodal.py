@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,17 +53,130 @@ def test_grid_resolution_floor():
 
 
 def test_grid_instability_is_reported(monkeypatch):
-    # this eigenfunction has structure finer than the escalation budget at
-    # default resolution; the oracle must refuse rather than guess
-    f = eigenfn.basis_fn(triangle(), (16, 4))
-    once = nodal._grid_count_once
+    # counts that never agree under a doubling: the oracle must refuse
+    # rather than guess
+    f = eigenfn.basis_fn(triangle(), (3, 1))
     cells = []
     monkeypatch.setattr(
-        nodal, "_grid_count_once", lambda f, c, halve: cells.append(c) or once(f, c, halve)
+        nodal, "_grid_count_once", lambda f, c, halve: cells.append(c) or len(cells) % 2
     )
     with pytest.raises(GridInstabilityError, match="after 3 doublings"):
         nodal.count_grid(f, resolution=64)
     assert cells == [64, 128, 256, 512]  # each grid is counted once
+
+
+def test_undecided_edge_is_refused(monkeypatch):
+    # with a rounding margin above sup |f| no interval is ever proven, so
+    # every same-sign edge is still undecided at the depth limit
+    monkeypatch.setattr(nodal, "_rounding_margin", lambda terms: 4.0)
+    monkeypatch.setattr(nodal, "_BISECT_DEPTH", 3)
+    f = eigenfn.basis_fn(triangle(), (4, 2))
+    with pytest.raises(GridInstabilityError, match="not proven after 3 bisections"):
+        nodal.count_grid(f, resolution=64)
+
+
+def test_edge_bisection_budget_fails_fast(monkeypatch):
+    # the 64-cell grid fits the budget, the doubling live intervals do not
+    monkeypatch.setattr(nodal, "_rounding_margin", lambda terms: 4.0)
+    monkeypatch.setattr(nodal, "GRID_BUDGET", 1 << 16)
+    f = eigenfn.basis_fn(triangle(), (4, 2))
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="edge bisection .* over the budget"):
+        nodal.count_grid(f, resolution=64)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_proven_joins_pin_eight_triangle_counts():
+    # counts the edge-sample joins got wrong or refused: the first three were
+    # GridInstabilityError, the other five stable undercounts
+    pinned = {
+        (16, 4): 47, (16, 10): 40, (18, 8): 54, (8, 2): 18,
+        (12, 2): 28, (12, 3): 30, (16, 6): 42, (18, 3): 48,
+    }
+    for qn, want in pinned.items():
+        f = eigenfn.basis_fn(triangle(), qn)
+        for res in (None, 64, 512):
+            assert nodal.count_grid(f, res).count == want, (qn, res)
+
+
+def _arrangement_regions(chords) -> int:
+    """Regions of the open triangle 0 < y < x < pi cut by straight chords.
+
+    A chord (u, v, c) is the line u x + v y = c pi, with c a Fraction, and
+    crosses the interior.  Each chord adds one region, and each interior point
+    where r chords meet adds r - 1 more.
+    """
+    meets: dict[tuple[Fraction, Fraction], set] = {}
+    for one, two in itertools.combinations(chords, 2):
+        (u1, v1, c1), (u2, v2, c2) = one, two
+        det = u1 * v2 - u2 * v1
+        if det == 0:
+            continue
+        x, y = (c1 * v2 - c2 * v1) / det, (u1 * c2 - u2 * c1) / det
+        if 0 < y < x < 1:
+            meets.setdefault((x, y), set()).update((one, two))
+    return 1 + len(chords) + sum(len(through) - 1 for through in meets.values())
+
+
+def _straight_nodal_chords(qn) -> list[tuple[int, int, Fraction]]:
+    """Nodal lines of the triangle's (a, a) and (2m, 0) basis functions.
+
+    2 cos ax cos ay vanishes on x, y = (k + 1/2) pi / a, and
+    cos 2mx + cos 2my = 2 cos m(x + y) cos m(x - y) on x + y and x - y =
+    (k + 1/2) pi / m; unfolding maps (a, a) to (2a, 0).
+    """
+    a, b = qn
+    if a == b:
+        cuts = [Fraction(2 * k + 1, 2 * a) for k in range(a)]
+        return [(1, 0, c) for c in cuts] + [(0, 1, c) for c in cuts]
+    m = a // 2
+    cuts = [Fraction(2 * k + 1, 2 * m) for k in range(2 * m)]
+    return [(1, 1, c) for c in cuts] + [(1, -1, c) for c in cuts if c < 1]
+
+
+STRAIGHT_FAMILIES = [(a, a) for a in range(1, 11)] + [(2 * m, 0) for m in range(1, 11)]
+
+
+def test_line_arrangement_oracle_is_exact():
+    assert _arrangement_regions(_straight_nodal_chords((20, 0))) == 1 + 30 + 90
+    for qn in STRAIGHT_FAMILIES:
+        chords = _straight_nodal_chords(qn)
+        assert _arrangement_regions(chords) == nodal.count_formula(triangle(), qn).count
+    # three chords through one interior point add 2 regions there, not 3
+    star = [(1, 0, Fraction(1, 2)), (0, 1, Fraction(1, 4)), (1, 1, Fraction(3, 4))]
+    assert _arrangement_regions(star) == 1 + 3 + 2
+
+
+@pytest.mark.parametrize("res", [None, 256, 512, 1024])
+def test_grid_matches_line_arrangements(res):
+    families = STRAIGHT_FAMILIES if res != 1024 else [(5, 5), (10, 10), (10, 0), (20, 0)]
+    for qn in families:
+        want = _arrangement_regions(_straight_nodal_chords(qn))
+        assert nodal.count_grid(eigenfn.basis_fn(triangle(), qn), res).count == want, qn
+
+
+def _simple_triangle_levels(cutoff):
+    si = spectrum.build_index(triangle(), cutoff)
+    return si, [lv for lv in si.levels if lv.multiplicity == 1 and not lv.value.is_zero()]
+
+
+def test_triangle_counts_agree_across_resolutions():
+    # the simple triangle levels of acceptance criterion 5
+    _, levels = _simple_triangle_levels(200)
+    for lv in levels:
+        f = eigenfn.basis_fn(triangle(), lv.members[0])
+        default = max(16, 8 * nodal._max_halfperiods(f))
+        counts = {nodal.count_grid(f, k * default).count for k in (1, 3, 5)}
+        assert len(counts) == 1, (lv.members[0], counts)
+
+
+def test_triangle_deficiency_band_counts_without_refusal():
+    # 403 is the top of the triangle cutoffs of the nodal-deficiency benchmark
+    si, levels = _simple_triangle_levels(403)
+    for lv in levels:
+        nu = nodal.count_grid(eigenfn.basis_fn(triangle(), lv.members[0])).count
+        bound = nodal.deficiency_bound(si, lv.value).bound
+        assert 0 <= bound <= si.position_of(lv.value) - nu, lv.members[0]
 
 
 def test_grid_dirichlet_box():
@@ -102,9 +216,8 @@ def test_odd_counts_obey_the_half_domain_courant_bound():
 
 
 def test_courant_bound_for_basis_functions():
-    # nu <= N for every basis eigenfunction, both boundary conditions; a few
-    # high eigenvalues have nodal structure finer than the grid escalation
-    # budget, and the oracle reports those rather than certifying a guess
+    # nu <= N for every basis eigenfunction, both boundary conditions, and
+    # the oracle certifies every one of them
     unresolved = []
     for dom in (triangle(), triangle("dirichlet"), box(2), box(2, "dirichlet")):
         si = spectrum.build_index(dom, 300)
@@ -117,8 +230,7 @@ def test_courant_bound_for_basis_functions():
                     unresolved.append((dom.label(), m, float(lv.value)))
                     continue
                 assert nu <= n_pos, (dom.label(), m, nu, n_pos)
-    assert len(unresolved) <= 6, unresolved
-    assert all(lam > 100 for _, _, lam in unresolved), unresolved
+    assert unresolved == []
 
 
 def test_courant_bound_box3():
@@ -182,11 +294,11 @@ def test_dirichlet_identity_preconditions():
 
 
 def test_grid_budget_is_checked_before_evaluating():
-    # two terms of value 9, so the count takes the n-D grid: 1.3e10 points
-    f = eigenfn.combo(box(6), [(1.0, (3, 0, 0, 0, 0, 0)), (1.0, (1, 0, 0, 2, 0, 0))])
+    # a triangle at 8192 cells: 6.7e7 grid points
+    f = eigenfn.basis_fn(triangle(), (3, 1))
     t0 = time.perf_counter()
-    with pytest.raises(DomainError, match="budget"):
-        nodal.count_grid(f, resolution=64)
+    with pytest.raises(DomainError, match="grid at 8192 cells: .* over the budget"):
+        nodal.count_grid(f, resolution=8192)
     assert time.perf_counter() - t0 < 0.5
     # a basis function is counted on its axes, whose samples are few even
     # where the n-D grid would be far over the budget
@@ -196,6 +308,12 @@ def test_grid_budget_is_checked_before_evaluating():
     # ... and the total of those samples is held to the budget too
     with pytest.raises(DomainError, match="axes at .* over the budget"):
         nodal.count_grid(eigenfn.basis_fn(box(2), (1, 0)), resolution=nodal.GRID_BUDGET)
+
+
+def test_box_combos_of_several_terms_are_refused():
+    f = eigenfn.combo(box(2), [(1.0, (3, 0)), (1.0, (1, 2))])
+    with pytest.raises(DomainError, match="several terms"):
+        nodal.count_grid(f)
 
 
 def test_sign_runs_are_split_by_sign_changes_and_zeros():
