@@ -1,7 +1,8 @@
 """Folding maps, k-frames, frame partitions and the explicit subdomain spectra.
 
-Triangle frames are stored as exact segments with endpoints that are rational
-multiples of pi (Fraction coordinates in units of pi).  Box frames are unions
+Triangle frames are built as int64 arrays of endpoint numerators over the
+common denominator 2^(k+1) (coordinates in units of pi); build_frame turns
+them into exact segments with Fraction endpoints.  Box frames are unions
 of hyperplanes perpendicular to a single axis; a facet is (axis, f) meaning
 {x_axis = f * l_axis} with f an exact fraction.  partition_count counts the
 frame's pieces exactly from these facets; nothing here is rasterised in
@@ -11,6 +12,7 @@ floating point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -123,21 +125,26 @@ class KFrame:
     facets: tuple
 
 
-def _u_frac(p: FracPoint) -> FracPoint:
-    x, y = p
-    return ((x + y) / 2, (x - y) / 2)
-
-
-def _r_frac(p: FracPoint) -> FracPoint:
-    x, y = p
-    return (1 - y, 1 - x)
-
-
 # Memory budget of one frame or partition count, checked before anything is
-# built: a facet costs about 1 KiB of Python objects (measured: 300 B per box
-# slab, 700 B per triangle segment, with the previous frame level still
-# alive), a triangle lattice point 5 bytes (a flag and an int32 label).
+# built: a facet costs about 1 KiB of Python objects in build_frame
+# (measured: 300 B per box slab, 470 B per triangle segment, with the frame
+# arrays still alive), a triangle lattice point 5 bytes (a flag and an int32
+# label).  partition_count's triangle path builds no objects: measured with
+# tracemalloc, its peak is 2.9 MiB at k = 13 and 47 MiB at k = 17 (2^17
+# facets, 2049^2 lattice points; the marked frame points take more than the
+# labelled lattice).  The check charges the build_frame cost for both, so it
+# admits triangle k <= 17 with a wide margin.
 FRAME_BUDGET = 256 << 20
+
+
+def _frame_index(k) -> int:
+    """k as a Python int; DomainError unless it is an integer >= 0 (NumPy
+    integers included, bool not)."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise DomainError(f"frame index must be an integer, got {k!r}")
+    if k < 0:
+        raise DomainError("frame index must be >= 0")
+    return int(k)
 
 
 def _check_budget(domain: Domain, k: int, lattice: bool) -> None:
@@ -159,21 +166,41 @@ def _check_budget(domain: Domain, k: int, lattice: bool) -> None:
         )
 
 
+def _triangle_frame(k: int) -> np.ndarray:
+    """S^(k) of the triangle as a (2^k, 4) int64 array of endpoint numerators
+    (ax, ay, bx, by) over the common denominator 2^(k+1), in units of pi.
+
+    One step maps every facet s to U(s) and R(U(s)), interleaved: U sends
+    (x, y) to ((x + y)/2, (x - y)/2), i.e. numerators (x + y, x - y) over the
+    doubled denominator, and R sends (x, y) to (den - y, den - x).
+    """
+    rows = np.array([[1, 1, 2, 0]], dtype=np.int64)  # (1/2, 1/2)-(1, 0)
+    for step in range(k):
+        den = 2 ** (step + 2)
+        xs, ys = rows[:, 0::2], rows[:, 1::2]
+        nxt = np.empty((2 * len(rows), 4), dtype=np.int64)
+        u = nxt[0::2]
+        u[:, 0::2] = xs + ys
+        u[:, 1::2] = xs - ys
+        nxt[1::2, 0::2] = den - u[:, 1::2]
+        nxt[1::2, 1::2] = den - u[:, 0::2]
+        rows = nxt
+    return rows
+
+
 def build_frame(domain: Domain, k: int) -> KFrame:
     """S^(0) = L and S^(k) = U(S^(k-1)), stored exactly."""
-    if k < 0:
-        raise DomainError("frame index must be >= 0")
+    k = _frame_index(k)
     _check_budget(domain, k, lattice=False)
     if domain.kind == TRIANGLE:
-        segs = [Segment((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0)))]
-        for _ in range(k):
-            nxt = []
-            for s in segs:
-                ua, ub = _u_frac(s.a), _u_frac(s.b)
-                nxt.append(Segment(ua, ub))
-                nxt.append(Segment(_r_frac(ua), _r_frac(ub)))
-            segs = nxt
-        return KFrame(domain, k, tuple(segs))
+        rows = _triangle_frame(k)
+        den = 2 ** (k + 1)
+        frac = {c: Fraction(c, den) for c in np.unique(rows).tolist()}
+        segs = tuple(
+            Segment((frac[ax], frac[ay]), (frac[bx], frac[by]))
+            for ax, ay, bx, by in rows.tolist()
+        )
+        return KFrame(domain, k, segs)
     # box: hyperplanes cycle through the axes; wrapping from the last axis to
     # the first splits each plane in two
     slabs = [Slab(0, Fraction(1, 2))]
@@ -193,7 +220,7 @@ def build_frame(domain: Domain, k: int) -> KFrame:
 # partition counting (exact)
 
 
-def _triangle_partition_count(frame: KFrame) -> int:
+def _triangle_partition_count(rows: np.ndarray, den: int) -> int:
     """Components of the open triangle minus the frame, on an exact lattice.
 
     Let D be the largest denominator of the facet endpoints (in units of pi;
@@ -211,36 +238,44 @@ def _triangle_partition_count(frame: KFrame) -> int:
     pi/(4D) that no facet crosses, so free points of different faces are
     never adjacent.  Hence the 4-connected components of the free lattice
     points are the faces: no offsets, no resolution, no certificate.
+
+    rows holds the endpoint numerators over den (see _triangle_frame).
     """
-    d = max(c.denominator for seg in frame.facets for p in (seg.a, seg.b) for c in p)
+    # every gcd is a power of two dividing den, so the smallest one belongs
+    # to the largest reduced denominator, and den // d divides every numerator
+    d = den // int(np.gcd(rows, den).min())
     size = 4 * d
-    i = np.arange(size + 1)
+    x0, y0, x1, y1 = (rows // (den // d) * 4).T
+    dx, dy = x1 - x0, y1 - y0
+    # one lattice point per step along each facet, endpoints included
+    points = np.maximum(np.abs(dx), np.abs(dy)) + 1
+    t = np.arange(points.sum()) - np.repeat(np.cumsum(points) - points, points)
+    xs = np.repeat(x0, points) + t * np.repeat(np.sign(dx), points)
+    ys = np.repeat(y0, points) + t * np.repeat(np.sign(dy), points)
     # free[x, y]: the open triangle 0 < y < x < 1, in lattice units
-    free = (i[None, :] > 0) & (i[None, :] < i[:, None]) & (i[:, None] < size)
-    for seg in frame.facets:
-        (x0, y0), (x1, y1) = (
-            tuple(c.numerator * (size // c.denominator) for c in p) for p in (seg.a, seg.b)
-        )
-        t = np.arange(max(abs(x1 - x0), abs(y1 - y0)) + 1)
-        free[x0 + t * np.sign(x1 - x0), y0 + t * np.sign(y1 - y0)] = False
+    free = np.tri(size + 1, k=-1, dtype=bool)
+    free[:, 0] = free[size] = False
+    free[xs, ys] = False
     _, count = ndimage.label(free)
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partition_count(domain: Domain, k: int) -> int:
     """M(k): connected components of the open domain minus the k-frame.
 
     Exact.  Every box facet is a whole hyperplane, so the box count is the
     product over the axes of (distinct cut positions + 1); the triangle is
-    counted on an exact lattice (see _triangle_partition_count).
+    counted on an exact lattice (see _triangle_partition_count).  The cache
+    is typed so that a k refused by type (2.0, True) never hits the entry of
+    the integer it equals.
     """
+    k = _frame_index(k)
     _check_budget(domain, k, lattice=True)
-    frame = build_frame(domain, k)
     if domain.kind == TRIANGLE:
-        return _triangle_partition_count(frame)
+        return _triangle_partition_count(_triangle_frame(k), 2 ** (k + 1))
     cuts: list[set[Fraction]] = [set() for _ in range(domain.n)]
-    for slab in frame.facets:
+    for slab in build_frame(domain, k).facets:
         cuts[slab.axis].add(slab.frac)
     return math.prod(len(c) + 1 for c in cuts)
 

@@ -119,6 +119,16 @@ def test_frame_json_and_svg(tmp_path: Path, capsys):
     assert {f["axis"] for f in payload["facets"]} == {1}
 
 
+def test_triangle_frame_bytes_are_pinned(capsys):
+    # sha256 recorded before the triangle frame moved to integer arrays
+    code, out = run_cli(capsys, ["frame", "--domain", "triangle", "--k", "10", "--json"])
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode("utf-8")).hexdigest()
+        == "057fbe8d2057a0caaba98f697ab4009edb968176a4c435323d1f82aa05db70ca"
+    )
+
+
 def test_eval_point(capsys):
     code, out = run_cli(
         capsys,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -267,12 +268,97 @@ def test_partition_counts_match_raster_oracle(dom):
         assert folding.partition_count(dom, k) == raster_partition_count(dom, k), k
 
 
+# -- test-only oracle: the Fraction recursion and its exact lattice count ------
+
+
+def fraction_frame(k: int) -> tuple:
+    """S^(k) of the triangle built one Segment at a time in Fractions."""
+
+    def u(p):
+        return ((p[0] + p[1]) / 2, (p[0] - p[1]) / 2)
+
+    def r(p):
+        return (1 - p[1], 1 - p[0])
+
+    segs = [folding.Segment((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0)))]
+    for _ in range(k):
+        nxt = []
+        for s in segs:
+            ua, ub = u(s.a), u(s.b)
+            nxt.append(folding.Segment(ua, ub))
+            nxt.append(folding.Segment(r(ua), r(ub)))
+        segs = nxt
+    return tuple(segs)
+
+
+def fraction_lattice_count(facets) -> int:
+    """Free lattice points of step pi/(4D) labelled 4-connected, each facet
+    marked in its own loop (the argument is in folding's docstring)."""
+    d = max(c.denominator for seg in facets for p in (seg.a, seg.b) for c in p)
+    size = 4 * d
+    i = np.arange(size + 1)
+    free = (i[None, :] > 0) & (i[None, :] < i[:, None]) & (i[:, None] < size)
+    for seg in facets:
+        (x0, y0), (x1, y1) = (
+            tuple(c.numerator * (size // c.denominator) for c in p) for p in (seg.a, seg.b)
+        )
+        t = np.arange(max(abs(x1 - x0), abs(y1 - y0)) + 1)
+        free[x0 + t * np.sign(x1 - x0), y0 + t * np.sign(y1 - y0)] = False
+    return ndimage.label(free)[1]
+
+
+def test_triangle_frame_facets_match_the_fraction_recursion():
+    for k in range(13):
+        assert folding.build_frame(triangle(), k).facets == fraction_frame(k), k
+
+
+def test_triangle_counts_match_the_fraction_lattice_oracle():
+    for k in range(15):
+        want = fraction_lattice_count(fraction_frame(k))
+        assert folding.partition_count(triangle(), k) == want, k
+
+
 def test_triangle_denominator_bound_is_tight():
     # the budget check predicts the lattice from this bound before building
-    for k in range(13):
-        frame = folding.build_frame(triangle(), k)
-        d = max(c.denominator for s in frame.facets for p in (s.a, s.b) for c in p)
-        assert d == 2 ** (k // 2 + 1), k
+    for k in range(18):
+        rows, den = folding._triangle_frame(k), 2 ** (k + 1)
+        assert rows.shape == (2**k, 4)
+        reduced = den // np.gcd(rows, den)
+        assert int(reduced.max()) == 2 ** (k // 2 + 1), k
+
+
+def test_frame_index_must_be_an_integer():
+    # the cache must not answer 2.0 or True from the entries of 2 and 1
+    assert folding.partition_count(triangle(), 2) == 4
+    assert folding.partition_count(triangle(), 1) == 3
+    for k in (2.0, True, False, "3", None, Fraction(2), np.float64(1.0), np.bool_(True)):
+        for fn in (folding.partition_count, folding.build_frame):
+            with pytest.raises(DomainError, match="integer"):
+                fn(triangle(), k)
+            with pytest.raises(DomainError, match="integer"):
+                fn(box(2), k)
+    for fn in (folding.partition_count, folding.build_frame):
+        with pytest.raises(DomainError, match=">= 0"):
+            fn(triangle(), -1)
+    # NumPy integers count as the int they hold
+    assert folding.partition_count(triangle(), np.int64(4)) == 9
+    assert folding.partition_count(box(3), np.int32(7)) == 5
+    assert folding.build_frame(triangle(), np.uint8(3)).facets == fraction_frame(3)
+    with pytest.raises(DomainError, match="budget"):
+        folding.build_frame(triangle(), np.int64(63))
+
+
+def test_partition_count_peak_memory_is_within_the_budget():
+    # k = 17 is the largest triangle index the budget admits
+    with pytest.raises(DomainError, match="budget"):
+        folding.partition_count(triangle(), 18)
+    tracemalloc.start()
+    try:
+        assert folding.partition_count.__wrapped__(triangle(), 17) == 33153
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < folding.FRAME_BUDGET
 
 
 def test_partition_count_budget_fails_fast():
