@@ -1,8 +1,7 @@
 """Acceptance criteria, runnable from both pytest and `foldspec selftest`.
 
-Each criterion verifies one headline claim end to end at its stated
-tolerance; every expected value is either exact arithmetic or certified by
-an independent oracle.
+Each criterion verifies one headline claim end to end; every expected value
+is either exact arithmetic or certified by an independent oracle.
 """
 
 from __future__ import annotations
@@ -10,12 +9,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from . import algebra, courant, eigenfn, folding, nodal, qlattice, spectrum
-from .domains import DIRICHLET, Domain, box, eigenvalue, qn_parity, triangle
+from .domains import DIRICHLET, TRIANGLE, Domain, box, eigenvalue, qn_parity, triangle
 
 
 @dataclass
@@ -181,38 +181,79 @@ def criterion_partitions_and_deficiency() -> CriterionResult:
 
 
 def criterion_frame_vanishing() -> CriterionResult:
-    rng = np.random.default_rng(20)
-    worst = 0.0
+    # every member of every odd level, unfolded k times, against the
+    # k-frame; a combination of one level's members vanishes wherever each
+    # member does, by linearity, so this covers every combo of those levels
+    members = 0
     for dom in (triangle(), box(2), box(3)):
         si = spectrum.build_index(dom, 120)
-        odd_levels = [
-            lv for lv in si.levels if algebra.parity(lv.value) == "odd"
-        ]
-        for _ in range(50):
-            lv = odd_levels[rng.integers(len(odd_levels))]
-            k = int(rng.integers(0, 5))
-            coeffs = rng.uniform(-1.0, 1.0, size=len(lv.members))
-            while np.max(np.abs(coeffs)) < 1e-3:
-                coeffs = rng.uniform(-1.0, 1.0, size=len(lv.members))
-            terms = []
-            for c, m in zip(coeffs, lv.members):
-                for _ in range(k):
-                    m = folding.unfold_qn(dom, m)
-                terms.append((float(c), m))
-            f = eigenfn.combo(dom, terms)
+        odd_levels = [lv for lv in si.levels if algebra.parity(lv.value) == "odd"]
+        for k in range(5):
             frame = folding.build_frame(dom, k)
-            max_abs = eigenfn.frame_vanishing(f, frame, samples=10_000)
-            ratio = max_abs / eigenfn.sup_estimate(f)
-            worst = max(worst, ratio)
-            if ratio > 1e-9:
-                return _fail(
-                    f"{dom.label()} core {lv.value.text()} k={k}: "
-                    f"max |f| / sup = {ratio:.2e}"
-                )
-    return _ok(f"150 randomized cases; worst max|f|/sup = {worst:.2e} <= 1e-9")
+            for lv in odd_levels:
+                unfolded = []
+                for m in lv.members:
+                    for _ in range(k):
+                        m = folding.unfold_qn(dom, m)
+                    unfolded.append((1.0, m))
+                failing = eigenfn.frame_vanishing(eigenfn.combo(dom, unfolded), frame)
+                if failing is not None:
+                    m, facet = failing
+                    return _fail(f"{dom.label()} {m} k={k}: does not vanish on {facet}")
+                members += len(unfolded)
+    return _ok(
+        f"{members} unfolded members of the odd levels below 120, k=0..4, "
+        f"vanish exactly on their k-frames, and so every combo of them"
+    )
 
 
 # -- 7: folding algebra ---------------------------------------------------------
+#
+# Points are in normalised coordinates: units of pi on the triangle, and
+# t_j = x_j / l_j on the box, where a basis function is prod cos(pi m_j t_j)
+# and gamma^n = 2 turns into the factor 1/2 of the wrapped axis.
+
+
+def unfold_matrix(dom: Domain) -> list[list[Fraction]]:
+    """U: domain -> half domain; (x, y) -> ((x+y)/2, (x-y)/2) on the
+    triangle, t -> (t_n / 2, t_1, ..., t_(n-1)) on the box."""
+    if dom.kind == TRIANGLE:
+        return [[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(-1, 2)]]
+    n = dom.n
+    return [[Fraction(j == (i - 1) % n) / (2 if i == 0 else 1) for j in range(n)] for i in range(n)]
+
+
+def fold_matrix(dom: Domain) -> list[list[Fraction]]:
+    """F = U^(-1): half domain -> domain."""
+    if dom.kind == TRIANGLE:
+        return [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+    n = dom.n
+    return [[Fraction(j == (i + 1) % n) * (2 if i == n - 1 else 1) for j in range(n)] for i in range(n)]
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def cosine_terms(f: eigenfn.Combo, matrix=None) -> dict[tuple[Fraction, ...], Fraction]:
+    """The Neumann combo f composed with t -> matrix t (the identity when
+    None), as a sum of w cos(pi l.t): {l: w} with the rational form l taken
+    up to sign and w a Fraction.  prod_j cos(theta_j) is 2^(1-n) times the
+    sum of cos(theta_1 +- theta_2 ... +- theta_n) over the sign choices."""
+    n = f.domain.n
+    matrix = matrix or _identity(n)
+    out: dict[tuple[Fraction, ...], Fraction] = {}
+    for k, c in eigenfn.normalised_terms(f).items():
+        for signs in itertools.product((1, -1), repeat=n - 1):
+            form = [
+                sum(s * kj * row[i] for s, kj, row in zip((1, *signs), k, matrix))
+                for i in range(n)
+            ]
+            if next((x for x in form if x), 0) < 0:
+                form = [-x for x in form]
+            key = tuple(form)
+            out[key] = out.get(key, 0) + Fraction(c) / 2 ** (n - 1)
+    return {l: w for l, w in out.items() if w}
 
 
 def _check_fold_pair(dom: Domain, m: tuple[int, ...]) -> str | None:
@@ -256,35 +297,28 @@ def criterion_folding_algebra() -> CriterionResult:
                 return _fail(f"box n={n}: {err}")
             checked += 1
 
-    # pointwise folding laws at 1000 interior points:
-    # (U phi)(q) = phi(F(q)) on the half domain, (F phi)(p) = phi(U(p)) on all
+    # the pointwise folding laws, as identities of trig polynomials:
+    # unfold_fn(phi) o U = phi, i.e. (U phi)(q) = phi(F(q)) on the half
+    # domain, and fold_fn(phi) = phi o U
+    laws = 0
     for dom, qns in (
-        (triangle(), [(3, 1), (4, 2), (5, 5)]),
-        (box(2), [(2, 1), (4, 3)]),
-        (box(3), [(2, 1, 1), (1, 2, 3)]),
+        (triangle(), [(a, b) for a in range(11) for b in range(a + 1)]),
+        (box(2), list(itertools.product(range(6), repeat=2))),
+        (box(3), list(itertools.product(range(4), repeat=3))),
     ):
+        u, f_map = unfold_matrix(dom), fold_matrix(dom)
+        u_f = [[sum(x * y for x, y in zip(row, col)) for col in zip(*f_map)] for row in u]
+        if u_f != _identity(dom.n):
+            return _fail(f"{dom.label()}: U F is not the identity")
         for qn in qns:
             f = eigenfn.basis_fn(dom, qn)
-            uf = eigenfn.unfold_fn(f)
-            pts = eigenfn.sample_interior(dom, 1000, seed=3)
-            half_pts = np.array([folding.unfold_point(dom, tuple(p)) for p in pts])
-            scale = eigenfn.sup_estimate(f)
-            err = np.max(
-                np.abs(eigenfn.eval_points(uf, half_pts) - eigenfn.eval_points(f, pts))
-            )
-            if err > 1e-12 * scale:
-                return _fail(f"{dom.label()} {qn}: unfolding law off by {err:.2e}")
+            if cosine_terms(eigenfn.unfold_fn(f), u) != cosine_terms(f):
+                return _fail(f"{dom.label()} {qn}: unfolding law fails")
             if qn_parity(dom, qn) == "even":
-                ff = eigenfn.fold_fn(f)
-                err = np.max(
-                    np.abs(
-                        eigenfn.eval_points(ff, pts)
-                        - eigenfn.eval_points(f, half_pts)
-                    )
-                )
-                if err > 1e-12 * scale:
-                    return _fail(f"{dom.label()} {qn}: folding law off by {err:.2e}")
-    return _ok(f"{checked} quantum numbers; pointwise law within 1e-12")
+                if cosine_terms(eigenfn.fold_fn(f)) != cosine_terms(f, u):
+                    return _fail(f"{dom.label()} {qn}: folding law fails")
+            laws += 1
+    return _ok(f"{checked} quantum numbers; pointwise laws exact on {laws} basis functions")
 
 
 # -- 8: Dirichlet variants -------------------------------------------------------

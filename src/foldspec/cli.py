@@ -3,6 +3,9 @@
 Subcommands: spectrum, verdicts, nodal, frame, eval, checksym, checkframe,
 deficiency, dirichlet-check, selftest.  Output is deterministic for a fixed
 invocation: ordering is exact-value order and floats are emitted via repr.
+checksym and checkframe decide exactly from the quantum number, in any box
+dimension; checkframe names the first facet where the function does not
+vanish, if there is one.
 """
 
 from __future__ import annotations
@@ -179,6 +182,15 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
     return 0
 
 
+def _facet_json(facet: folding.Segment | folding.Slab) -> dict:
+    if isinstance(facet, folding.Segment):
+        return {
+            "a": [str(facet.a[0]), str(facet.a[1])],
+            "b": [str(facet.b[0]), str(facet.b[1])],
+        }
+    return {"axis": facet.axis, "position": str(facet.frac)}
+
+
 def _cmd_frame(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     frame = folding.build_frame(domain, args.k)
@@ -186,19 +198,6 @@ def _cmd_frame(args: argparse.Namespace) -> int:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svgout.frame_svg(frame))
     if args.json or not args.svg:
-        if domain.kind == "triangle":
-            facets = [
-                {
-                    "a": [str(seg.a[0]), str(seg.a[1])],
-                    "b": [str(seg.b[0]), str(seg.b[1])],
-                }
-                for seg in frame.facets
-            ]
-        else:
-            facets = [
-                {"axis": slab.axis, "position": str(slab.frac)}
-                for slab in frame.facets
-            ]
         _emit(
             args,
             _json(
@@ -206,7 +205,7 @@ def _cmd_frame(args: argparse.Namespace) -> int:
                     "domain": domain.label(),
                     "k": args.k,
                     "facet_count": len(frame.facets),
-                    "facets": facets,
+                    "facets": [_facet_json(facet) for facet in frame.facets],
                     "units": "pi (triangle) / edge-length fraction (box)",
                 }
             ),
@@ -235,7 +234,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_checksym(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     f = eigenfn.basis_fn(domain, _parse_qn(args.qn))
-    verdict = eigenfn.symmetry_check(f, samples=args.samples)
     _emit(
         args,
         _json(
@@ -243,8 +241,7 @@ def _cmd_checksym(args: argparse.Namespace) -> int:
                 "qn": list(_parse_qn(args.qn)),
                 "eigenvalue": f.value.text(),
                 "eigenvalue_parity": algebra.parity(f.value),
-                "symmetry": verdict,
-                "samples": args.samples,
+                "symmetry": eigenfn.symmetry_check(f),
             }
         ),
     )
@@ -255,9 +252,7 @@ def _cmd_checkframe(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     f = eigenfn.basis_fn(domain, _parse_qn(args.qn))
     oc = spectrum.odd_core(f.value)
-    frame = folding.build_frame(domain, oc.k)
-    max_abs = eigenfn.frame_vanishing(f, frame, samples=args.samples)
-    scale = eigenfn.sup_estimate(f)
+    failing = eigenfn.frame_vanishing(f, folding.build_frame(domain, oc.k))
     _emit(
         args,
         _json(
@@ -265,10 +260,8 @@ def _cmd_checkframe(args: argparse.Namespace) -> int:
                 "qn": list(_parse_qn(args.qn)),
                 "eigenvalue": f.value.text(),
                 "k": oc.k,
-                "samples": args.samples,
-                "max_abs_on_frame": max_abs,
-                "sup_estimate": scale,
-                "vanishes": max_abs <= 1e-9 * scale,
+                "vanishes": failing is None,
+                "failing_facet": None if failing is None else _facet_json(failing[1]),
             }
         ),
     )
@@ -368,14 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("checksym", help="reflection symmetry report")
     _add_domain_flags(p)
     p.add_argument("--qn", required=True)
-    p.add_argument("--samples", type=int, default=256)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_checksym)
 
     p = sub.add_parser("checkframe", help="frame vanishing report")
     _add_domain_flags(p, bc=False)
     p.add_argument("--qn", required=True)
-    p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_checkframe)
 

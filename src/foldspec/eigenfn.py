@@ -7,21 +7,25 @@ Basis functions:
   box Neumann         prod_j cos(gamma^(j-1) m_j x_j)
   box Dirichlet       prod_j sin(gamma^(j-1) m_j x_j)
 
-A combo is a finite real linear combination over one eigenspace.
+A combo is a finite real linear combination over one eigenspace.  Values
+are floats; reflection symmetry and frame vanishing are decided exactly
+from the quantum numbers, by the reflection's action on the product terms
+and by a rational test per frame facet.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from . import algebra, folding, sampling
+from . import algebra, folding
 from .algebra import AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain, check_point, check_qn, eigenvalue
+from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_point, check_qn, eigenvalue
 from .errors import DomainError, FoldParityError
-from .folding import KFrame
+from .folding import KFrame, Segment, Slab
 from .qlattice import QN
 from .spectrum import odd_core
 
@@ -113,40 +117,45 @@ def eval_on_axes(f: Combo, axes: tuple[np.ndarray, ...]) -> np.ndarray:
     return total
 
 
-def sup_estimate(f: Combo) -> float:
-    """Upper bound on sup |f|: sum of |coefficient| * (basis sup norm)."""
-    per_basis = 2.0 if f.domain.kind == TRIANGLE else 1.0
-    return sum(abs(c) for c, _ in f.terms) * per_basis
+def normalised_terms(f: Combo) -> dict[QN, float]:
+    """f as a sum of c * prod_j trig(pi k_j t_j), keyed by the integer
+    frequency vector k, in normalised coordinates: t = x / pi on the
+    triangle, t_j = x_j / l_j on the box (so k is the box quantum number).
+    Terms that cancel are dropped."""
+    out: dict[QN, float] = {}
+    for c, m in f.terms:
+        if f.domain.kind == TRIANGLE:
+            swapped = -c if f.domain.bc == DIRICHLET else c
+            pairs = ((m, c), (m[::-1], swapped))
+        else:
+            pairs = ((m, c),)
+        for k, w in pairs:
+            out[k] = out.get(k, 0.0) + w
+    return {k: c for k, c in out.items() if c != 0.0}
 
 
-def sample_interior(domain: Domain, count: int, seed: int = 0) -> np.ndarray:
-    """count interior points, deterministic for a given seed."""
-    u = sampling.kronecker(count, domain.coords, seed)
-    if domain.kind == TRIANGLE:
-        x = np.maximum(u[:, 0], u[:, 1]) * math.pi
-        y = np.minimum(u[:, 0], u[:, 1]) * math.pi
-        return np.stack([x, y], axis=1)
-    lengths = np.array(domain.edge_lengths())
-    return u * lengths
+def symmetry_check(f: Combo) -> str:
+    """"even", "odd" or "neither" with respect to the reflection R across L.
 
-
-def symmetry_check(f: Combo, samples: int = 256, tol: float = 1e-9) -> str:
-    """"even", "odd" or "neither" with respect to the reflection across L."""
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    pts = sample_interior(f.domain, samples, seed=11)
-    refl = pts.copy()
-    if f.domain.kind == TRIANGLE:
-        refl[:, 0] = math.pi - pts[:, 1]
-        refl[:, 1] = math.pi - pts[:, 0]
-    else:
-        refl[:, 0] = math.pi - pts[:, 0]
-    a = eval_points(f, pts)
-    b = eval_points(f, refl)
-    scale = max(sup_estimate(f), 1e-300)
-    if np.all(np.abs(a - b) <= tol * scale):
+    Exact, from R's action on the product terms of normalised_terms.  On
+    the triangle R(t) = (1 - t_y, 1 - t_x), and trig(pi k (1 - t)) is
+    (-1)^k cos(pi k t) for cos and -(-1)^k sin(pi k t) for sin, so R swaps
+    the frequencies of a term and multiplies it by (-1)^(k_x + k_y).  On the
+    box R changes t_1 to 1 - t_1 only, so it keeps every term and multiplies
+    it by (-1)^(k_1), and by -1 more under Dirichlet.  f is even when R f
+    equals f term by term and odd when it equals -f.
+    """
+    terms = normalised_terms(f)
+    reflected = {}
+    for k, c in terms.items():
+        if f.domain.kind == TRIANGLE:
+            reflected[k[::-1]] = c * (-1) ** (k[0] + k[1])
+        else:
+            sign = (-1) ** k[0]
+            reflected[k] = c * (sign if f.domain.bc == NEUMANN else -sign)
+    if reflected == terms:
         return "even"
-    if np.all(np.abs(a + b) <= tol * scale):
+    if reflected == {k: -c for k, c in terms.items()}:
         return "odd"
     return "neither"
 
@@ -167,38 +176,43 @@ def fold_fn(f: Combo) -> Combo:
     return combo(f.domain, [(c, folding.fold_qn(f.domain, m)) for c, m in f.terms])
 
 
-def frame_points(frame: KFrame, count: int, seed: int = 0) -> np.ndarray:
-    """At least count points spread over all facets of the frame."""
-    facets = frame.facets
-    per = max(1, -(-count // len(facets)))
-    pts = []
-    if frame.domain.kind == TRIANGLE:
-        for i, seg in enumerate(facets):
-            t = sampling.kronecker(per, 1, seed + i)[:, 0]
-            (ax, ay), (bx, by) = seg.floats()
-            pts.append(
-                np.stack([ax + t * (bx - ax), ay + t * (by - ay)], axis=1)
-            )
+def _odd(x: Fraction) -> bool:
+    return x.denominator == 1 and x.numerator % 2 == 1
+
+
+def vanishes_on(domain: Domain, m: QN, facet: Segment | Slab) -> bool:
+    """Whether the Neumann basis function of m vanishes on a frame facet.
+
+    Exact, in Fractions: cos(pi w c) = 0 iff 2 w c is an odd integer, and
+    cosines of distinct frequencies are linearly independent on every
+    segment.  A box facet {t_j = q} meets one factor, cos(pi m_j q).  A
+    triangle facet lies on a line x, y, x + y or x - y = c (units of pi).  On
+    x = c the function is cos(pi a c) cos(b y) + cos(pi b c) cos(a y), so it
+    vanishes iff the cosine at c of each distinct frequency in {a, b} does.
+    With s = x + y and d = x - y it is cos(P s) cos(Q d) + cos(P d) cos(Q s),
+    P = (a + b)/2 and Q = (a - b)/2, and the same holds on s = c and d = c
+    with the frequencies {P, |Q|}.
+    """
+    if domain.kind != TRIANGLE:
+        return _odd(2 * m[facet.axis] * facet.frac)
+    (ax, ay), (bx, by) = facet.a, facet.b
+    a, b = m
+    if ax == bx or ay == by:
+        c = ax if ax == bx else ay
+        freqs = {Fraction(a), Fraction(b)}
     else:
-        lengths = frame.domain.edge_lengths()
-        n = frame.domain.n
-        for i, slab in enumerate(facets):
-            u = sampling.kronecker(per, n - 1, seed + i)
-            block = np.empty((per, n))
-            col = 0
-            for j in range(n):
-                if j == slab.axis:
-                    block[:, j] = float(slab.frac) * lengths[j]
-                else:
-                    block[:, j] = u[:, col] * lengths[j]
-                    col += 1
-            pts.append(block)
-    return np.concatenate(pts, axis=0)
+        c = ax + ay if bx - ax == ay - by else ax - ay
+        freqs = {Fraction(a + b, 2), Fraction(abs(a - b), 2)}
+    return all(_odd(2 * w * c) for w in freqs)
 
 
-def frame_vanishing(f: Combo, frame: KFrame, samples: int = 10_000) -> float:
-    """Max |f| over sampled frame points; the eigenvalue's unfolding depth
-    must equal the frame index."""
+def frame_vanishing(f: Combo, frame: KFrame) -> tuple[QN, Segment | Slab] | None:
+    """The first (member, facet) of f where the member does not vanish, or
+    None when every member vanishes on every facet of the frame, and then f
+    with them by linearity.  Exact (see vanishes_on); Neumann only, and the
+    eigenvalue's unfolding depth must equal the frame index."""
+    if f.domain.bc != NEUMANN:
+        raise DomainError("frame vanishing is defined for the Neumann problem")
     if f.domain.kind != frame.domain.kind or f.domain.n != frame.domain.n:
         raise DomainError("frame and combo domains differ")
     if odd_core(f.value).k != frame.k:
@@ -206,5 +220,8 @@ def frame_vanishing(f: Combo, frame: KFrame, samples: int = 10_000) -> float:
             f"eigenvalue {f.value.text()} has unfolding depth "
             f"{odd_core(f.value).k}, frame is k={frame.k}"
         )
-    pts = frame_points(frame, samples, seed=5)
-    return float(np.max(np.abs(eval_points(f, pts))))
+    for _, m in f.terms:
+        for facet in frame.facets:
+            if not vanishes_on(f.domain, m, facet):
+                return m, facet
+    return None

@@ -1,4 +1,4 @@
-"""Folding maps, k-frames, frame partitions and the explicit subdomain spectra.
+"""Folding of quantum numbers, k-frames, frame partitions and subdomain spectra.
 
 Triangle frames are built as int64 arrays of endpoint numerators over the
 common denominator 2^(k+1) (coordinates in units of pi); build_frame turns
@@ -22,51 +22,11 @@ from scipy import ndimage
 
 from . import algebra
 from .algebra import AlgebraicValue
-from .domains import TRIANGLE, Domain, check_point
+from .domains import TRIANGLE, Domain
 from .errors import DomainError, FoldParityError
 from .qlattice import QN
 
 FracPoint = tuple[Fraction, Fraction]
-
-
-# ---------------------------------------------------------------------------
-# coordinate maps (floats, radians)
-
-
-def in_half_domain(domain: Domain, p: tuple[float, ...], tol: float = 1e-9) -> bool:
-    if domain.kind == TRIANGLE:
-        return p[0] + p[1] <= math.pi + tol
-    return p[0] <= math.pi / 2 + tol
-
-
-def fold_point(domain: Domain, p: tuple[float, ...]) -> tuple[float, ...]:
-    """F: half-domain -> domain, scaling lengths up by gamma(Omega)."""
-    check_point(domain, p)
-    if not in_half_domain(domain, p):
-        raise DomainError(f"point {p} outside the half {domain.kind}")
-    if domain.kind == TRIANGLE:
-        x, y = p
-        return (x + y, x - y)
-    g = 2.0 ** (1.0 / domain.n)
-    return tuple(g * c for c in p[1:] + p[:1])
-
-
-def unfold_point(domain: Domain, p: tuple[float, ...]) -> tuple[float, ...]:
-    """U = F^(-1): domain -> half-domain."""
-    check_point(domain, p)
-    if domain.kind == TRIANGLE:
-        u, v = p
-        return ((u + v) / 2, (u - v) / 2)
-    g = 2.0 ** (1.0 / domain.n)
-    return tuple(c / g for c in p[-1:] + p[:-1])
-
-
-def reflect(domain: Domain, p: tuple[float, ...]) -> tuple[float, ...]:
-    """Reflection across the symmetry cut L; an involution fixing L."""
-    if domain.kind == TRIANGLE:
-        x, y = p
-        return (math.pi - y, math.pi - x)
-    return (math.pi - p[0],) + tuple(p[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +220,8 @@ def _triangle_partition_count(rows: np.ndarray, den: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None, typed=True)
-def partition_count(domain: Domain, k: int) -> int:
-    """M(k): connected components of the open domain minus the k-frame.
-
-    Exact.  Every box facet is a whole hyperplane, so the box count is the
-    product over the axes of (distinct cut positions + 1); the triangle is
-    counted on an exact lattice (see _triangle_partition_count).  The cache
-    is typed so that a k refused by type (2.0, True) never hits the entry of
-    the integer it equals.
-    """
-    k = _frame_index(k)
+@lru_cache(maxsize=None)
+def _partition_count(domain: Domain, k: int) -> int:
     _check_budget(domain, k, lattice=True)
     if domain.kind == TRIANGLE:
         return _triangle_partition_count(_triangle_frame(k), 2 ** (k + 1))
@@ -278,6 +229,22 @@ def partition_count(domain: Domain, k: int) -> int:
     for slab in build_frame(domain, k).facets:
         cuts[slab.axis].add(slab.frac)
     return math.prod(len(c) + 1 for c in cuts)
+
+
+def partition_count(domain: Domain, k: int) -> int:
+    """M(k): connected components of the open domain minus the k-frame.
+
+    Exact.  Every box facet is a whole hyperplane, so the box count is the
+    product over the axes of (distinct cut positions + 1); the triangle is
+    counted on an exact lattice (see _triangle_partition_count).  k is
+    checked before the cache sees it, so an unhashable or non-integer k
+    (2.0, True, [3]) raises DomainError and never hits a cached entry.
+    """
+    return _partition_count(domain, _frame_index(k))
+
+
+partition_count.cache_clear = _partition_count.cache_clear
+partition_count.cache_info = _partition_count.cache_info
 
 
 def box_partition_formula(n: int, k: int) -> int:

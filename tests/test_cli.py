@@ -152,10 +152,11 @@ def test_checksym(capsys):
 def test_checkframe(capsys):
     code, out = run_cli(
         capsys,
-        ["checkframe", "--domain", "triangle", "--qn", "2,2", "--samples", "2000"],
+        ["checkframe", "--domain", "triangle", "--qn", "2,2"],
     )
     payload = json.loads(out)
-    assert payload["k"] == 3 and payload["vanishes"]
+    assert code == 0
+    assert payload["k"] == 3 and payload["vanishes"] and payload["failing_facet"] is None
 
 
 def test_deficiency(capsys):
@@ -201,10 +202,36 @@ def test_bad_eigenvalue_exits_cleanly():
         main(["deficiency", "--domain", "box", "--lambda", "1,x"])
 
 
-def test_checkframe_beyond_sampling_dimensions(capsys):
-    code = main(["checkframe", "--domain", "box", "--dim", "8", "--qn", "1,0,0,0,0,0,0,0"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+def test_checks_are_exact_in_eight_dimensions(capsys):
+    code, out = run_cli(
+        capsys, ["checkframe", "--domain", "box", "--dim", "8", "--qn", "1,0,0,0,0,0,0,0"]
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "qn": [1, 0, 0, 0, 0, 0, 0, 0],
+        "eigenvalue": "1",
+        "k": 0,
+        "vanishes": True,
+        "failing_facet": None,
+    }
+    # (0, ..., 0, 1) is (1, 0, ..., 0) unfolded seven times
+    code, out = run_cli(
+        capsys, ["checkframe", "--domain", "box", "--dim", "8", "--qn", "0,0,0,0,0,0,0,1"]
+    )
+    assert code == 0 and json.loads(out)["k"] == 7 and json.loads(out)["vanishes"]
+    for bc, want in (("neumann", "even"), ("dirichlet", "odd")):
+        code, out = run_cli(
+            capsys,
+            ["checksym", "--domain", "box", "--dim", "8", "--bc", bc, "--qn", "2,1,1,1,1,1,1,1"],
+        )
+        assert code == 0 and json.loads(out)["symmetry"] == want
+
+
+def test_checks_have_no_samples_option():
+    for command in ("checksym", "checkframe"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--domain", "triangle", "--qn", "2,1", "--samples", "10"])
+        assert exc.value.code == 2
 
 
 def test_deficiency_box6_counts_the_frame_exactly(capsys):

@@ -1,13 +1,23 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sampled_oracle import (
+    frame_points,
+    sample_interior,
+    sampled_symmetry,
+    sampled_vanishing,
+)
 
 from foldspec import algebra, eigenfn, folding, spectrum
-from foldspec.domains import box, triangle
+from foldspec.domains import DIRICHLET, NEUMANN, box, is_valid_qn, triangle
 from foldspec.errors import DomainError, FoldParityError
+from foldspec.folding import KFrame
 
 PI = math.pi
 
@@ -89,18 +99,39 @@ def test_frame_vanishing_examples():
     for qn, k in cases:
         f = eigenfn.basis_fn(dom, qn)
         frame = folding.build_frame(dom, k)
-        assert eigenfn.frame_vanishing(f, frame, samples=2000) < 1e-12
+        assert eigenfn.frame_vanishing(f, frame) is None
+        assert sampled_vanishing(f, frame, samples=2000)
 
 
 def test_frame_vanishing_depth_mismatch():
     f = eigenfn.basis_fn(triangle(), (2, 2))
     with pytest.raises(DomainError):
         eigenfn.frame_vanishing(f, folding.build_frame(triangle(), 1))
+    with pytest.raises(DomainError, match="Neumann"):
+        eigenfn.frame_vanishing(
+            eigenfn.basis_fn(triangle(DIRICHLET), (2, 1)), folding.build_frame(triangle(), 0)
+        )
+
+
+def test_vanishing_rule_names_each_facet():
+    # (1, 0) is odd: it vanishes on the cut x + y = pi, but not on the
+    # 1-frame's facets x = 1/2 and y = 1/2 (units of pi), where it is
+    # cos(y) and cos(x)
+    frame0, frame1 = folding.build_frame(triangle(), 0), folding.build_frame(triangle(), 1)
+    assert eigenfn.vanishes_on(triangle(), (1, 0), frame0.facets[0])
+    assert not any(eigenfn.vanishes_on(triangle(), (1, 0), s) for s in frame1.facets)
+    # (3, 1) = unfold((2, 1)) vanishes on both
+    assert all(eigenfn.vanishes_on(triangle(), (3, 1), s) for s in frame1.facets)
+    # a box slab t_j = q kills cos(pi m_j t_j) iff 2 m_j q is odd
+    slab = folding.Slab(1, Fraction(3, 4))
+    assert [eigenfn.vanishes_on(box(3), (0, m, 0), slab) for m in range(5)] == [
+        False, False, True, False, False,
+    ]
 
 
 def test_frame_points_spread_over_facets():
     frame = folding.build_frame(triangle(), 2)
-    pts = eigenfn.frame_points(frame, 400)
+    pts = frame_points(frame, 400)
     assert len(pts) >= 400
     # all sampled points satisfy one of the frame line equations
     for x, y in pts[::37]:
@@ -114,10 +145,106 @@ def test_frame_points_spread_over_facets():
 
 def test_sample_interior_stays_inside():
     for dom in (triangle(), box(3)):
-        pts = eigenfn.sample_interior(dom, 500, seed=1)
+        pts = sample_interior(dom, 500, seed=1)
         if dom.kind == "triangle":
             assert np.all(pts[:, 1] <= pts[:, 0])
             assert np.all((pts >= 0) & (pts <= PI))
         else:
             lengths = np.array(dom.edge_lengths())
             assert np.all((pts >= 0) & (pts <= lengths))
+
+
+# -- the exact rules against the sampled oracle --------------------------------
+
+
+def test_symmetry_rule_matches_the_oracle_on_every_criterion_8_member():
+    # criterion 8 checks the Dirichlet members below 200; the Neumann ones
+    # are checked here too
+    checked = 0
+    for bc in (NEUMANN, DIRICHLET):
+        for dom in (triangle(bc), box(2, bc), box(3, bc)):
+            for lv in spectrum.build_index(dom, 200).levels:
+                for m in lv.members:
+                    f = eigenfn.basis_fn(dom, m)
+                    assert eigenfn.symmetry_check(f) == sampled_symmetry(f), (dom, m)
+                    checked += 1
+    assert checked > 1800
+
+
+def test_frame_rule_matches_the_oracle_on_every_criterion_6_member():
+    # every member of the odd levels below 120, unfolded j times, against
+    # every k-frame, k, j = 0..4: the rule must say "vanishes" exactly when
+    # the samples do, and the pairs j = k are criterion 6's cases
+    pairs = vanishing = 0
+    for dom in (triangle(), box(2), box(3)):
+        frames = [folding.build_frame(dom, k) for k in range(5)]
+        for lv in spectrum.build_index(dom, 120).levels:
+            if algebra.parity(lv.value) != "odd":
+                continue
+            for m in lv.members:
+                for j in range(5):
+                    f = eigenfn.basis_fn(dom, m)
+                    for frame in frames:
+                        exact = all(eigenfn.vanishes_on(dom, m, s) for s in frame.facets)
+                        assert exact == sampled_vanishing(f, frame, samples=2000), (dom, m, frame.k)
+                        if frame.k == j:
+                            assert exact and eigenfn.frame_vanishing(f, frame) is None
+                        pairs += 1
+                        vanishing += exact
+                    m = folding.unfold_qn(dom, m)
+    assert pairs == 5 * 1315 and 0 < vanishing < pairs
+
+
+def _domains(bcs):
+    kind = st.sampled_from(["triangle"] + [f"box{n}" for n in range(2, 7)])
+    return st.tuples(kind, st.sampled_from(bcs)).map(
+        lambda t: triangle(t[1]) if t[0] == "triangle" else box(int(t[0][3:]), t[1])
+    )
+
+
+def _basis(draw, dom):
+    m = tuple(draw(st.lists(st.integers(0, 12), min_size=dom.n, max_size=dom.n)))
+    if dom.kind == "triangle":
+        m = tuple(sorted(m, reverse=True))
+    if not is_valid_qn(dom, m):
+        m = tuple(e + 1 for e in m) if dom.kind == "box" else (m[0] + 2, m[1] + 1)
+    return eigenfn.basis_fn(dom, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dom=_domains([NEUMANN, DIRICHLET]), data=st.data())
+def test_symmetry_rule_matches_the_oracle_at_random(dom, data):
+    f = _basis(data.draw, dom)
+    assert eigenfn.symmetry_check(f) == sampled_symmetry(f)
+    if dom.bc == NEUMANN:
+        up = eigenfn.unfold_fn(f)
+        assert eigenfn.symmetry_check(up) == sampled_symmetry(up) == "even"
+
+
+@settings(max_examples=200, deadline=None)
+@given(dom=_domains([NEUMANN]), k=st.integers(0, 4), data=st.data())
+def test_frame_rule_matches_the_oracle_at_random(dom, k, data):
+    f = _basis(data.draw, dom)
+    (_, m), = f.terms
+    frame = folding.build_frame(dom, k)
+    for facet in frame.facets:
+        one = KFrame(dom, k, (facet,))
+        assert eigenfn.vanishes_on(dom, m, facet) == sampled_vanishing(f, one, samples=200)
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_exact_rules_beyond_the_sampled_dimensions(n):
+    # no sampler reaches these dimensions: parity flips under Dirichlet, and
+    # every unfolding of an odd member vanishes on the frame of its depth
+    for m in [(1,) + (0,) * (n - 1), (3, 2) + (1,) * (n - 2), (1,) * n]:
+        f = eigenfn.basis_fn(box(n), m)
+        parity = algebra.parity(f.value)
+        assert eigenfn.symmetry_check(f) == parity == "odd"
+        g = eigenfn.basis_fn(box(n, DIRICHLET), tuple(e + 1 for e in m))
+        flipped = "odd" if algebra.parity(g.value) == "even" else "even"
+        assert eigenfn.symmetry_check(g) == flipped
+        for k in range(n + 2):
+            frame = folding.build_frame(box(n), spectrum.odd_core(f.value).k)
+            assert frame.k == k and eigenfn.frame_vanishing(f, frame) is None
+            f = eigenfn.unfold_fn(f)
+            assert eigenfn.symmetry_check(f) == "even"
