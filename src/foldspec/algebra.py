@@ -12,16 +12,20 @@ t^j, j = 0..r-1, of a single root t = 2^(1/r):
 
 Reduction uses t^r = 2, so coefficient vectors of length r are canonical:
 two values are equal as reals iff their coefficient vectors are identical.
+
+Order rests on the sign of sum d_j t^j, decided in Python ints alone (no
+float, no precision state), for coefficients of any size: see
+_sign_of_combination.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 
 from .errors import DivisibilityError, DomainError
@@ -52,6 +56,8 @@ def coeffs_float(coeffs: tuple[int, ...]) -> float:
 
     Summed left to right in a loop: builtin sum() rounds differently from
     Python 3.12 on, and the printed floats must not depend on the version.
+    Its error is within (r + 3) ulps of the same sum over |c| (a few roundings
+    per term, one per addition); coefficients past 2^1024 have no double.
     """
     total = 0.0
     for c, b in zip(coeffs, _basis_floats(len(coeffs))):
@@ -185,45 +191,37 @@ def scale_gamma2(v: AlgebraicValue, k: int) -> AlgebraicValue:
     return AlgebraicValue(v.n, tuple(out))
 
 
-def _sign_of_combination(diff: tuple[int, ...], r: int) -> int:
-    """Exact sign of sum(diff[j] * 2^(j/r)); diff must not be all zero.
-
-    Fast path: double-precision evaluation with a rigorous error bound.
-    Fallback: interval arithmetic, doubling the working precision until the
-    interval separates from zero (terminates: the basis is linearly
-    independent over Q, so the value is a nonzero real).  Coefficients too
-    large for a double go straight to the fallback.
-    """
-    val = 0.0
-    absum = 0.0
-    try:
-        for d, b in zip(diff, _basis_floats(r)):
-            val += d * b
-            absum += abs(d) * b
-    except OverflowError:
-        absum = math.inf
-    # each term carries a handful of ulps; (r + 3) ulps of absum is safe
-    err = (r + 3) * absum * 2.0 ** -52
-    if abs(val) > err:
-        return GREATER if val > 0 else LESS
-
-    iv = mpmath.iv
-    prec = 64
+def _iroot(x: int, r: int) -> int:
+    """floor(x^(1/r)) for x >= 1, by Newton's method from above."""
+    y = 1 << -(-x.bit_length() // r)  # y^r >= 2^bit_length > x
     while True:
-        old = iv.prec
-        iv.prec = prec
-        try:
-            total = iv.mpf(0)
-            for j, d in enumerate(diff):
-                if d:
-                    total += d * iv.mpf(2) ** (iv.mpf(j) / r)
-            if total.a > 0:
-                return GREATER
-            if total.b < 0:
-                return LESS
-        finally:
-            iv.prec = old
-        prec *= 2
+        z = ((r - 1) * y + x // y ** (r - 1)) // r
+        if z >= y:
+            return y
+        y = z
+
+
+@functools.lru_cache(maxsize=None)
+def _scaled_basis(r: int, p: int) -> tuple[int, ...]:
+    """floor(2^(j/r) * 2^p) for j = 0..r-1: the integer r-th root of 2^(j + p*r)."""
+    return tuple(_iroot(1 << (j + p * r), r) for j in range(r))
+
+
+def _sign_of_combination(diff: tuple[int, ...], r: int) -> int:
+    """Exact sign of S = sum(diff[j] * 2^(j/r)); diff must not be all zero.
+
+    With F_j = floor(2^(j/r) * 2^p), A = sum(diff[j] * F_j) lies strictly
+    within B = sum(|diff[j]|) of 2^p * S, so |A| > B fixes the sign of S.
+    p starts at 64 and doubles until it does (terminates: the basis is
+    linearly independent over Q, so S is a nonzero real).
+    """
+    bound = sum(map(abs, diff))
+    p = 64
+    while True:
+        approx = sum(map(operator.mul, diff, _scaled_basis(r, p)))
+        if abs(approx) > bound:
+            return GREATER if approx > 0 else LESS
+        p *= 2
 
 
 def compare(a: AlgebraicValue, b: AlgebraicValue) -> int:

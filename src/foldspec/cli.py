@@ -75,7 +75,7 @@ def _parse_coordinate(part: str) -> float:
 def _parse_point(text: str) -> tuple[float, ...]:
     try:
         return tuple(_parse_coordinate(p) for p in text.split(","))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise SystemExit(f"invalid point {text!r}; expected like 1.2,0.5 or pi/2,0")
 
 
@@ -268,10 +268,16 @@ def _cmd_checkframe(args: argparse.Namespace) -> int:
     return 0
 
 
+def _index_through(domain: Domain, value: AlgebraicValue) -> spectrum.SpectrumIndex:
+    """The spectrum index up to and including value (cutoff value + 1)."""
+    cutoff = AlgebraicValue(value.n, (value.coeffs[0] + 1,) + value.coeffs[1:])
+    return spectrum.build_index(domain, cutoff)
+
+
 def _cmd_deficiency(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     value = _parse_value(domain, args.lam)
-    si = spectrum.build_index(domain, Fraction(float(value)) * 2 + 2)
+    si = _index_through(domain, value)
     report = nodal.deficiency_bound(si, value)
     _emit(args, _json(report.as_dict()))
     return 0
@@ -280,7 +286,7 @@ def _cmd_deficiency(args: argparse.Namespace) -> int:
 def _cmd_dirichlet_check(args: argparse.Namespace) -> int:
     domain = box(args.dim, DIRICHLET)
     value = _parse_value(domain, args.lam)
-    si = spectrum.build_index(domain, Fraction(float(value)) * 2 + 2)
+    si = _index_through(domain, value)
     check = nodal.dirichlet_deficiency_check(si, value)
     _emit(args, _json(check.as_dict()))
     return 0
@@ -289,6 +295,12 @@ def _cmd_dirichlet_check(args: argparse.Namespace) -> int:
 def _cmd_selftest(args: argparse.Namespace) -> int:
     from . import acceptance
 
+    ids = [crit.cid for crit in acceptance.CRITERIA]
+    unknown = [cid for cid in args.only or () if cid not in ids]
+    if unknown:
+        raise SystemExit(
+            f"unknown criterion id {', '.join(unknown)}; valid ids: {', '.join(ids)}"
+        )
     failures = 0
     for crit in acceptance.CRITERIA:
         if args.only and crit.cid not in args.only:

@@ -88,8 +88,8 @@ def _float_cutoff(domain: Domain, cutoff: Cutoff) -> tuple[float, float]:
     that v says.
 
     The double of an AlgebraicValue cutoff is within (r + 3) ulps of its
-    coefficients' absolute sum (see algebra._sign_of_combination); int and
-    Fraction cutoffs round once.  A point's value is a sum of n nonnegative
+    coefficients' absolute sum (see algebra.coeffs_float); int and Fraction
+    cutoffs round once.  A point's value is a sum of n nonnegative
     terms w_j m_j^2, each weight within 2 ulps, so its double is within
     (n + 8) ulps of the value.  tol covers both at twice their size for
     every v up to twice the scale; larger v are rejected anyway.  The scale

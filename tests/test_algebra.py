@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from foldspec import algebra
 from foldspec.algebra import AlgebraicValue
@@ -162,3 +166,66 @@ def test_float_is_summed_left_to_right():
     v = algebra.from_quantum_number(3, (2, 3, 1))
     assert v.coeffs == (4, 2, 9)
     assert float(v) == 20.806451567503544
+
+
+# ---------------------------------------------------------------------------
+# oracle: mpmath at 120 digits and more, on near-ties from continued fractions
+
+
+@functools.lru_cache(maxsize=None)
+def _convergents(r: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The first 40 continued-fraction convergents p/q of 2^(j/r); 300
+    digits leave every partial quotient exact (q stays far below 10^100)."""
+    with mpmath.workdps(300):
+        x = mpmath.mpf(2) ** (mpmath.mpf(j) / r)
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        out = []
+        for _ in range(40):
+            a = int(mpmath.floor(x))
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            out.append((h1, k1))
+            x = 1 / (x - a)
+    return tuple(out)
+
+
+def _mp_sign(diff: tuple[int, ...], r: int) -> int:
+    """Sign of sum(diff[j] * 2^(j/r)), at more digits until the sum clears
+    the rounding error by ten orders of magnitude."""
+    dps = 120
+    while True:
+        with mpmath.workdps(dps):
+            terms = [d * mpmath.mpf(2) ** (mpmath.mpf(j) / r) for j, d in enumerate(diff)]
+            total = mpmath.fsum(terms)
+            if abs(total) > sum(map(abs, diff)) * mpmath.mpf(10) ** (10 - dps):
+                return 1 if total > 0 else -1
+        dps *= 2
+
+
+@st.composite
+def _near_tie(draw):
+    """(r, diff): sum over j >= 1 of m_j (q_j t^j - p_j) for convergents p_j/q_j
+    of t^j, times a scale up to 10^300; for r = 1, a nonzero integer."""
+    r = draw(st.integers(1, 6))
+    if r == 1:
+        return 1, (draw(st.integers(-(10**400), 10**400).filter(bool)),)
+    diff = [0] * r
+    for j in range(1, r):
+        m = draw(st.integers(-3, 3))
+        p, q = _convergents(r, j)[draw(st.integers(0, 39))]
+        diff[0] -= m * p
+        diff[j] += m * q
+    scale = draw(st.integers(1, 10**300))
+    return r, tuple(d * scale for d in diff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_tie())
+def test_compare_matches_mpmath_on_near_ties(case):
+    r, diff = case
+    assume(any(diff))
+    n = r if r % 2 else 2 * r  # a ring whose basis has r elements
+    want = _mp_sign(diff, r)
+    assert algebra.compare(AlgebraicValue(n, diff), algebra.zero(n)) == want
+    # the same sign as value - rational: (0, diff[1:]) against -diff[0]
+    v = AlgebraicValue(n, (0,) + diff[1:])
+    assert algebra.compare_with_rational(v, -diff[0]) == want

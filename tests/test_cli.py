@@ -180,6 +180,13 @@ def test_selftest_single_criterion(capsys):
     assert "[PASS] criterion 9" in out
 
 
+def test_selftest_unknown_id_names_the_valid_ids(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--only", "9", "99"])
+    assert exc.value.code == "unknown criterion id 99; valid ids: 1, 2, 3, 4, 5, 6, 7, 8, 9"
+    assert capsys.readouterr().out == ""  # no criterion ran
+
+
 def test_output_file(tmp_path: Path, capsys):
     out_path = tmp_path / "spec.json"
     code, _ = run_cli(
@@ -200,6 +207,23 @@ def test_bad_flags_exit_2():
 def test_bad_eigenvalue_exits_cleanly():
     with pytest.raises(SystemExit, match="invalid eigenvalue '1,x'"):
         main(["deficiency", "--domain", "box", "--lambda", "1,x"])
+
+
+def test_point_with_zero_denominator_exits_cleanly():
+    with pytest.raises(SystemExit, match="invalid point 'pi/0,0'"):
+        main(["eval", "--domain", "triangle", "--qn", "2,1", "--at", "pi/0,0"])
+
+
+def test_huge_lambda_exits_cleanly(capsys):
+    # the index cutoff is lambda + 1 in the ring, which the lattice budget refuses
+    huge = str(10**400)
+    for argv in (
+        ["deficiency", "--domain", "triangle", "--lambda", huge],
+        ["deficiency", "--domain", "box", "--dim", "3", "--lambda", f"1,{huge},0"],
+        ["dirichlet-check", "--dim", "2", "--lambda", huge],
+    ):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
 
 
 def test_checks_are_exact_in_eight_dimensions(capsys):

@@ -1,8 +1,12 @@
-"""Every name a foldspec module imports is used in that module."""
+"""Every name a foldspec module imports is used in that module, and the
+package loads none of the test-side oracles."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +48,12 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_cli_does_not_import_mpmath():
+    # mpmath is a test and benchmark oracle only; the package's arithmetic
+    # must stay independent of it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, foldspec.cli; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

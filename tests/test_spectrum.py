@@ -196,3 +196,27 @@ def test_odd_core_matches_division_oracle_on_random_rows(case):
             spectrum.odd_core(value)
         return
     assert spectrum.odd_core(value) == want
+
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.integers(min_value=-(1 << 70), max_value=1 << 70),
+                min_size=algebra.basis_len(n),
+                max_size=algebra.basis_len(n),
+            ),
+        )
+    ),
+    st.integers(min_value=0, max_value=40),
+)
+def test_scale_gamma2_round_trips_and_odd_core_undoes_it(case, k):
+    # algebra codes gamma^2 as shifted slots, odd_core as rotated coefficients
+    n, coeffs = case
+    v = AlgebraicValue(n, tuple(coeffs))
+    assert algebra.scale_gamma2(algebra.scale_gamma2(v, k), -k) == v
+    core = AlgebraicValue(n, (2 * coeffs[0] + 1,) + tuple(coeffs[1:]))
+    assert spectrum.odd_core(algebra.scale_gamma2(core, k)) == spectrum.OddCore(core, k)
