@@ -21,12 +21,14 @@ from fractions import Fraction
 from . import algebra, courant, eigenfn, folding, nodal, spectrum, svgout
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, Domain, box, triangle
-from .errors import ConsistencyError, FoldspecError
+from .errors import ConsistencyError, DomainError, FoldspecError
 
 
 def _parse_domain(args: argparse.Namespace) -> Domain:
     bc = getattr(args, "bc", NEUMANN)
     if args.domain == "triangle":
+        if args.dim != 2:
+            raise DomainError(f"--dim {args.dim} does not apply: the triangle is planar")
         return triangle(bc)
     return box(args.dim, bc)
 

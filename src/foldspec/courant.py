@@ -4,7 +4,9 @@ Each level receives exactly one verdict.  Non-sharp verdicts carry a
 machine-checked witness (boundary lattice points, a degenerate subdomain
 pair, a strict reference-set inclusion, a smaller lattice point outside the
 nodal box, or multiplicity > 1); witness verification failures raise
-ConsistencyError rather than classifying silently.
+ConsistencyError rather than classifying silently.  Triangle witnesses are
+checked on the integer eigenvalue m^2 + n^2 and every nu comes from a closed
+form, so the engine runs no grid; box witnesses are compared in Z[gamma^2].
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from . import algebra, folding, nodal, qlattice
 from .algebra import LESS, AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue, qn_parity
+from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue
 from .errors import ConsistencyError, DomainError
 from .qlattice import QN, Cutoff
 from .spectrum import Level, SpectrumIndex, build_index, odd_core
@@ -99,17 +101,17 @@ def _require(cond: bool, message: Callable[[], str]) -> None:
 
 
 def _boundary_witnesses(si: SpectrumIndex, value: AlgebraicValue, m: QN) -> list[QN]:
-    """Two distinct even lattice points on the right boundary of Q(value)."""
+    """Two distinct even lattice points on the right boundary of Q(value),
+    checked on the integer z = value: x^2 + y^2 < z <= (x + 1)^2 + y^2."""
     a, b = m
     w1 = (a - 1, b)
     w2 = (a, b - 1) if b >= 1 else (a - 1, 2)
-    dom = si.domain
-    for w in (w1, w2):
+    z = value.coeffs[0]
+    for x, y in (w1, w2):
         _require(
-            qn_parity(dom, w) == "even"
-            and algebra.compare(eigenvalue(dom, w), value) == LESS
-            and algebra.compare(eigenvalue(dom, (w[0] + 1, w[1])), value) != LESS,
-            lambda: f"boundary witness {w} failed for {value.text()}",
+            x >= y >= 0 and (x - y) % 2 == 0
+            and x * x + y * y < z <= (x + 1) ** 2 + y * y,
+            lambda: f"boundary witness {(x, y)} failed for {value.text()}",
         )
     _require(w1 != w2, lambda: "boundary witnesses coincide")
     return [w1, w2]
@@ -124,8 +126,8 @@ def _classify_triangle_level(si: SpectrumIndex, lv: Level, position: int) -> Ver
 
     if base["parity"] == "odd":
         if lv.members == ((1, 0),):
-            nu = nodal.count_grid(_combo(si.domain, (1, 0))).count
-            _require(nu == n_pos, lambda: f"lambda_2 grid count {nu} != N {n_pos}")
+            nu = nodal.count_formula(si.domain, (1, 0)).count
+            _require(nu == n_pos, lambda: f"lambda_2 nodal count {nu} != N {n_pos}")
             return Verdict(**base, sharp=True, reason=ORTHOGONALITY_SECOND, nu=nu)
         witnesses = _boundary_witnesses(si, value, lv.members[0])
         return Verdict(
@@ -186,12 +188,6 @@ def _classify_triangle_level(si: SpectrumIndex, lv: Level, position: int) -> Ver
     return _reference_set_verdict(si, lv, base, member)
 
 
-def _combo(domain: Domain, m: QN):
-    from .eigenfn import basis_fn
-
-    return basis_fn(domain, m)
-
-
 def _subdomain_pairs(cm: int, cn: int, k: int) -> list[tuple[int, int]]:
     if k == 1:
         p1, q1 = (cm + cn - 1) // 2, (cm - cn - 1) // 2
@@ -244,8 +240,9 @@ def _reference_set_verdict(
     _require(
         not seen[extra], lambda: f"strictness witness {extra} inside reference set"
     )
+    ex, ey = extra
     _require(
-        algebra.compare(eigenvalue(si.domain, extra), value) == LESS,
+        ex >= ey >= 0 and ex * ex + ey * ey < z,
         lambda: f"strictness witness {extra} is not below {value.text()}",
     )
     _require(nu < n_pos, lambda: f"nu {nu} not below N {n_pos}")

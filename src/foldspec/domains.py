@@ -55,10 +55,6 @@ class Domain:
         g = 2.0 ** (1.0 / self.n)
         return tuple(math.pi / g**j for j in range(self.n))
 
-    def gamma2_float(self) -> float:
-        """Eigenvalue scaling factor of one unfolding."""
-        return 2.0 if self.kind == TRIANGLE else 2.0 ** (2.0 / self.n)
-
     def label(self) -> str:
         base = TRIANGLE if self.kind == TRIANGLE else f"box{self.n}"
         return f"{base}-{self.bc}"
@@ -101,9 +97,10 @@ def qn_parity(domain: Domain, m: tuple[int, ...]) -> str:
     return "odd" if m[0] % 2 else "even"
 
 
-def contains_point(domain: Domain, p: tuple[float, ...], tol: float = 1e-9) -> bool:
+def contains_point(domain: Domain, p: tuple[float, ...]) -> bool:
     if len(p) != domain.coords:
         return False
+    tol = 1e-9
     if domain.kind == TRIANGLE:
         x, y = p
         return -tol <= y <= x + tol and x <= math.pi + tol
@@ -111,5 +108,10 @@ def contains_point(domain: Domain, p: tuple[float, ...], tol: float = 1e-9) -> b
 
 
 def check_point(domain: Domain, p: tuple[float, ...]) -> None:
+    if len(p) != domain.coords:
+        raise DomainError(
+            f"point {p} has {len(p)} coordinates; the {domain.label()} domain "
+            f"takes {domain.coords}"
+        )
     if not contains_point(domain, p):
         raise DomainError(f"point {p} outside the {domain.label()} domain")

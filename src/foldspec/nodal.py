@@ -1,18 +1,18 @@
 """Nodal-domain counting and nodal-deficiency bounds.
 
 The closed-form counts cover box basis functions and the two triangle shapes
-with straight nodal lines; the grid oracle counts everything from samples on
-an irrationally offset grid and certifies the count by agreement under one
-resolution doubling.  A box basis function is a product of one factor per
-axis, so the oracle counts the runs of one strict sign on each sampled axis
-and multiplies them; it never reads the quantum number.  Box combos of
-several terms are refused.  A triangle combo is sampled on the full grid,
-and two same-sign orthogonal neighbors are joined only where f is proven to
-keep that sign on the segment between them: by a bound on its second
-derivative along the segment, bisecting where that bound does not suffice.
-So no join bridges two nodal domains; what the grid can still miss is a neck
-of one domain narrower than a cell, which splits it and over-counts, and the
-doubling check guards against that.
+with straight nodal lines, (a, a) and every (a, 0); the grid oracle counts
+everything from samples on an irrationally offset grid and certifies the
+count by agreement under one resolution doubling.  A box basis function is
+a product of one factor per axis, so the oracle counts the runs of one
+strict sign on each sampled axis and multiplies them; it never reads the
+quantum number.  Box combos of several terms are refused.  A triangle combo
+is sampled on the full grid, and two same-sign orthogonal neighbors are
+joined only where f is proven to keep that sign on the segment between them:
+by a bound on its second derivative along the segment, bisecting where that
+bound does not suffice.  So no join bridges two nodal domains; what the grid
+can still miss is a neck of one domain narrower than a cell, which splits it
+and over-counts, and the doubling check guards against that.
 """
 
 from __future__ import annotations
@@ -59,17 +59,34 @@ class NodalCount:
 
 
 def count_formula(domain: Domain, m: QN) -> NodalCount:
-    """Closed-form nodal count; raises DomainError where none is available."""
+    """Closed-form nodal count; raises DomainError where none is available.
+
+    A box basis function is a product of one cosine per axis, so its nodal
+    domains are the prod(m_j + 1) cells of a grid of planes.  On the triangle
+    two shapes have straight nodal lines:
+
+      * (a, a): 2 cos ax cos ay vanishes on x, y = (2i+1) pi / (2a), and the
+        triangle 0 <= y <= x <= pi keeps i + 1 cells of column i, i = 0..a,
+        so nu = (a+1)(a+2)/2;
+      * (a, 0): cos ax + cos ay = 2 cos(a s/2) cos(a d/2) with s = x+y and
+        d = x-y.  In (s, d) the triangle is 0 <= d <= s <= 2 pi - d, and the
+        nodal lines are s = (2i+1) pi / a and d = (2j+1) pi / a < pi.  The
+        d-lines cut it into the strips j = 0..floor(a/2), strip j lying
+        between d = (2j-1) pi / a (or 0) and d = (2j+1) pi / a (or pi).
+        Exactly the a - 2j lines s = (2i+1) pi / a, i = j..a-1-j, cross strip
+        j from side to side; they are parallel, so strip j holds a - 2j + 1
+        cells.  The sum over j is floor((a+2)^2 / 4): (m+1)^2 at a = 2m and
+        (m+1)(m+2) at a = 2m + 1.
+    """
     m = check_qn(domain, m)
     if domain.bc != NEUMANN:
         raise DomainError("closed-form nodal counts cover the Neumann basis only")
     if domain.kind == TRIANGLE:
         a, b = m
         if a == b:
-            nu = (a + 1) * (a + 2) // 2  # sum of i+1, i = 0..a
-        elif b == 0 and a % 2 == 0:
-            half = a // 2
-            nu = (half + 1) ** 2  # sum of 2i+1, i = 0..a/2
+            nu = (a + 1) * (a + 2) // 2
+        elif b == 0:
+            nu = (a + 2) ** 2 // 4
         else:
             raise DomainError(
                 f"no closed-form nodal count for triangle {m}; use count_grid"

@@ -72,9 +72,6 @@ class LatticeRegion:
     def __len__(self) -> int:
         return sum(lv.multiplicity for lv in self.levels)
 
-    def point_set(self) -> frozenset[QN]:
-        return frozenset(self.points)
-
 
 def _weights(domain: Domain) -> list[float]:
     if domain.kind == TRIANGLE:

@@ -45,9 +45,6 @@ class SpectrumIndex:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def total(self) -> int:
-        return self._cum[-1]
-
     def level_of(self, value: AlgebraicValue) -> Level | None:
         i = self._by_coeffs.get(value.coeffs)
         return None if i is None else self.levels[i]

@@ -214,6 +214,40 @@ def test_point_with_zero_denominator_exits_cleanly():
         main(["eval", "--domain", "triangle", "--qn", "2,1", "--at", "pi/0,0"])
 
 
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (
+            ["--domain", "triangle", "--qn", "2,1", "--at", "1,2,3"],
+            "3 coordinates; the triangle-neumann domain takes 2",
+        ),
+        (
+            ["--domain", "box", "--dim", "3", "--qn", "1,0,0", "--at", "0,0"],
+            "2 coordinates; the box3-neumann domain takes 3",
+        ),
+    ],
+    ids=["triangle", "box3"],
+)
+def test_point_of_the_wrong_arity_names_the_expected_count(capsys, argv, count):
+    assert main(["eval", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: point ") and count in err, err
+    assert "outside" not in err
+
+
+def test_triangle_refuses_a_dimension_other_than_two(capsys):
+    for argv in (["verdicts", "--cutoff", "20"], ["spectrum", "--cutoff", "20"]):
+        assert main([*argv, "--domain", "triangle", "--dim", "7"]) == 1, argv
+        err = capsys.readouterr().err
+        assert err == "error: --dim 7 does not apply: the triangle is planar\n", argv
+    argv = ["verdicts", "--domain", "triangle", "--dim", "2", "--cutoff", "20"]
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and out
+    # boxes keep their default dimension of 2
+    code, out = run_cli(capsys, ["spectrum", "--domain", "box", "--cutoff", "5", "--points"])
+    assert code == 0 and all(len(row["members"][0]) == 2 for row in json.loads(out))
+
+
 def test_huge_lambda_exits_cleanly(capsys):
     # the index cutoff is lambda + 1 in the ring, which the lattice budget refuses
     huge = str(10**400)

@@ -5,8 +5,9 @@ import pytest
 
 from foldspec import algebra, courant, eigenfn, nodal, qlattice, spectrum
 from foldspec.algebra import LESS
-from foldspec.domains import box, eigenvalue, triangle
+from foldspec.domains import box, eigenvalue, qn_parity, triangle
 from foldspec.errors import ConsistencyError
+from foldspec.qlattice import Level
 
 
 def verdict_for(verdicts, value: float):
@@ -129,6 +130,70 @@ def test_failed_witness_check_names_the_witness():
     si = spectrum.build_index(triangle(), 100)
     with pytest.raises(ConsistencyError, match=r"boundary witness \(2, 2\) failed for 5"):
         courant._boundary_witnesses(si, algebra.integer_value(1, 5), (3, 0))
+
+
+@pytest.mark.parametrize(
+    "value,member,bad",
+    [
+        (10, (3, 1), (2, 1)),  # odd: 5 < 10 <= 3^2 + 1 alone would pass
+        (13, (3, 0), (2, 0)),  # its right neighbour (3, 0) is below 13 too
+        (4, (3, 0), (2, 0)),  # at the value, not below it
+        (11, (2, 3), (1, 3)),  # no quantum number, though 10 < 11 <= 13
+    ],
+)
+def test_boundary_witness_check_rejects_each_failed_condition(value, member, bad):
+    si = spectrum.build_index(triangle(), 100)
+    with pytest.raises(
+        ConsistencyError, match=rf"boundary witness \({bad[0]}, {bad[1]}\) failed for {value}"
+    ):
+        courant._boundary_witnesses(si, algebra.integer_value(1, value), member)
+
+
+def test_strictness_witness_at_the_value_is_not_below_it():
+    # a level 16 posing as (3, 3): every reference point lies below 16, but
+    # the strictness witness (4, 0) lies at 16 itself
+    si = spectrum.build_index(triangle(), 20)
+    lv = Level(algebra.integer_value(1, 16), ((3, 3),))
+    base = courant._base(lv, 20)
+    with pytest.raises(ConsistencyError, match=r"strictness witness \(4, 0\) is not below 16"):
+        courant._reference_set_verdict(si, lv, base, (3, 3))
+
+
+def test_boundary_witnesses_satisfy_the_exact_conditions():
+    # the former per-witness check, kept as an oracle: each witness through
+    # the exact eigenvalue, algebra.compare and qn_parity (the strictness
+    # points: test_positions_and_reference_verdicts_match_the_exact_path)
+    dom = triangle()
+    odd = [v for v in courant.classify(dom, 5000) if v.parity == "odd"]
+    assert [v.reason for v in odd[:1]] == [courant.ORTHOGONALITY_SECOND]
+    for v in odd[1:]:
+        assert v.reason == courant.ODD_BOUNDARY
+        w1, w2 = v.witness["boundary_even_points"]
+        assert w1 != w2
+        for w in (w1, w2):
+            assert qn_parity(dom, w) == "even"
+            assert algebra.compare(eigenvalue(dom, w), v.value) == LESS
+            assert algebra.compare(eigenvalue(dom, (w[0] + 1, w[1])), v.value) != LESS
+    assert len(odd) > 600
+
+
+def test_triangle_verdicts_use_no_eigenvalue_compare_or_grid(monkeypatch):
+    want = courant.classify(triangle(), 5000)
+    si = spectrum.build_index(triangle(), 5000)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the triangle path")
+
+    # the index's own enumeration certifies its order with algebra.compare,
+    # so it is built before compare is refused
+    monkeypatch.setattr(courant, "build_index", lambda domain, cutoff: si)
+    for module, name in (
+        (algebra, "from_quantum_number"),
+        (algebra, "compare"),
+        (nodal, "count_grid"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert courant.classify(triangle(), 5000) == want
 
 
 # ---------------------------------------------------------------------------

@@ -57,3 +57,20 @@ def test_cli_does_not_import_mpmath():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = "import sys, foldspec.cli; sys.exit('mpmath' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_courant_imports_nothing_from_eigenfn():
+    # the verdict engine decides from integers and closed forms and runs no
+    # grid, so it needs no basis function, not even through a lazy import
+    tree = ast.parse((SRC / "courant.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[-1] == "eigenfn" for n in names):
+            found.append(node.lineno)
+    assert found == []

@@ -29,8 +29,8 @@ def test_formula_examples():
 def test_formula_unsupported_shapes():
     with pytest.raises(DomainError):
         nodal.count_formula(triangle(), (3, 1))
-    with pytest.raises(DomainError):
-        nodal.count_formula(triangle(), (5, 0))  # odd axis point
+    # an odd axis point has straight nodal lines too: (a + 2)^2 // 4 cells
+    assert nodal.count_formula(triangle(), (5, 0)).count == 12
     with pytest.raises(DomainError):
         nodal.count_formula(triangle("dirichlet"), (2, 1))
 
@@ -119,27 +119,27 @@ def _arrangement_regions(chords) -> int:
 
 
 def _straight_nodal_chords(qn) -> list[tuple[int, int, Fraction]]:
-    """Nodal lines of the triangle's (a, a) and (2m, 0) basis functions.
+    """Nodal lines of the triangle's (a, a) and (a, 0) basis functions.
 
     2 cos ax cos ay vanishes on x, y = (k + 1/2) pi / a, and
-    cos 2mx + cos 2my = 2 cos m(x + y) cos m(x - y) on x + y and x - y =
-    (k + 1/2) pi / m; unfolding maps (a, a) to (2a, 0).
+    cos ax + cos ay = 2 cos(a(x + y)/2) cos(a(x - y)/2) on x + y and x - y =
+    (2k + 1) pi / a; unfolding maps (a, a) to (2a, 0).
     """
     a, b = qn
     if a == b:
         cuts = [Fraction(2 * k + 1, 2 * a) for k in range(a)]
         return [(1, 0, c) for c in cuts] + [(0, 1, c) for c in cuts]
-    m = a // 2
-    cuts = [Fraction(2 * k + 1, 2 * m) for k in range(2 * m)]
+    cuts = [Fraction(2 * k + 1, a) for k in range(a)]
     return [(1, 1, c) for c in cuts] + [(1, -1, c) for c in cuts if c < 1]
 
 
-STRAIGHT_FAMILIES = [(a, a) for a in range(1, 11)] + [(2 * m, 0) for m in range(1, 11)]
+STRAIGHT_FAMILIES = [(a, a) for a in range(1, 11)] + [(a, 0) for a in range(1, 21)]
 
 
 def test_line_arrangement_oracle_is_exact():
     assert _arrangement_regions(_straight_nodal_chords((20, 0))) == 1 + 30 + 90
-    for qn in STRAIGHT_FAMILIES:
+    assert _arrangement_regions(_straight_nodal_chords((5, 0))) == 1 + 7 + 4
+    for qn in STRAIGHT_FAMILIES + [(a, 0) for a in range(21, 42)]:
         chords = _straight_nodal_chords(qn)
         assert _arrangement_regions(chords) == nodal.count_formula(triangle(), qn).count
     # three chords through one interior point add 2 regions there, not 3

@@ -58,7 +58,9 @@ def test_total_counts_match_region_size():
 
     for dom, cutoff in ((triangle(), 150), (box(2), 150), (box(3), 60)):
         si = spectrum.build_index(dom, cutoff)
-        assert si.total() == len(qlattice.enumerate_below(dom, cutoff))
+        total = si.position_at(len(si) - 1) + si.levels[-1].multiplicity - 1
+        assert total == sum(lv.multiplicity for lv in si.levels)
+        assert total == len(qlattice.enumerate_below(dom, cutoff))
 
 
 def test_odd_core_examples():
