@@ -65,6 +65,14 @@ def coeffs_float(coeffs: tuple[int, ...]) -> float:
     return total
 
 
+def coeffs_text(n: int, coeffs: tuple[int, ...]) -> str:
+    """Canonical form "c0 + c1*g^e1 + ...", g = 2^(1/n), of the value with
+    these coefficients, without building it."""
+    step = 2 if (n % 2 == 0 and n > 1) else 1  # g-exponent per index
+    parts = [str(c) if j == 0 else f"{c}*g^{j * step}" for j, c in enumerate(coeffs) if c]
+    return " + ".join(parts) if parts else "0"
+
+
 @dataclass(frozen=True)
 class AlgebraicValue:
     """Element of Z[gamma^2] as an integer coefficient vector over {t^j}."""
@@ -88,16 +96,7 @@ class AlgebraicValue:
         return all(c == 0 for c in self.coeffs)
 
     def text(self) -> str:
-        """Canonical form "c0 + c1*g^e1 + ...", g = 2^(1/n)."""
-        step = 2 if (self.n % 2 == 0 and self.n > 1) else 1  # g-exponent per index
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(str(c) if j == 0 else f"{c}*g^{j * step}")
-        if not parts:
-            return "0"
-        return " + ".join(parts)
+        return coeffs_text(self.n, self.coeffs)
 
     def __str__(self) -> str:
         return self.text()

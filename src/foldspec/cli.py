@@ -3,6 +3,12 @@
 Subcommands: spectrum, verdicts, nodal, frame, eval, checksym, checkframe,
 deficiency, dirichlet-check, selftest.  Output is deterministic for a fixed
 invocation: ordering is exact-value order and floats are emitted via repr.
+The spectrum and verdict row lists are streamed to text, one template per
+row, by a small writer whose JSON is byte-identical to
+json.dumps(rows, indent=2); spectrum rows are taken straight from each
+level's coefficient tuple.  Their CSV header comes from the row schema, so
+an empty result prints the header alone.  Other JSON goes through
+json.dumps.
 checksym and checkframe decide exactly from the quantum number, in any box
 dimension; checkframe names the first facet where the function does not
 vanish, if there is one.
@@ -16,6 +22,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
 from . import algebra, courant, eigenfn, folding, nodal, spectrum, svgout
@@ -93,45 +100,151 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _csv(rows: list[dict]) -> str:
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_float(x: float) -> str:
+    """x as json.dumps writes it."""
+    if x - x == 0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+
+
+def _json_value(obj, indent: int) -> str:
+    """obj as json.dumps(..., indent=2) writes it at this indent: None,
+    bools, ints, floats and strings, and lists, tuples and str-keyed dicts
+    of them."""
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    pad = "\n" + " " * (indent + 2)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_json_str(k)}: {_json_value(v, indent + 2)}" for k, v in obj.items())
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = (_json_value(v, indent + 2) for v in obj)
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _json_list(rows: Iterable[str]) -> str:
+    """The written rows as one JSON list, as json.dumps(..., indent=2) + "\n"
+    writes it."""
+    text = ",\n".join(rows)
+    return f"[\n{text}\n]\n" if text else "[]\n"
+
+
+def _json_points(points: Sequence[tuple[int, ...]]) -> str:
+    """Lattice points, int tuples of length >= 1, as json.dumps(...,
+    indent=2) writes them as the value of a row's field."""
+    if not points:
+        return "[]"
+    listed = ",\n      ".join(
+        ["[\n        " + ",\n        ".join(map(str, p)) + "\n      ]" for p in points]
+    )
+    return f"[\n      {listed}\n    ]"
+
+
+def _spectrum_json(rows: Iterable[tuple]) -> str:
+    """json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n",
+    byte for byte, for rows from _spectrum_rows: fields are _SPECTRUM_FIELDS,
+    plus "members" when a row has eight entries."""
+
+    def text(position, value, flt, multiplicity, parity, odd_core, k, members=None) -> str:
+        return (
+            f'  {{\n    "position": {position},\n    "value": {_json_str(value)},\n'
+            f'    "float": {_json_float(flt)},\n    "multiplicity": {multiplicity},\n'
+            f'    "parity": {_json_str(parity)},\n'
+            f'    "odd_core": {"null" if odd_core is None else _json_str(odd_core)},\n'
+            f'    "k": {"null" if k is None else k}'
+            + ("" if members is None else f',\n    "members": {_json_points(members)}')
+            + "\n  }"
+        )
+
+    return _json_list(text(*row) for row in rows)
+
+
+def _verdicts_json(rows: Iterable[tuple]) -> str:
+    """json.dumps([dict(zip(courant.VERDICT_FIELDS, row)) for row in rows],
+    indent=2) + "\n", byte for byte, for rows from Verdict.row."""
+
+    def text(position, value, flt, multiplicity, parity, core, k, sharp, reason, nu,
+             witness) -> str:
+        return (
+            f'  {{\n    "position": {position},\n    "value": {_json_str(value)},\n'
+            f'    "float": {_json_float(flt)},\n    "multiplicity": {multiplicity},\n'
+            f'    "parity": {_json_str(parity)},\n    "core": {_json_str(core)},\n'
+            f'    "k": {k},\n    "sharp": {"true" if sharp else "false"},\n'
+            f'    "reason": {_json_str(reason)},\n    "nu": {"null" if nu is None else nu},\n'
+            f'    "witness": {_json_value(witness, 4)}\n  }}'
+        )
+
+    return _json_list(text(*row) for row in rows)
+
+
+def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """A header of the field names, then the rows; list, tuple and dict cells
+    are written as compact JSON."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(
+        [json.dumps(c) if isinstance(c, (list, tuple, dict)) else c for c in row]
+        for row in rows
+    )
     return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
+_SPECTRUM_FIELDS = ("position", "value", "float", "multiplicity", "parity", "odd_core", "k")
+
+
+def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool) -> Iterator[tuple]:
+    """One row per level in _SPECTRUM_FIELDS order, then the members if
+    points; every field comes from the level's coefficient tuple."""
+    n = si.domain.ring
+    position = 1
+    for lv in si.levels:
+        c = lv.value.coeffs
+        if any(c):
+            core, k = spectrum.odd_core_coeffs(n, c)
+            odd_core = algebra.coeffs_text(n, core)
+        else:
+            odd_core = k = None
+        row = (
+            position,
+            algebra.coeffs_text(n, c),
+            algebra.coeffs_float(c),
+            lv.multiplicity,
+            "odd" if c[0] % 2 else "even",
+            odd_core,
+            k,
+        )
+        yield row + (lv.members,) if points else row
+        position += lv.multiplicity
+
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     si = spectrum.build_index(domain, _parse_cutoff(args.cutoff))
-    rows = []
-    position = 1
-    for lv in si.levels:
-        oc = spectrum.odd_core(lv.value) if not lv.value.is_zero() else None
-        row = {
-            "position": position,
-            "value": lv.value.text(),
-            "float": float(lv.value),
-            "multiplicity": lv.multiplicity,
-            "parity": algebra.parity(lv.value),
-            "odd_core": oc.core.text() if oc else None,
-            "k": oc.k if oc else None,
-        }
-        if args.points:
-            row["members"] = [list(m) for m in lv.members]
-        rows.append(row)
-        position += lv.multiplicity
-    if args.format == "csv":
-        for row in rows:
-            if "members" in row:
-                row["members"] = json.dumps(row["members"])
-        _emit(args, _csv(rows))
-    else:
-        _emit(args, _json(rows))
+    fields = _SPECTRUM_FIELDS + ("members",) if args.points else _SPECTRUM_FIELDS
+    rows = _spectrum_rows(si, args.points)
+    _emit(args, _csv(fields, rows) if args.format == "csv" else _spectrum_json(rows))
     return 0
 
 
@@ -142,11 +255,9 @@ def _cmd_verdicts(args: argparse.Namespace) -> int:
         v = courant.explain(verdicts, args.explain)
         _emit(args, _json(v.as_dict()))
         return 0
-    rows = [v.as_dict() for v in verdicts]
+    rows = map(courant.Verdict.row, verdicts)
     if args.format == "csv":
-        for row in rows:
-            row["witness"] = json.dumps(row["witness"])
-        _emit(args, _csv(rows))
+        _emit(args, _csv(courant.VERDICT_FIELDS, rows))
     elif args.format == "table":
         lines = [
             f"{'pos':>5} {'value':>16} {'d':>2} {'parity':>6} {'sharp':>5}  reason"
@@ -158,7 +269,7 @@ def _cmd_verdicts(args: argparse.Namespace) -> int:
             )
         _emit(args, "\n".join(lines) + "\n")
     else:
-        _emit(args, _json(rows))
+        _emit(args, _verdicts_json(rows))
     return 0
 
 

@@ -35,6 +35,13 @@ BOX_CASE_ANALYSIS = "box_case_analysis"
 SHARP_REASONS = {GROUND_STATE, ORTHOGONALITY_SECOND, EXPLICIT_COUNT}
 
 
+# the keys of Verdict.as_dict, in order
+VERDICT_FIELDS = (
+    "position", "value", "float", "multiplicity", "parity", "core", "k",
+    "sharp", "reason", "nu", "witness",
+)
+
+
 @dataclass(frozen=True)
 class Verdict:
     position: int  # first spectral index of the eigenvalue
@@ -48,20 +55,24 @@ class Verdict:
     nu: int | None  # exact nodal count when determined
     witness: dict = field(default_factory=dict)
 
+    def row(self) -> tuple:
+        """The values of as_dict, in VERDICT_FIELDS order."""
+        return (
+            self.position,
+            self.value.text(),
+            float(self.value),
+            self.multiplicity,
+            self.parity,
+            self.core.text(),
+            self.core_k,
+            self.sharp,
+            self.reason,
+            self.nu,
+            self.witness,
+        )
+
     def as_dict(self) -> dict:
-        return {
-            "position": self.position,
-            "value": self.value.text(),
-            "float": float(self.value),
-            "multiplicity": self.multiplicity,
-            "parity": self.parity,
-            "core": self.core.text(),
-            "k": self.core_k,
-            "sharp": self.sharp,
-            "reason": self.reason,
-            "nu": self.nu,
-            "witness": self.witness,
-        }
+        return dict(zip(VERDICT_FIELDS, self.row()))
 
 
 def classify(domain: Domain, cutoff: Cutoff) -> list[Verdict]:

@@ -105,27 +105,33 @@ def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
 
 
 def odd_core(value: AlgebraicValue) -> OddCore:
-    """Unique odd value core and exponent k with value = gamma^(2k) * core.
+    """Unique odd value core and exponent k with value = gamma^(2k) * core."""
+    core, k = odd_core_coeffs(value.n, value.coeffs)
+    return OddCore(core=AlgebraicValue(value.n, core), k=k)
 
-    Works on the coefficient tuple over {t^j}: dividing by t rotates the
-    coefficients one slot down, the wrapped t^0 coefficient halved (t^r = 2),
-    and gamma^2 is one such step (two for odd n > 1).
+
+def odd_core_coeffs(n: int, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """odd_core on the coefficient tuple over {t^j} of a value in ring n:
+    the core's coefficients and k, without building either value.
+
+    Dividing by t rotates the coefficients one slot down, the wrapped t^0
+    coefficient halved (t^r = 2), and gamma^2 is one such step (two for odd
+    n > 1).
     """
-    if value.is_zero():
+    if not any(coeffs):
         raise DomainError("zero has no odd core")
-    steps = algebra.gamma2_steps(value.n)
-    coeffs = value.coeffs
+    steps = algebra.gamma2_steps(n)
     k = 0
     while coeffs[0] % 2 == 0:
         start = coeffs
         for _ in range(steps):
             if coeffs[0] % 2:
                 raise DivisibilityError(
-                    f"{AlgebraicValue(value.n, start).text()} is not divisible by gamma^2"
+                    f"{algebra.coeffs_text(n, start)} is not divisible by gamma^2"
                 )
             coeffs = coeffs[1:] + (coeffs[0] >> 1,)
         k += 1
-    return OddCore(core=AlgebraicValue(value.n, coeffs), k=k)
+    return coeffs, k
 
 
 def r2(z: int) -> int:

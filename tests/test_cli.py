@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from foldspec import cli, courant
 from foldspec.cli import main
 
 
@@ -332,6 +336,12 @@ PINNED_OUTPUTS = [
      "7e8ff4f01b10cf2c164b29cd0e6e5d458cfad55e0992035f26b1d98b6689ba9a"),
     (["spectrum", "--domain", "box", "--dim", "2", "--bc", "dirichlet", "--cutoff", "300"],
      "9cc4b9b976c2b80f98c92e37f88f4cbb8ddb7c0dc1fd8668e83d850bc23569d3"),
+    # the benchmark's spectrum-box sizes, recorded before the rows were
+    # streamed through the JSON writer
+    (["spectrum", "--domain", "box", "--dim", "5", "--cutoff", "120"],
+     "3bcbed601b0f1d74b02dfefc5bdfcbce1b49f8a3520e88ae88b0557fe87f52a1"),
+    (["spectrum", "--domain", "box", "--dim", "6", "--cutoff", "80"],
+     "718637fdbcc9c5fbcb01e50c761fb53e9cdb20a1348c234e677d7092311f7be2"),
 ]
 
 
@@ -363,3 +373,120 @@ def test_triangle_verdicts_bytes_are_pinned(capsys):
         hashlib.sha256(out.encode("utf-8")).hexdigest()
         == "aec7cb75c12ceafff81a4b41c4045bbf2025beabec8e72101b88d6f242f30f06"
     )
+
+
+# sha256 of stdout, recorded before the spectrum and verdict rows were
+# streamed through the JSON writer and the CSV header taken from the schema
+PINNED_ROW_OUTPUTS = [
+    (["spectrum", "--domain", "box", "--dim", "3", "--cutoff", "60", "--points",
+      "--format", "csv"],
+     "d6164b8c618e3a68b0486b7575a3691257527b62902361f8b5e323db004f77d0"),
+    (["spectrum", "--domain", "triangle", "--cutoff", "2000", "--points", "--format", "csv"],
+     "414efc0e9cb07e80fe24d8d866c266588acf9775d6a274dbdac71b661d60e1c2"),
+    (["verdicts", "--domain", "box", "--dim", "3", "--cutoff", "60", "--format", "csv"],
+     "66b301b4347befa82cb3d74d3ee763fb4d063452e7db9274ccfb152793e130fd"),
+    (["verdicts", "--domain", "triangle", "--cutoff", "5000", "--format", "csv"],
+     "20a372fe35baf03d422f8341b4976a7e7dfe53b99da4b6537e59db816787462f"),
+    (["verdicts", "--domain", "box", "--dim", "2", "--cutoff", "2000", "--format", "table"],
+     "b5acc2ae2b0c24eb2c4f5910a7189a62f3d981e016c7eff851e8facfa27f4d4f"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_ROW_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_ROW_OUTPUTS]
+)
+def test_csv_and_table_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+SPECTRUM_HEADER = "position,value,float,multiplicity,parity,odd_core,k"
+VERDICT_HEADER = "position,value,float,multiplicity,parity,core,k,sharp,reason,nu,witness"
+
+
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        (["spectrum", "--domain", "box", "--cutoff", "0"], SPECTRUM_HEADER),
+        (["spectrum", "--domain", "box", "--cutoff", "-3"], SPECTRUM_HEADER),
+        (["spectrum", "--domain", "box", "--cutoff", "0", "--points"],
+         SPECTRUM_HEADER + ",members"),
+        (["verdicts", "--domain", "triangle", "--cutoff", "0"], VERDICT_HEADER),
+    ],
+    ids=["spectrum-0", "spectrum-negative", "spectrum-points", "verdicts-0"],
+)
+def test_an_empty_result_prints_the_header_alone(capsys, argv, header):
+    code, out = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0 and out == header + "\n"
+    code, out = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0 and out == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# oracle: the row writers against json.dumps(rows, indent=2)
+
+INTS = st.integers() | st.sampled_from([2**64, -(2**64) - 1, 3**200, -(5**150)])
+FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 1e-300, 1e22, 5e-324, math.inf, -math.inf, math.nan]
+)
+TEXT = st.text() | st.sampled_from(['say "1 + 2*g^2"', "back\\slash", "\x00\x1f\n\t", "é ☃ 𝄞"])
+POINTS = st.lists(st.tuples(INTS, INTS) | st.lists(INTS, min_size=1, max_size=6).map(tuple))
+JSON = st.recursive(
+    st.none() | st.booleans() | INTS | FLOATS | TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(TEXT, inner),
+    max_leaves=12,
+)
+# every witness shape courant emits, and any str-keyed dict besides
+WITNESSES = st.one_of(
+    st.fixed_dictionaries({"boundary_even_points": POINTS}),
+    st.fixed_dictionaries({"members": POINTS}),
+    st.fixed_dictionaries({"subdomain": TEXT, "pairs": st.lists(st.tuples(INTS, INTS))}),
+    st.fixed_dictionaries({"reference_size": INTS, "extra_point": st.tuples(INTS, INTS)}),
+    st.fixed_dictionaries({"smaller_point": st.lists(INTS, min_size=2, max_size=6).map(tuple)}),
+    st.just({}),
+    st.dictionaries(TEXT, JSON),
+)
+SPECTRUM_ROW = st.tuples(
+    INTS, TEXT, FLOATS, INTS, TEXT, st.none() | TEXT, st.none() | INTS
+)
+VERDICT_ROW = st.tuples(
+    INTS, TEXT, FLOATS, INTS, TEXT, TEXT, INTS, st.booleans(), TEXT, st.none() | INTS,
+    WITNESSES,
+)
+
+
+def dumped(fields, rows) -> str:
+    return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.booleans().flatmap(
+        lambda points: st.tuples(
+            st.just(points),
+            st.lists(
+                st.tuples(SPECTRUM_ROW, POINTS).map(lambda r: r[0] + (r[1],))
+                if points
+                else SPECTRUM_ROW,
+                max_size=4,
+            ),
+        )
+    )
+)
+def test_spectrum_writer_matches_json_dumps(case):
+    points, rows = case
+    fields = cli._SPECTRUM_FIELDS + ("members",) if points else cli._SPECTRUM_FIELDS
+    assert cli._spectrum_json(rows) == dumped(fields, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(VERDICT_ROW, max_size=4))
+def test_verdicts_writer_matches_json_dumps(rows):
+    assert cli._verdicts_json(rows) == dumped(courant.VERDICT_FIELDS, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON)
+def test_value_writer_matches_json_dumps(obj):
+    assert cli._json_value(obj, 0) == json.dumps(obj, indent=2)

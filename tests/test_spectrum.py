@@ -201,6 +201,52 @@ def test_odd_core_matches_division_oracle_on_random_rows(case):
 
 
 
+def text_by_terms(value: AlgebraicValue) -> str:
+    """The former AlgebraicValue.text, one term per nonzero coefficient."""
+    step = 2 if (value.n % 2 == 0 and value.n > 1) else 1
+    parts = []
+    for j, c in enumerate(value.coeffs):
+        if c == 0:
+            continue
+        parts.append(str(c) if j == 0 else f"{c}*g^{j * step}")
+    return " + ".join(parts) if parts else "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.integers(min_value=-(1 << 70), max_value=1 << 70)
+                | st.sampled_from([0, 1, 2]),
+                min_size=algebra.basis_len(n),
+                max_size=algebra.basis_len(n),
+            ),
+            st.integers(min_value=0, max_value=12),
+        )
+    )
+)
+def test_coefficient_level_text_and_odd_core_match_the_values(case):
+    n, coeffs, k = case
+    value = algebra.scale_gamma2(AlgebraicValue(n, tuple(coeffs)), k)
+    text = algebra.coeffs_text(n, value.coeffs)
+    assert text == value.text() == text_by_terms(value)
+    if value.is_zero():
+        with pytest.raises(DomainError):
+            spectrum.odd_core_coeffs(n, value.coeffs)
+        return
+    try:
+        want = odd_core_by_division(value)
+    except DivisibilityError as exc:
+        with pytest.raises(DivisibilityError) as got:
+            spectrum.odd_core_coeffs(n, value.coeffs)
+        assert str(got.value) == str(exc)  # both name the value that stops dividing
+        return
+    assert spectrum.odd_core_coeffs(n, value.coeffs) == (want.core.coeffs, want.k)
+    assert spectrum.odd_core(value) == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=1, max_value=8).flatmap(
