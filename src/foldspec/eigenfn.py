@@ -15,6 +15,7 @@ and by a rational test per frame facet.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,17 +104,12 @@ def eval_points(f: Combo, pts: np.ndarray) -> np.ndarray:
 def eval_on_axes(f: Combo, axes: tuple[np.ndarray, ...]) -> np.ndarray:
     """Evaluate on the tensor grid axes[0] x axes[1] x ...; no domain mask."""
     trig = _trig(f)
-    dims = len(axes)
-    shape = tuple(len(a) for a in axes)
-    total = np.zeros(shape)
+    total = np.zeros(tuple(len(a) for a in axes))
     for c, freqs in product_terms(f):
-        term = np.full(shape, c)
-        for j, (w, ax) in enumerate(zip(freqs, axes)):
-            vec = trig(w * ax)
-            view = [1] * dims
-            view[j] = len(ax)
-            term = term * vec.reshape(view)
-        total += term
+        # ((c * v0) * v1) * ... element by element, as a broadcast product
+        # would round it, without a full array of c to start from
+        v0, *rest = (trig(w * ax) for w, ax in zip(freqs, axes))
+        total += functools.reduce(np.multiply.outer, rest, c * v0)
     return total
 
 

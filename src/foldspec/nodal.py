@@ -12,7 +12,9 @@ joined only where f is proven to keep that sign on the segment between them:
 by a bound on its second derivative along the segment, bisecting where that
 bound does not suffice.  So no join bridges two nodal domains; what the grid
 can still miss is a neck of one domain narrower than a cell, which splits it
-and over-counts, and the doubling check guards against that.
+and over-counts, and the doubling check guards against that.  The cells are
+labelled at grid resolution, and again at doubled resolution only within
+the components that hold a cut join.
 """
 
 from __future__ import annotations
@@ -38,14 +40,17 @@ _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 # needs is too large, and ends in DomainError instead of a numpy allocation
 # error.  A box basis function is counted on its axes alone, so for it the
 # budget bounds the total of the axis sample counts; only triangle combos are
-# sampled on the full grid.  The edge bisection of a triangle grid holds its
-# live intervals to the budget too, counting _INTERVAL_POINTS points for each.
-# Peak memory, measured with tracemalloc: a triangle grid about 41 bytes per
-# point (at 1024 and 2048 cells), a live interval about 283 bytes and the
-# axes of a box basis function at most about 19 per sample, so the budget
-# holds peak memory near 1.3, 1.1 and 0.6 GiB.  In the test suite, the largest
-# grid count_grid samples has 4.2e6 points (a triangle at 2048 cells) and its
-# largest set of axes 589 samples.
+# sampled on the full grid; the budget counts the full n x n grid even for a
+# halved count, which samples half its columns.  The edge bisection of a
+# triangle grid holds the live intervals of both axes together to the budget
+# too, counting _INTERVAL_POINTS points for each.  Peak memory, measured with
+# tracemalloc over the simple triangle levels below 403 at 1024 and 2048
+# cells: a triangle grid at most about 27 bytes per point of the n x n grid
+# (22 without a cut edge, 13 when halved), a live interval about 283 bytes
+# and the axes of a box basis function at most about 19 per sample, so the
+# budget holds peak memory near 0.9, 1.1 and 0.6 GiB.  In the test suite, the
+# largest grid count_grid samples has 4.2e6 points (a triangle at 2048 cells)
+# and its largest set of axes 589 samples.
 GRID_BUDGET = 1 << 25
 _INTERVAL_POINTS = 8
 
@@ -138,18 +143,20 @@ def _rounding_margin(terms) -> float:
 
 
 def _cut_edges(
-    f: Combo, lo, hi, f_lo, f_hi, curv: float, eps: float, cells0: int
+    f: Combo, lo, hi, f_lo, f_hi, curv: np.ndarray, eps: float, cells0: int
 ) -> np.ndarray:
     """Bisect grid edges whose join is not yet proven; True where an edge is cut.
 
     Edge e runs from the point lo[e] to hi[e] along one axis, and f takes the
     values f_lo[e] and f_hi[e] of one strict sign at its ends.  On an interval
-    of length l, f stays at least min(f_lo, f_hi) - curv * l^2 (curv is an
-    eighth of a bound on |f''| along the edge's axis), so an interval whose
-    end values clear curv * l^2 + eps in their sign is proven.  Every live
-    interval is halved through eval_points, all edges at once; a midpoint of
-    the other sign, or zero, cuts its edge.  An edge still undecided after
-    _BISECT_DEPTH halvings raises GridInstabilityError.
+    of length l, f stays at least min(f_lo, f_hi) - curv[e] * l^2 (curv[e] is
+    an eighth of a bound on |f''| along the edge's axis, so edges of both axes
+    go in one call), and an interval whose end values clear curv[e] * l^2 +
+    eps in their sign is proven.  Every live interval is halved through
+    eval_points, all edges at once; a midpoint of the other sign, or zero,
+    cuts its edge.  The live intervals of both axes together are held to the
+    budget.  An edge still undecided after _BISECT_DEPTH halvings raises
+    GridInstabilityError.
     """
     sign = np.sign(f_lo)
     cut = np.zeros(len(sign), dtype=bool)
@@ -172,7 +179,7 @@ def _cut_edges(
         # coordinate differences
         length = (hi - lo).sum(axis=1)
         s = sign[edge]
-        live = np.minimum(s * f_lo, s * f_hi) <= curv * length**2 + eps
+        live = np.minimum(s * f_lo, s * f_hi) <= curv[edge] * length**2 + eps
         edge, lo, hi, f_lo, f_hi = (a[live] for a in (edge, lo, hi, f_lo, f_hi))
     if edge.size:
         raise GridInstabilityError(
@@ -192,6 +199,16 @@ def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
     return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
 
 
+# the 4-connected cross in the middle plane alone: labelling a stack of sign
+# masks with it joins cells within a plane and never across planes
+_PLANES = np.zeros((3, 3, 3), dtype=bool)
+_PLANES[1] = ndimage.generate_binary_structure(2, 1)
+
+# grid edges along axis 0 join cells (i, j) and (i + 1, j), along axis 1
+# cells (i, j) and (i, j + 1): the lower and upper ends of each as slices
+_EDGE_ENDS = ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))
+
+
 def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     """Triangle count with proven joins.
 
@@ -203,42 +220,88 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     of the other sign or an unproven interval, so diagonal nodal lines and
     their crossings cannot silently bridge distinct domains.
     """
+    sign, cuts = _signs_and_cuts(f, cells0, halve)
+    count = _joined_components(sign, cuts)
+    return 2 * count if halve else count
+
+
+def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
+    """The sign of f at each cell inside the (half) triangle, 0 outside, and
+    per axis the lower cells (i, j) of the same-sign edges that are cut."""
     n, _ = _grid_shape(f.domain, cells0)
     h = math.pi / n
-    axes = tuple((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
-    ax, ay = axes
-    vals = eval_on_axes(f, axes)
+    ax, ay = ((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
+    step = max(np.diff(ax).max(), np.diff(ay).max())
+    if halve:
+        # ax > ay >= fl(pi/2) = fl(pi) / 2 puts fl(ax + ay) at or above
+        # fl(pi), so no cell of the half domain lies in a later column
+        ay = ay[: np.searchsorted(ay, math.pi / 2)]
+    vals = eval_on_axes(f, (ax, ay))
     inside = ay[None, :] < ax[:, None]
     if halve:
         inside &= ax[:, None] + ay[None, :] < math.pi
-    sign = np.where(inside, np.sign(vals), 0.0).astype(np.int8)
+    # np.sign of each inside value, and 0 outside
+    sign = np.subtract(vals > 0, vals < 0, dtype=np.int8) * inside
     mag = np.abs(vals)
 
     terms = product_terms(f)
     eps = _rounding_margin(terms)
-    step = max(np.diff(ax).max(), np.diff(ay).max())
-    joins = []
-    # k = 0 joins cells (i, j) and (i + 1, j), k = 1 joins (i, j) and (i, j + 1)
-    for k, (a, b) in enumerate(((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))):
-        join = (sign[a] == sign[b]) & (sign[a] != 0)
+    unsure, curvs = [], []
+    for k, (a, b) in enumerate(_EDGE_ENDS):
         curv = sum(abs(c) * freqs[k] ** 2 for c, freqs in terms) / 8.0
-        unsure = join & (np.minimum(mag[a], mag[b]) <= curv * step**2 + eps)
-        i, j = np.nonzero(unsure)
-        i1, j1 = i + (k == 0), j + (k == 1)
-        cut = _cut_edges(
-            f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
-            vals[i, j], vals[i1, j1], curv, eps, cells0,
-        )
-        join[i[cut], j[cut]] = False
-        joins.append(join)
+        same = (sign[a] == sign[b]) & (sign[a] != 0)
+        # min(|f0|, |f1|) <= bound, an end at a time
+        low = mag <= curv * step**2 + eps
+        unsure.append(np.nonzero(same & (low[a] | low[b])))
+        curvs.append(curv)
+    # both axes' edges in one bisection; edge e ends at (i1, j1)
+    i, j = (np.concatenate(e) for e in zip(*unsure))
+    axis = np.repeat((0, 1), [e.size for e, _ in unsure])
+    i1, j1 = i + (axis == 0), j + (axis == 1)
+    cut = _cut_edges(
+        f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
+        vals[i, j], vals[i1, j1], np.array(curvs)[axis], eps, cells0,
+    )
+    return sign, [(i[cut & (axis == k)], j[cut & (axis == k)]) for k in (0, 1)]
 
-    # one labelling of a doubled-resolution image whose odd pixels carry the
-    # joins; a join links two cells of one sign, so the labels never mix signs
-    img = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
-    img[::2, ::2] = sign != 0
+
+def _joined_components(sign: np.ndarray, cuts) -> int:
+    """Components of the nonzero cells of sign, 4-connected between cells of
+    one sign across every edge but the cut ones.
+
+    Both signs are labelled in one call at grid resolution.  A cut edge lies
+    inside one same-sign component, and leaving it out can only split that
+    component, so only the components that hold a cut are labelled again:
+    at doubled resolution, within their common bounding box, whose odd
+    pixels carry the joins that remain.
+    """
+    labels, found = ndimage.label(np.stack((sign > 0, sign < 0)), _PLANES)
+    i, j = (np.concatenate(e) for e in zip(*cuts))
+    if not i.size:
+        return found
+    # each cell's component id, from the plane its sign put it in
+    labels = labels[0] + labels[1]
+    held = np.unique(labels[i, j])
+    region = np.isin(labels, held)
+    r0, r1 = _span(region.any(axis=1))
+    c0, c1 = _span(region.any(axis=0))
+    bbox = np.s_[r0:r1, c0:c1]
+    cells, sign = region[bbox], sign[bbox]
+    # a join links a held cell to a neighbor of its sign, which lies in the
+    # same component and so is held too
+    joins = [cells[a] & (sign[a] == sign[b]) for a, b in _EDGE_ENDS]
+    for join, (i, j) in zip(joins, cuts):
+        join[i - r0, j - c0] = False
+    img = np.zeros((2 * (r1 - r0) - 1, 2 * (c1 - c0) - 1), dtype=bool)
+    img[::2, ::2] = cells
     img[1::2, ::2], img[::2, 1::2] = joins
-    _, count = ndimage.label(img)
-    return 2 * count if halve else count
+    return found - held.size + ndimage.label(img)[1]
+
+
+def _span(occupied: np.ndarray) -> tuple[int, int]:
+    """First index and one past the last of the True entries."""
+    hit = np.flatnonzero(occupied)
+    return int(hit[0]), int(hit[-1]) + 1
 
 
 def _box_axes(domain: Domain, cells: int) -> list[np.ndarray]:

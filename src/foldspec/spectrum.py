@@ -49,32 +49,35 @@ class SpectrumIndex:
         i = self._by_coeffs.get(value.coeffs)
         return None if i is None else self.levels[i]
 
-    def _level_index_at_or_above(self, value: AlgebraicValue) -> int:
-        """Index of the first level with level.value >= value (exact: the
-        values compare with algebra.compare)."""
-        return bisect_left(self.levels, value, key=attrgetter("value"))
+    def _level_index(self, value: AlgebraicValue) -> tuple[int, bool]:
+        """Index of the first level with level.value >= value, and whether
+        that level's value is value; value must lie below the cutoff.
 
-    def counting(self, value: AlgebraicValue) -> Counting:
-        """Counting functions at value; value must lie below the cutoff."""
+        Coefficients are canonical, so a level's own value is found by them
+        alone.  Any other value is checked against the cutoff and bisected
+        with the exact comparison.
+        """
+        i = self._by_coeffs.get(value.coeffs)
+        if i is not None and self.levels[i].value == value:
+            return i, True
         if not algebra.is_below(value, self.cutoff):
             raise OutOfRangeError(
                 f"{value.text()} is not below the index cutoff"
             )
-        i = self._level_index_at_or_above(value)
+        return bisect_left(self.levels, value, key=attrgetter("value")), False
+
+    def counting(self, value: AlgebraicValue) -> Counting:
+        """Counting functions at value; value must lie below the cutoff."""
+        i, exact = self._level_index(value)
         below = self._cum[i]
-        exact = self._by_coeffs.get(value.coeffs)
-        d = self.levels[exact].multiplicity if exact is not None else 0
+        d = self.levels[i].multiplicity if exact else 0
         position = below + 1 if d else below
         return Counting(below=below, upto=below + d, position=position, multiplicity=d)
 
     def region_below(self, value: AlgebraicValue) -> LatticeRegion:
         """Every level strictly below value: Q(value) for an index from
         build_index.  value must lie below the cutoff."""
-        if not algebra.is_below(value, self.cutoff):
-            raise OutOfRangeError(
-                f"{value.text()} is not below the index cutoff"
-            )
-        i = self._level_index_at_or_above(value)
+        i, _ = self._level_index(value)
         return LatticeRegion(self.domain, value, self.levels[:i])
 
     def position_of(self, value: AlgebraicValue) -> int:

@@ -248,3 +248,35 @@ def test_exact_rules_beyond_the_sampled_dimensions(n):
             assert frame.k == k and eigenfn.frame_vanishing(f, frame) is None
             f = eigenfn.unfold_fn(f)
             assert eigenfn.symmetry_check(f) == "even"
+
+
+def _broadcast_eval(f, axes):
+    """Oracle: each term as a full array of its coefficient times one
+    broadcast axis factor after another."""
+    trig = np.cos if f.domain.bc == NEUMANN else np.sin
+    shape = tuple(len(a) for a in axes)
+    total = np.zeros(shape)
+    for c, freqs in eigenfn.product_terms(f):
+        term = np.full(shape, c)
+        for j, (w, ax) in enumerate(zip(freqs, axes)):
+            view = [1] * len(axes)
+            view[j] = len(ax)
+            term = term * trig(w * ax).reshape(view)
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "dom,cutoff",
+    [(triangle(), 300), (triangle("dirichlet"), 300)]
+    + [(box(n, bc), 40) for n in (2, 3, 4) for bc in (NEUMANN, DIRICHLET)],
+    ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+)
+def test_eval_on_axes_equals_the_broadcast_product(dom, cutoff):
+    # every level as a combo of all its members, on uneven axes that cross
+    # the domain's bounding box
+    rng = np.random.default_rng(7)
+    for lv in spectrum.build_index(dom, cutoff).levels:
+        f = eigenfn.combo(dom, [(rng.uniform(-3.0, 3.0), m) for m in lv.members])
+        axes = tuple(np.sort(rng.uniform(0.0, PI, rng.integers(1, 40))) for _ in range(dom.n))
+        assert np.array_equal(eigenfn.eval_on_axes(f, axes), _broadcast_eval(f, axes)), lv

@@ -179,6 +179,86 @@ def test_triangle_deficiency_band_counts_without_refusal():
         assert 0 <= bound <= si.position_of(lv.value) - nu, lv.members[0]
 
 
+def _doubled_image_count(f, cells0, halve, cut_signs):
+    """Oracle: the triangle count as one labelling of a doubled-resolution
+    image of the full grid, whose odd pixels carry the joins, each axis's
+    unproven edges bisected on their own.  cut_signs collects the sign of
+    every cut edge."""
+    n, _ = nodal._grid_shape(f.domain, cells0)
+    h = math.pi / n
+    axes = tuple((np.arange(n) + off) * h for off in nodal._GRID_OFFS[:2])
+    ax, ay = axes
+    vals = eigenfn.eval_on_axes(f, axes)
+    inside = ay[None, :] < ax[:, None]
+    if halve:
+        inside &= ax[:, None] + ay[None, :] < math.pi
+    sign = np.where(inside, np.sign(vals), 0.0).astype(np.int8)
+    mag = np.abs(vals)
+    terms = product_terms(f)
+    eps = nodal._rounding_margin(terms)
+    step = max(np.diff(ax).max(), np.diff(ay).max())
+    joins = []
+    for k, (a, b) in enumerate(((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))):
+        join = (sign[a] == sign[b]) & (sign[a] != 0)
+        curv = sum(abs(c) * freqs[k] ** 2 for c, freqs in terms) / 8.0
+        unsure = join & (np.minimum(mag[a], mag[b]) <= curv * step**2 + eps)
+        i, j = np.nonzero(unsure)
+        i1, j1 = i + (k == 0), j + (k == 1)
+        cut = nodal._cut_edges(
+            f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
+            vals[i, j], vals[i1, j1], np.full(i.size, curv), eps, cells0,
+        )
+        cut_signs.extend(sign[i[cut], j[cut]].tolist())
+        join[i[cut], j[cut]] = False
+        joins.append(join)
+    img = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
+    img[::2, ::2] = sign != 0
+    img[1::2, ::2], img[::2, 1::2] = joins
+    _, count = ndimage.label(img)
+    return 2 * count if halve else count
+
+
+def _assert_grid_counts_match_the_doubled_image(f, cells, cut_signs):
+    for halve in (False, True):
+        want = _doubled_image_count(f, cells, halve, cut_signs)
+        assert nodal._grid_count_once(f, cells, halve) == want, (f.terms, cells, halve)
+
+
+def test_grid_counts_match_the_doubled_image_on_the_deficiency_band():
+    # every simple level of the nodal-deficiency benchmark's triangle, at the
+    # two resolutions count_grid starts from, and the Dirichlet basis
+    cut_signs = []
+    _, levels = _simple_triangle_levels(403)
+    for lv in levels:
+        f = eigenfn.basis_fn(triangle(), lv.members[0])
+        default = max(16, 8 * nodal._max_halfperiods(f))
+        for cells in (default, 2 * default):
+            _assert_grid_counts_match_the_doubled_image(f, cells, cut_signs)
+    # cuts in both signs: the relabelling of cut components is exercised
+    assert {1, -1} <= set(cut_signs)
+    for lv in spectrum.build_index(triangle("dirichlet"), 200).levels:
+        for m in lv.members:
+            f = eigenfn.basis_fn(triangle("dirichlet"), m)
+            default = max(16, 8 * nodal._max_halfperiods(f))
+            _assert_grid_counts_match_the_doubled_image(f, default, [])
+
+
+_MULTIPLE_LEVELS = {
+    bc: [lv for lv in spectrum.build_index(triangle(bc), 200).levels if lv.multiplicity > 1]
+    for bc in ("neumann", "dirichlet")
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(bc=st.sampled_from(sorted(_MULTIPLE_LEVELS)), scale=st.sampled_from([1, 2]), data=st.data())
+def test_grid_counts_match_the_doubled_image_on_random_combos(bc, scale, data):
+    lv = data.draw(st.sampled_from(_MULTIPLE_LEVELS[bc]))
+    coeffs = st.floats(-2.0, 2.0, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    f = eigenfn.combo(triangle(bc), [(data.draw(coeffs), m) for m in lv.members])
+    default = max(16, 8 * nodal._max_halfperiods(f))
+    _assert_grid_counts_match_the_doubled_image(f, scale * default, [])
+
+
 def test_grid_dirichlet_box():
     # Dirichlet box basis: m_j sign runs per axis
     assert nodal.count_grid(eigenfn.basis_fn(box(2, "dirichlet"), (2, 1))).count == 2
