@@ -5,9 +5,10 @@ deficiency, dirichlet-check, selftest.  Output is deterministic for a fixed
 invocation: ordering is exact-value order and floats are emitted via repr.
 The spectrum and verdict row lists are streamed to text, one template per
 row, by a small writer whose JSON is byte-identical to
-json.dumps(rows, indent=2); spectrum rows are taken straight from each
-level's coefficient tuple.  Their CSV header comes from the row schema, so
-an empty result prints the header alone.  Other JSON goes through
+json.dumps(rows, indent=2); spectrum rows are taken straight from the
+index's columns, triangle verdict rows from the verdict columns.  Their CSV
+header comes from the row schema, so an empty result prints the header
+alone.  Other JSON goes through
 json.dumps.
 checksym and checkframe decide exactly from the quantum number, in any box
 dimension; checkframe names the first facet where the function does not
@@ -25,9 +26,11 @@ import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 
-from . import algebra, courant, eigenfn, folding, nodal, spectrum, svgout
+import numpy as np
+
+from . import algebra, courant, eigenfn, folding, nodal, qlattice, spectrum, svgout
 from .algebra import AlgebraicValue
-from .domains import DIRICHLET, NEUMANN, Domain, box, triangle
+from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, box, triangle
 from .errors import ConsistencyError, DomainError, FoldspecError
 
 
@@ -110,34 +113,10 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _json_value(obj, indent: int) -> str:
-    """obj as json.dumps(..., indent=2) writes it at this indent: None,
-    bools, ints, floats and strings, and lists, tuples and str-keyed dicts
-    of them."""
-    if isinstance(obj, str):
-        return _json_str(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _json_float(obj)
-    pad = "\n" + " " * (indent + 2)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{_json_str(k)}: {_json_value(v, indent + 2)}" for k, v in obj.items())
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = (_json_value(v, indent + 2) for v in obj)
-        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+def _json_value(obj, indent: int = 4) -> str:
+    """obj as json.dumps(..., indent=2) writes it at this indent (4: the
+    value of a row's field)."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
 
 
 def _json_list(rows: Iterable[str]) -> str:
@@ -177,22 +156,85 @@ def _spectrum_json(rows: Iterable[tuple]) -> str:
     return _json_list(text(*row) for row in rows)
 
 
-def _verdicts_json(rows: Iterable[tuple]) -> str:
+def _verdicts_json(rows: Iterable[tuple], witness=_json_value) -> str:
     """json.dumps([dict(zip(courant.VERDICT_FIELDS, row)) for row in rows],
-    indent=2) + "\n", byte for byte, for rows from Verdict.row."""
+    indent=2) + "\n", byte for byte, for rows from Verdict.row; witness(w)
+    writes a row's witness w."""
 
     def text(position, value, flt, multiplicity, parity, core, k, sharp, reason, nu,
-             witness) -> str:
+             w) -> str:
         return (
             f'  {{\n    "position": {position},\n    "value": {_json_str(value)},\n'
             f'    "float": {_json_float(flt)},\n    "multiplicity": {multiplicity},\n'
             f'    "parity": {_json_str(parity)},\n    "core": {_json_str(core)},\n'
             f'    "k": {k},\n    "sharp": {"true" if sharp else "false"},\n'
             f'    "reason": {_json_str(reason)},\n    "nu": {"null" if nu is None else nu},\n'
-            f'    "witness": {_json_value(witness, 4)}\n  }}'
+            f'    "witness": {witness(w)}\n  }}'
         )
 
     return _json_list(text(*row) for row in rows)
+
+
+def _verdicts_table(rows: Iterable[tuple]) -> str:
+    lines = [f"{'pos':>5} {'value':>16} {'d':>2} {'parity':>6} {'sharp':>5}  reason"]
+    lines += [
+        f"{position:>5} {value:>16} {d:>2} {parity:>6} {str(sharp).lower():>5}  {reason}"
+        for position, value, _, d, parity, _, _, sharp, reason, *_ in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _triangle_witnesses(t: courant.TriangleVerdicts, compact: bool) -> list[str]:
+    """Every row's witness as json.dumps writes it, compactly or with indent
+    2 as the value of a row's field, from the columns: one %-template per
+    witness shape, itself written by json.dumps."""
+
+    def template(witness: dict) -> str:
+        text = json.dumps(witness) if compact else _json_value(witness)
+        return text.replace('"%d"', "%d")
+
+    pair = [["%d", "%d"]] * 2
+    texts = ["{}"] * len(t.reason)
+    points = t.points.reshape(-1, 4).tolist()
+    k, size = t.k.tolist(), t.size.tolist()
+    for reason, witness, args in (
+        (courant.ODD_BOUNDARY, {"boundary_even_points": pair}, lambda i: points[i]),
+        (courant.SUBDOMAIN_MULTIPLICITY, {"subdomain": "%s", "pairs": pair},
+         lambda i: [courant.subdomain_name(k[i])] + points[i]),
+        (courant.REFERENCE_SET_STRICT, {"reference_size": "%d", "extra_point": pair[0]},
+         lambda i: [size[i]] + points[i][:2]),
+    ):
+        text = template(witness)
+        for i in np.flatnonzero(t.reason == reason).tolist():
+            texts[i] = text % tuple(args(i))
+    members = t.region.members
+    offsets = t.region.offsets.tolist()
+    by_count: dict[int, str] = {}
+    for i in np.flatnonzero(t.reason == courant.MULTIPLE_EIGENVALUE).tolist():
+        rows = members[offsets[i] : offsets[i + 1]]
+        if len(rows) not in by_count:
+            by_count[len(rows)] = template({"members": [["%d", "%d"]] * len(rows)})
+        texts[i] = by_count[len(rows)] % tuple(rows.ravel().tolist())
+    return texts
+
+
+def _triangle_rows(t: courant.TriangleVerdicts, compact: bool) -> Iterator[tuple]:
+    """Verdict.row of every level, from the columns, with the witness
+    already written (see _triangle_witnesses)."""
+    z = t.value.tolist()
+    return zip(
+        t.position.tolist(),
+        map(str, z),
+        map(float, z),
+        t.multiplicity.tolist(),
+        ["odd" if v % 2 else "even" for v in z],
+        map(str, t.core.tolist()),
+        t.k.tolist(),
+        t.sharp.tolist(),
+        t.reason.tolist(),
+        [None if nu < 0 else nu for nu in t.nu.tolist()],
+        _triangle_witnesses(t, compact),
+    )
 
 
 def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
@@ -216,11 +258,15 @@ _SPECTRUM_FIELDS = ("position", "value", "float", "multiplicity", "parity", "odd
 
 def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool) -> Iterator[tuple]:
     """One row per level in _SPECTRUM_FIELDS order, then the members if
-    points; every field comes from the level's coefficient tuple."""
+    points; every field comes from the index's columns."""
     n = si.domain.ring
-    position = 1
-    for lv in si.levels:
-        c = lv.value.coeffs
+    region = si.region
+    members = qlattice.tuples(region.members) if points else []
+    bounds = region.offsets.tolist()
+    for c, position, multiplicity, lo, hi in zip(
+        qlattice.tuples(region.coeffs), (si.starts + 1).tolist(),
+        si.multiplicities.tolist(), bounds, bounds[1:],
+    ):
         if any(c):
             core, k = spectrum.odd_core_coeffs(n, c)
             odd_core = algebra.coeffs_text(n, core)
@@ -230,13 +276,12 @@ def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool) -> Iterator[tuple]:
             position,
             algebra.coeffs_text(n, c),
             algebra.coeffs_float(c),
-            lv.multiplicity,
+            multiplicity,
             "odd" if c[0] % 2 else "even",
             odd_core,
             k,
         )
-        yield row + (lv.members,) if points else row
-        position += lv.multiplicity
+        yield row + (tuple(members[lo:hi]),) if points else row
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -250,26 +295,24 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_verdicts(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
-    verdicts = courant.classify(domain, _parse_cutoff(args.cutoff))
+    cutoff = _parse_cutoff(args.cutoff)
     if args.explain is not None:
-        v = courant.explain(verdicts, args.explain)
+        v = courant.explain(courant.classify(domain, cutoff), args.explain)
         _emit(args, _json(v.as_dict()))
         return 0
-    rows = map(courant.Verdict.row, verdicts)
+    if domain.kind == TRIANGLE:
+        table = courant.classify_triangle(spectrum.build_index(domain, cutoff))
+        rows = _triangle_rows(table, compact=args.format == "csv")
+        witness = str  # written already
+    else:
+        rows = map(courant.Verdict.row, courant.classify(domain, cutoff))
+        witness = _json_value
     if args.format == "csv":
         _emit(args, _csv(courant.VERDICT_FIELDS, rows))
     elif args.format == "table":
-        lines = [
-            f"{'pos':>5} {'value':>16} {'d':>2} {'parity':>6} {'sharp':>5}  reason"
-        ]
-        for v in verdicts:
-            lines.append(
-                f"{v.position:>5} {v.value.text():>16} {v.multiplicity:>2} "
-                f"{v.parity:>6} {str(v.sharp).lower():>5}  {v.reason}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, _verdicts_table(rows))
     else:
-        _emit(args, _verdicts_json(rows))
+        _emit(args, _verdicts_json(rows, witness))
     return 0
 
 

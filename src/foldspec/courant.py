@@ -4,9 +4,17 @@ Each level receives exactly one verdict.  Non-sharp verdicts carry a
 machine-checked witness (boundary lattice points, a degenerate subdomain
 pair, a strict reference-set inclusion, a smaller lattice point outside the
 nodal box, or multiplicity > 1); witness verification failures raise
-ConsistencyError rather than classifying silently.  Triangle witnesses are
-checked on the integer eigenvalue m^2 + n^2 and every nu comes from a closed
-form, so the engine runs no grid; box witnesses are compared in Z[gamma^2].
+ConsistencyError rather than classifying silently.
+
+The triangle is classified as columns, one row per level of the index: its
+eigenvalue is the integer z = m^2 + n^2, so each reason is a mask decided
+from z, the multiplicity and the level's first member, each witness is
+checked by an array predicate that names the first failing row, and every
+nu comes from a closed form; the engine runs no grid and no exact
+comparison.  Only the reference sets are checked level by level, each over
+an int64 point array.  classify returns Verdict objects built from those
+columns; the CLI writes its rows from the columns directly.  Box levels are
+classified one at a time, their witnesses compared in Z[gamma^2].
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import algebra, folding, nodal, qlattice
+from . import algebra, nodal, qlattice
 from .algebra import LESS, AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue
-from .errors import ConsistencyError, DomainError
-from .qlattice import QN, Cutoff
+from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue, triangle
+from .errors import ConsistencyError, DomainError, FoldParityError
+from .qlattice import QN, Cutoff, LatticeRegion
 from .spectrum import Level, SpectrumIndex, build_index, odd_core
 
 GROUND_STATE = "ground_state"
@@ -79,8 +87,9 @@ def classify(domain: Domain, cutoff: Cutoff) -> list[Verdict]:
     if domain.bc != NEUMANN:
         raise DomainError("Courant-sharpness classification covers the Neumann problem")
     si = build_index(domain, cutoff)
-    level = _classify_triangle_level if domain.kind == TRIANGLE else _classify_box_level
-    return [level(si, lv, si.position_at(i)) for i, lv in enumerate(si.levels)]
+    if domain.kind == TRIANGLE:
+        return classify_triangle(si).verdicts()
+    return [_classify_box_level(si, lv, si.position_at(i)) for i, lv in enumerate(si.levels)]
 
 
 def _base(lv: Level, position: int) -> dict:
@@ -107,113 +116,238 @@ def _require(cond: bool, message: Callable[[], str]) -> None:
         raise ConsistencyError(message())
 
 
+def _require_rows(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
+    """The array form of _require.  Each check is a boolean column ok and the
+    error for a row where ok fails, error(i), built only then; the checks
+    come in the order one row is checked.  Raises the first failing check's
+    error on the first row where any check fails."""
+    bad = ~np.array([ok for ok, _ in checks], dtype=bool).reshape(len(checks), -1)
+    rows = np.flatnonzero(bad.any(axis=0))
+    if len(rows):
+        i = int(rows[0])
+        raise checks[int(np.flatnonzero(bad[:, i])[0])][1](i)
+
+
 # ---------------------------------------------------------------------------
-# triangle
+# triangle: one row per level, each reason decided by a mask over all rows
 
 
-def _boundary_witnesses(si: SpectrumIndex, value: AlgebraicValue, m: QN) -> list[QN]:
-    """Two distinct even lattice points on the right boundary of Q(value),
-    checked on the integer z = value: x^2 + y^2 < z <= (x + 1)^2 + y^2."""
-    a, b = m
-    w1 = (a - 1, b)
-    w2 = (a, b - 1) if b >= 1 else (a - 1, 2)
-    z = value.coeffs[0]
-    for x, y in (w1, w2):
-        _require(
-            x >= y >= 0 and (x - y) % 2 == 0
-            and x * x + y * y < z <= (x + 1) ** 2 + y * y,
-            lambda: f"boundary witness {(x, y)} failed for {value.text()}",
+@dataclass(frozen=True, eq=False)
+class TriangleVerdicts:
+    """The verdict of every level of the Neumann triangle, as columns.
+
+    value is the integer eigenvalue z = m^2 + n^2, core and k its odd part
+    and exponent (both 0 for the ground state); nu is -1 where no count is
+    determined.  points holds two witness points per row: the boundary
+    points of odd_boundary, the pairs of subdomain_multiplicity, and the
+    strictness point of reference_set_strict in its first slot, with the
+    reference set's size in size.  The witness of multiple_eigenvalue is
+    the level's members in region.
+    """
+
+    region: LatticeRegion
+    position: np.ndarray
+    value: np.ndarray
+    multiplicity: np.ndarray
+    core: np.ndarray
+    k: np.ndarray
+    sharp: np.ndarray
+    reason: np.ndarray  # reason names, dtype object
+    nu: np.ndarray
+    points: np.ndarray  # (levels, 2, 2)
+    size: np.ndarray
+
+    def verdicts(self) -> list[Verdict]:
+        """One Verdict per row."""
+        members = qlattice.tuples(self.region.members)
+        bounds = self.region.offsets.tolist()
+        columns = (
+            self.position, self.value, self.multiplicity, self.core, self.k,
+            self.sharp, self.reason, self.nu, self.points, self.size,
         )
-    _require(w1 != w2, lambda: "boundary witnesses coincide")
-    return [w1, w2]
+        out = []
+        for i, (position, z, d, core, k, sharp, reason, nu, points, size) in enumerate(
+            zip(*(c.tolist() for c in columns))
+        ):
+            witness: dict = {}
+            if reason == ODD_BOUNDARY:
+                witness = {"boundary_even_points": list(map(tuple, points))}
+            elif reason == SUBDOMAIN_MULTIPLICITY:
+                witness = {"subdomain": subdomain_name(k), "pairs": list(map(tuple, points))}
+            elif reason == REFERENCE_SET_STRICT:
+                witness = {"reference_size": size, "extra_point": tuple(points[0])}
+            elif reason == MULTIPLE_EIGENVALUE:
+                witness = {"members": members[bounds[i] : bounds[i + 1]]}
+            out.append(Verdict(
+                position, AlgebraicValue(1, (z,)), d, "odd" if z % 2 else "even",
+                AlgebraicValue(1, (core,)), k, sharp, reason, None if nu < 0 else nu, witness,
+            ))
+        return out
 
 
-def _classify_triangle_level(si: SpectrumIndex, lv: Level, position: int) -> Verdict:
-    base = _base(lv, position)
-    value, n_pos, d = lv.value, base["position"], lv.multiplicity
+def subdomain_name(k: int) -> str:
+    """The frame subdomain a k-step subdomain witness lives on."""
+    return "square" if k == 1 else f"rect_{k}"
 
-    if value.is_zero():
-        return Verdict(**base, sharp=True, reason=GROUND_STATE, nu=1)
 
-    if base["parity"] == "odd":
-        if lv.members == ((1, 0),):
-            nu = nodal.count_formula(si.domain, (1, 0)).count
-            _require(nu == n_pos, lambda: f"lambda_2 nodal count {nu} != N {n_pos}")
-            return Verdict(**base, sharp=True, reason=ORTHOGONALITY_SECOND, nu=nu)
-        witnesses = _boundary_witnesses(si, value, lv.members[0])
-        return Verdict(
-            **base,
-            sharp=False,
-            reason=ODD_BOUNDARY,
-            nu=None,
-            witness={"boundary_even_points": witnesses},
+def classify_triangle(si: SpectrumIndex) -> TriangleVerdicts:
+    """The verdict of every level of a Neumann triangle index.
+
+    Each reason is a mask over all levels, decided from the integer
+    eigenvalue z, its multiplicity and the level's first member; each
+    witness is checked by an array predicate that names the first failing
+    row.  Only the few reference-set levels are checked one at a time.
+    """
+    domain = si.domain
+    if domain != triangle():
+        raise DomainError(
+            f"classify_triangle takes a triangle-neumann index, not {domain.label()}"
+        )
+    region = si.region
+    z = region.coeffs[:, 0]
+    d = si.multiplicities
+    position = si.starts + 1
+    member = region.members[si.starts]
+    # exact in int64: enumerate_below refuses cutoffs of 2^44 or more, so
+    # z < 2^44 and every coordinate is below 2^22.  z = 2^k * core with core
+    # odd: the lowest set bit of z is 2^k
+    k = np.where(z > 0, np.frexp(z & -z)[1] - 1, 0)
+    core = z >> k
+    levels = len(z)
+    reason = np.empty(levels, dtype=object)
+    nu = np.full(levels, -1, dtype=np.int64)
+    points = np.zeros((levels, 2, 2), dtype=np.int64)
+    size = np.zeros(levels, dtype=np.int64)
+
+    zero = z == 0
+    odd = z % 2 == 1
+    second = odd & (d == 1) & (member == (1, 0)).all(axis=1)
+    boundary = odd & ~second
+    even = ~odd & ~zero
+    reason[zero] = GROUND_STATE
+    nu[zero] = 1
+    reason[boundary] = ODD_BOUNDARY
+    points[boundary] = _boundary_witnesses(z[boundary], member[boundary])
+    reason[even & (d > 1)] = MULTIPLE_EIGENVALUE
+
+    # even and simple: fold the member k times to its core (cm, cn)
+    simple = np.flatnonzero(even & (d == 1))
+    cm, cn = _fold(member[simple], k[simple]).T
+    off_axis = cn != 0
+    sub = simple[off_axis]
+    p, q = _subdomain_pairs(z[sub], k[sub], cm[off_axis], cn[off_axis])
+    reason[sub] = SUBDOMAIN_MULTIPLICITY
+    points[sub] = np.stack([np.column_stack([p, q]), np.column_stack([q, p])], axis=1)
+    # a core (m, 0) ends the unfolding chain of an odd axis point
+    explicit = ~off_axis & (cm == 1) & (k[simple] <= 3)
+    reference = simple[~off_axis & ~explicit]
+    explicit = simple[explicit]
+
+    for at, name, label in (
+        (np.flatnonzero(second), ORTHOGONALITY_SECOND, "lambda_2 nodal count"),
+        (explicit, EXPLICIT_COUNT, "explicit count"),
+    ):
+        reason[at] = name
+        nu[at] = [nodal.count_formula(domain, m).count for m in map(tuple, member[at].tolist())]
+        counted, n_pos = nu[at], position[at]
+        _require_rows(
+            (counted == n_pos,
+             lambda i: ConsistencyError(f"{label} {counted[i]} != N {n_pos[i]}")),
         )
 
-    # even, nonzero: value = 2^k * core with k >= 1
-    if d > 1:
-        return Verdict(
-            **base,
-            sharp=False,
-            reason=MULTIPLE_EIGENVALUE,
-            nu=None,
-            witness={"members": list(lv.members)},
+    reason[reference] = REFERENCE_SET_STRICT
+    for i in reference.tolist():
+        nu[i], size[i], points[i, 0] = _reference_set_verdict(
+            domain, int(z[i]), tuple(member[i].tolist()), int(position[i])
+        )
+    sharp = zero | second
+    sharp[explicit] = True
+    return TriangleVerdicts(
+        region, position, z, d, core, k, sharp, reason, nu, points, size
+    )
+
+
+def _boundary_witnesses(z: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Two distinct even lattice points on the right boundary of Q(z) for
+    each odd value z with member m, as a (rows, 2, 2) array, checked on the
+    integers: x^2 + y^2 < z <= (x + 1)^2 + y^2."""
+    a, b = m[:, 0], m[:, 1]
+    w1 = np.column_stack([a - 1, b])
+    w2 = np.where((b >= 1)[:, None], np.column_stack([a, b - 1]),
+                  np.column_stack([a - 1, np.full_like(a, 2)]))
+    w = np.stack([w1, w2], axis=1)
+    x, y, zz = w[..., 0], w[..., 1], z[:, None]
+    ok = (x >= y) & (y >= 0) & ((x - y) % 2 == 0) & (x * x + y * y < zz) & (
+        zz <= (x + 1) ** 2 + y * y
+    )
+
+    def failed(j: int) -> Callable[[int], Exception]:
+        return lambda i: ConsistencyError(
+            f"boundary witness {tuple(w[i, j].tolist())} failed for {z[i]}"
         )
 
-    member = lv.members[0]
-    k = base["core_k"]
-    core_qn = member
-    for _ in range(k):
-        core_qn = folding.fold_qn(si.domain, core_qn)
-    cm, cn = core_qn
-
-    if cn != 0:
-        pairs = _subdomain_pairs(cm, cn, k)
-        for p, q in pairs:
-            sub_val = (
-                folding.square_subdomain_value(p, q)
-                if k == 1
-                else folding.rect_subdomain_value(k, p, q)
-            )
-            _require(
-                sub_val.coeffs == value.coeffs,
-                lambda: f"subdomain value {sub_val.text()} != {value.text()}",
-            )
-        _require(pairs[0] != pairs[1], lambda: "subdomain witness pair degenerate")
-        return Verdict(
-            **base,
-            sharp=False,
-            reason=SUBDOMAIN_MULTIPLICITY,
-            nu=None,
-            witness={
-                "subdomain": "square" if k == 1 else f"rect_{k}",
-                "pairs": pairs,
-            },
-        )
-
-    # core of shape (m, 0): the unfolding chain of an odd axis point
-    if cm == 1 and k <= 3:
-        nu = nodal.count_formula(si.domain, member).count
-        _require(nu == n_pos, lambda: f"explicit count {nu} != N {n_pos}")
-        return Verdict(**base, sharp=True, reason=EXPLICIT_COUNT, nu=nu)
-
-    return _reference_set_verdict(si, lv, base, member)
+    _require_rows(
+        (ok[:, 0], failed(0)),
+        (ok[:, 1], failed(1)),
+        ((w1 != w2).any(axis=1), lambda i: ConsistencyError("boundary witnesses coincide")),
+    )
+    return w
 
 
-def _subdomain_pairs(cm: int, cn: int, k: int) -> list[tuple[int, int]]:
-    if k == 1:
-        p1, q1 = (cm + cn - 1) // 2, (cm - cn - 1) // 2
-    else:
-        p1, q1 = cm + cn, cm - cn
-    return [(p1, q1), (q1, p1)]
+def _fold(m: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Each row of triangle quantum numbers folded k times, as
+    folding.fold_qn folds one: (a, b) -> ((a + b)/2, (a - b)/2).  A row
+    met with a - b odd raises FoldParityError, as fold_qn does; the first
+    such row is named."""
+    m = m.copy()
+    bad = np.zeros(len(m), dtype=bool)
+    for step in range(int(k.max(initial=0))):
+        live = (k > step) & ~bad
+        bad |= live & ((m[:, 0] - m[:, 1]) % 2 == 1)
+        live &= ~bad
+        a, b = m[live, 0], m[live, 1]
+        m[live] = np.column_stack([(a + b) // 2, (a - b) // 2])
+    if bad.any():
+        row = tuple(m[np.flatnonzero(bad)[0]].tolist())
+        raise FoldParityError(f"{row} has odd parity and cannot be folded")
+    return m
+
+
+def _subdomain_pairs(
+    z: np.ndarray, k: np.ndarray, cm: np.ndarray, cn: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The witness pairs (p, q), (q, p) of the odd cores (cm, cn), cn != 0,
+    of the values z = 2^k (cm^2 + cn^2): two distinct quantum numbers of the
+    k-frame subdomain with eigenvalue z, the square's (2p+1)^2 + (2q+1)^2 at
+    k = 1 (p, q >= 0) or the rectangle's 2^(k-1) (p^2 + q^2) at k >= 2
+    (p >= 1, q odd >= 1), as folding.square_subdomain_value and
+    rect_subdomain_value state them."""
+    square = k == 1
+    p = np.where(square, (cm + cn - 1) // 2, cm + cn)
+    q = np.where(square, (cm - cn - 1) // 2, cm - cn)
+    checks = []
+    for x, y in ((p, q), (q, p)):
+        sub = np.where(square, (2 * x + 1) ** 2 + (2 * y + 1) ** 2,
+                       (x * x + y * y) << np.maximum(k - 1, 0))
+        checks += [
+            (np.where(square, (x >= 0) & (y >= 0), (x >= 1) & (y >= 1) & (y % 2 == 1)),
+             lambda i: DomainError(
+                 "square subdomain needs p, q >= 0" if square[i]
+                 else "rect subdomain needs p >= 1 and odd q >= 1")),
+            (sub == z, lambda i, sub=sub: ConsistencyError(
+                f"subdomain value {sub[i]} != {z[i]}")),
+        ]
+    checks.append((p != q, lambda i: ConsistencyError("subdomain witness pair degenerate")))
+    _require_rows(*checks)
+    return p, q
 
 
 def _reference_set_verdict(
-    si: SpectrumIndex, lv: Level, base: dict, member: QN
-) -> Verdict:
-    """The nu reference points lie below value (the member aside) and extra
-    lies below it outside them, so N(value) > nu.  Every reference point is
-    checked, as a row of an int64 array."""
-    value, n_pos = lv.value, base["position"]
+    domain: Domain, z: int, member: QN, position: int
+) -> tuple[int, int, QN]:
+    """The nu reference points lie below z (the member aside) and extra
+    lies below it outside them, so N(z) > nu: (nu, reference size, extra).
+    Every reference point is checked, as a row of an int64 array."""
     a, b = member
     if a == b:
         ref = qlattice.reference_points_diagonal(a)
@@ -222,7 +356,7 @@ def _reference_set_verdict(
         _require(b == 0 and a % 2 == 0, lambda: f"unexpected reference shape {member}")
         ref = qlattice.reference_points_axis(a // 2)
         extra = (a - 1, 2)
-    nu = nodal.count_formula(si.domain, member).count
+    nu = nodal.count_formula(domain, member).count
     p0, p1 = ref[:, 0], ref[:, 1]
 
     def first(bad: np.ndarray) -> QN:
@@ -231,17 +365,16 @@ def _reference_set_verdict(
     bad = (p1 < 0) | (p0 < p1)
     _require(
         not bad.any(),
-        lambda: f"reference point {first(bad)} is not a {si.domain.label()} "
+        lambda: f"reference point {first(bad)} is not a {domain.label()} "
         "quantum number",
     )
     # exact in int64: enumerate_below refuses cutoffs of 2^44 or more, so the
     # value z is below 2^44; the builders' coordinates are at most a, with
     # a^2 <= z, so p0^2 + p1^2 < 2^45
-    z = value.coeffs[0]
     above = (p0 * p0 + p1 * p1 >= z) & ((p0 != a) | (p1 != b))
     _require(
         not above.any(),
-        lambda: f"reference point {first(above)} is not below {value.text()}",
+        lambda: f"reference point {first(above)} is not below {z}",
     )
     side = max(int(ref.max()), *extra) + 1
     seen = np.zeros((side, side), dtype=bool)
@@ -254,16 +387,10 @@ def _reference_set_verdict(
     ex, ey = extra
     _require(
         ex >= ey >= 0 and ex * ex + ey * ey < z,
-        lambda: f"strictness witness {extra} is not below {value.text()}",
+        lambda: f"strictness witness {extra} is not below {z}",
     )
-    _require(nu < n_pos, lambda: f"nu {nu} not below N {n_pos}")
-    return Verdict(
-        **base,
-        sharp=False,
-        reason=REFERENCE_SET_STRICT,
-        nu=nu,
-        witness={"reference_size": size, "extra_point": extra},
-    )
+    _require(nu < position, lambda: f"nu {nu} not below N {position}")
+    return nu, size, extra
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,15 @@ A point is accepted or rejected by its double value when that value lies
 farther from the cutoff than a rigorous bound on the rounding error; the
 few points inside that margin are decided exactly by algebra.is_below.
 
-A region is its levels: one Level per distinct exact value, the levels in
-exact increasing order and each level's members sorted by quantum number.
-This is the one place that orders eigenvalues; spectrum indexes and the
-regions they serve reuse it.
+A region is its levels, one per distinct exact value, in exact increasing
+order and each level's members sorted by quantum number, held as int64
+columns: a coefficient row per level, level offsets, and every member as
+one row of a points matrix.  In the triangle's integer ring (r = 1) the
+sort on the single coefficient is the exact order; in the box rings doubles
+order the levels and exact comparison certifies every adjacent pair.  Level
+objects are built only when a caller asks for them.  This is the one place
+that orders eigenvalues; spectrum indexes and the regions they serve reuse
+it.
 """
 
 from __future__ import annotations
@@ -56,21 +61,51 @@ class Level:
         return len(self.members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LatticeRegion:
-    """The levels below cutoff, in exact increasing order."""
+    """The levels below cutoff, in exact increasing order, as int64 columns:
+    level i has the coefficient row coeffs[i] and the members
+    members[offsets[i]:offsets[i + 1]]."""
 
     domain: Domain
     cutoff: Cutoff
-    levels: tuple[Level, ...]
+    coeffs: np.ndarray  # (levels, r)
+    offsets: np.ndarray  # (levels + 1,), offsets[0] == 0
+    members: np.ndarray  # (points, coords)
+
+    @functools.cached_property
+    def levels(self) -> tuple[Level, ...]:
+        ring = self.domain.ring
+        members = tuples(self.members)
+        bounds = self.offsets.tolist()
+        return tuple(
+            Level(AlgebraicValue(ring, c), tuple(members[lo:hi]))
+            for c, lo, hi in zip(tuples(self.coeffs), bounds, bounds[1:])
+        )
 
     @property
     def points(self) -> tuple[QN, ...]:
         """Every member, level by level."""
-        return tuple(m for lv in self.levels for m in lv.members)
+        return tuple(tuples(self.members))
 
     def __len__(self) -> int:
-        return sum(lv.multiplicity for lv in self.levels)
+        return len(self.members)
+
+    def select(self, keep: np.ndarray, cutoff: Cutoff) -> LatticeRegion:
+        """The levels where the boolean mask keep holds, as a region below
+        cutoff."""
+        sizes = np.diff(self.offsets)
+        offsets = np.concatenate([[0], np.cumsum(sizes[keep])])
+        return LatticeRegion(
+            self.domain, cutoff, self.coeffs[keep], offsets,
+            self.members[np.repeat(keep, sizes)],
+        )
+
+
+def tuples(rows: np.ndarray) -> list[tuple[int, ...]]:
+    """The rows of a 2-d int array with at least one column, as tuples of
+    Python ints."""
+    return list(zip(*rows.T.tolist()))
 
 
 def _weights(domain: Domain) -> list[float]:
@@ -166,25 +201,33 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     starts = np.flatnonzero(first)
-    coeffs = list(map(tuple, rows[starts].tolist()))
-    members = list(map(tuple, qn.tolist()))
-    bounds = np.append(starts, len(qn)).tolist()
-    # the rows are in coefficient order, so a stable sort by double orders
-    # the levels by (double, coefficients)
-    floats = [algebra.coeffs_float(c) for c in coeffs]
-    levels = [
-        Level(AlgebraicValue(ring, coeffs[i]), tuple(members[bounds[i] : bounds[i + 1]]))
-        for i in np.argsort(floats, kind="stable").tolist()
-    ]
-    # certify every adjacent pair exactly; where doubles could not order one,
-    # sort by exact comparison
-    for a, b in zip(levels, levels[1:]):
-        if algebra.compare(a.value, b.value) != LESS:
-            levels.sort(
-                key=functools.cmp_to_key(lambda a, b: algebra.compare(a.value, b.value))
-            )
-            break
-    return LatticeRegion(domain, cutoff, tuple(levels))
+    offsets = np.append(starts, len(qn))
+    coeffs = rows[starts]
+    if coeffs.shape[1] > 1:
+        # coefficient order is not value order: a stable sort by double
+        # orders the levels by (double, coefficients)
+        rank = _exact_order(ring, coeffs)
+        sizes = np.diff(offsets)[rank]
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        shift = np.repeat(starts[rank] - offsets[:-1], sizes)
+        qn, coeffs = qn[shift + np.arange(len(qn))], coeffs[rank]
+    return LatticeRegion(domain, cutoff, coeffs, offsets, qn)
+
+
+def _exact_order(ring: int, coeffs: np.ndarray) -> np.ndarray:
+    """The order of the distinct coefficient rows by exact value: by double,
+    each adjacent pair certified exactly; where doubles could not order one,
+    by exact comparison."""
+    rows = tuples(coeffs)
+    rank = sorted(range(len(rows)), key=[algebra.coeffs_float(c) for c in rows].__getitem__)
+    values = [AlgebraicValue(ring, rows[i]) for i in rank]
+    if any(algebra.compare(a, b) != LESS for a, b in zip(values, values[1:])):
+        order = sorted(
+            range(len(rank)),
+            key=functools.cmp_to_key(lambda i, j: algebra.compare(values[i], values[j])),
+        )
+        rank = [rank[i] for i in order]
+    return np.array(rank, dtype=np.intp)
 
 
 def right_boundary(region: LatticeRegion) -> list[QN]:

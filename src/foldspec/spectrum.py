@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
+
+import numpy as np
 
 from . import algebra
 from .algebra import AlgebraicValue
 from .domains import NEUMANN, Domain, triangle
 from .errors import DivisibilityError, DomainError, InvalidEigenvalueError, OutOfRangeError
-from .qlattice import Cutoff, LatticeRegion, Level, enumerate_below
+from .qlattice import Cutoff, LatticeRegion, Level, enumerate_below, tuples
 
 
 @dataclass(frozen=True)
@@ -30,35 +32,56 @@ class OddCore:
 
 
 class SpectrumIndex:
-    """Eigenvalues below a cutoff, grouped by exact value, positions 1-based."""
+    """Eigenvalues below a cutoff, grouped by exact value, positions 1-based.
 
-    def __init__(self, domain: Domain, cutoff: Cutoff, levels: Sequence[Level]):
-        self.domain = domain
-        self.cutoff = cutoff
-        self.levels = tuple(levels)
-        self._by_coeffs = {lv.value.coeffs: i for i, lv in enumerate(self.levels)}
-        cum = [0]
-        for lv in self.levels:
-            cum.append(cum[-1] + lv.multiplicity)
-        self._cum = cum  # cum[i] = number of eigenvalues strictly before level i
+    Built on a region's columns: multiplicities[i] is the size of level i
+    and starts[i] the number of eigenvalues strictly before it.  Level
+    objects and the lookup table by coefficients are built on first use.
+    """
+
+    def __init__(self, region: LatticeRegion):
+        self.domain = region.domain
+        self.cutoff = region.cutoff
+        self.region = region
+        self._ring = region.domain.ring
+        self.multiplicities = np.diff(region.offsets)
+        self.starts = region.offsets[:-1]
+
+    @property
+    def levels(self) -> tuple[Level, ...]:
+        return self.region.levels
 
     def __len__(self) -> int:
-        return len(self.levels)
+        return len(self.multiplicities)
+
+    @functools.cached_property
+    def _by_coeffs(self) -> dict[tuple[int, ...], int]:
+        return {c: i for i, c in enumerate(tuples(self.region.coeffs))}
+
+    def _find(self, value: AlgebraicValue) -> int | None:
+        """Index of the level whose value is value, or None.  Coefficients
+        are canonical within a ring, so (ring, coefficients) is the key."""
+        if value.n != self._ring:
+            raise DomainError(
+                f"{value.text()} lives in ring n={value.n}, the "
+                f"{self.domain.label()} spectrum in n={self._ring}"
+            )
+        return self._by_coeffs.get(value.coeffs)
 
     def level_of(self, value: AlgebraicValue) -> Level | None:
-        i = self._by_coeffs.get(value.coeffs)
+        i = self._find(value)
         return None if i is None else self.levels[i]
 
     def _level_index(self, value: AlgebraicValue) -> tuple[int, bool]:
         """Index of the first level with level.value >= value, and whether
         that level's value is value; value must lie below the cutoff.
 
-        Coefficients are canonical, so a level's own value is found by them
-        alone.  Any other value is checked against the cutoff and bisected
-        with the exact comparison.
+        A level's own value is found by its coefficients alone.  Any other
+        value is checked against the cutoff and bisected with the exact
+        comparison.
         """
-        i = self._by_coeffs.get(value.coeffs)
-        if i is not None and self.levels[i].value == value:
+        i = self._find(value)
+        if i is not None:
             return i, True
         if not algebra.is_below(value, self.cutoff):
             raise OutOfRangeError(
@@ -69,8 +92,8 @@ class SpectrumIndex:
     def counting(self, value: AlgebraicValue) -> Counting:
         """Counting functions at value; value must lie below the cutoff."""
         i, exact = self._level_index(value)
-        below = self._cum[i]
-        d = self.levels[i].multiplicity if exact else 0
+        below = int(self.region.offsets[i])
+        d = int(self.multiplicities[i]) if exact else 0
         position = below + 1 if d else below
         return Counting(below=below, upto=below + d, position=position, multiplicity=d)
 
@@ -78,22 +101,25 @@ class SpectrumIndex:
         """Every level strictly below value: Q(value) for an index from
         build_index.  value must lie below the cutoff."""
         i, _ = self._level_index(value)
-        return LatticeRegion(self.domain, value, self.levels[:i])
+        r = self.region
+        return LatticeRegion(
+            self.domain, value, r.coeffs[:i], r.offsets[: i + 1], r.members[: r.offsets[i]]
+        )
 
     def position_of(self, value: AlgebraicValue) -> int:
         return self.counting(value).position
 
     def position_at(self, i: int) -> int:
         """First spectral position of levels[i]."""
-        return self._cum[i] + 1
+        return int(self.starts[i]) + 1
 
     def multiplicity_of(self, value: AlgebraicValue) -> int:
-        lv = self.level_of(value)
-        return lv.multiplicity if lv else 0
+        i = self._find(value)
+        return 0 if i is None else int(self.multiplicities[i])
 
 
 def build_index(domain: Domain, cutoff: Cutoff) -> SpectrumIndex:
-    return SpectrumIndex(domain, cutoff, enumerate_below(domain, cutoff).levels)
+    return SpectrumIndex(enumerate_below(domain, cutoff))
 
 
 def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
@@ -101,10 +127,8 @@ def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
     Neumann elsewhere: the odd part of the Neumann triangle spectrum (a
     level is odd exactly when its members have m - n odd, as
     m - n = m^2 + n^2 mod 2)."""
-    dom = triangle(NEUMANN)
-    levels = enumerate_below(dom, cutoff).levels
-    odd = [lv for lv in levels if algebra.parity(lv.value) == "odd"]
-    return SpectrumIndex(dom, cutoff, odd)
+    region = enumerate_below(triangle(NEUMANN), cutoff)
+    return SpectrumIndex(region.select(region.coeffs[:, 0] % 2 == 1, cutoff))
 
 
 def odd_core(value: AlgebraicValue) -> OddCore:

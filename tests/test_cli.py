@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspec import cli, courant
+from foldspec import cli, courant, spectrum
 from foldspec.cli import main
+from foldspec.domains import triangle
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str]:
@@ -389,6 +390,14 @@ PINNED_ROW_OUTPUTS = [
      "20a372fe35baf03d422f8341b4976a7e7dfe53b99da4b6537e59db816787462f"),
     (["verdicts", "--domain", "box", "--dim", "2", "--cutoff", "2000", "--format", "table"],
      "b5acc2ae2b0c24eb2c4f5910a7189a62f3d981e016c7eff851e8facfa27f4d4f"),
+    # recorded before the triangle verdicts were written from columns
+    (["verdicts", "--domain", "triangle", "--cutoff", "5000", "--format", "table"],
+     "9c6df2c3f7dc716ccb9a7acaadd5b0529c57167dd0d330883d2fc62d141a87b2"),
+    (["verdicts", "--domain", "triangle", "--cutoff", "100001/2", "--format", "json"],
+     "485d2be773b585c7226246663d97109e51fad9364544cbde2396ad05067005ba"),
+    (["spectrum", "--domain", "triangle", "--bc", "dirichlet", "--cutoff", "2000", "--points",
+      "--format", "json"],
+     "47359f5d53c3d99c112ba3caba20f802b0dc12b2f6c24cb7dcba61a4d3b9a6f9"),
 ]
 
 
@@ -421,6 +430,22 @@ def test_an_empty_result_prints_the_header_alone(capsys, argv, header):
     assert code == 0 and out == header + "\n"
     code, out = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0 and out == "[]\n"
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 61, 5000])
+def test_triangle_rows_are_the_verdict_rows(cutoff):
+    # one engine, two views: every row written from the columns equals
+    # Verdict.row of the same level, its witness as json.dumps writes it
+    # (at a row field's indent for JSON, compact for CSV)
+    table = courant.classify_triangle(spectrum.build_index(triangle(), cutoff))
+    verdicts = table.verdicts()
+    indented = lambda w: json.dumps(w, indent=2).replace("\n", "\n    ")  # noqa: E731
+    for compact, write in ((False, indented), (True, json.dumps)):
+        rows = list(cli._triangle_rows(table, compact))
+        assert len(rows) == len(verdicts)
+        for row, v in zip(rows, verdicts):
+            want = v.row()
+            assert row == want[:-1] + (write(want[-1]),)
 
 
 # ---------------------------------------------------------------------------

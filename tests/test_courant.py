@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import triangle_oracle
 from foldspec import algebra, courant, eigenfn, nodal, qlattice, spectrum
 from foldspec.algebra import LESS
 from foldspec.domains import box, eigenvalue, qn_parity, triangle
-from foldspec.errors import ConsistencyError
-from foldspec.qlattice import Level
+from foldspec.errors import ConsistencyError, DomainError, FoldParityError
 
 
 def verdict_for(verdicts, value: float):
@@ -127,9 +129,8 @@ def test_explain_covers_multiplicity_range():
 def test_failed_witness_check_names_the_witness():
     # (3, 0) is not on the level 5, so its second boundary witness (2, 2),
     # with eigenvalue 8, is not below 5; the message is built on failure
-    si = spectrum.build_index(triangle(), 100)
     with pytest.raises(ConsistencyError, match=r"boundary witness \(2, 2\) failed for 5"):
-        courant._boundary_witnesses(si, algebra.integer_value(1, 5), (3, 0))
+        courant._boundary_witnesses(np.array([5]), np.array([(3, 0)]))
 
 
 @pytest.mark.parametrize(
@@ -142,21 +143,19 @@ def test_failed_witness_check_names_the_witness():
     ],
 )
 def test_boundary_witness_check_rejects_each_failed_condition(value, member, bad):
-    si = spectrum.build_index(triangle(), 100)
+    # the row is checked among passing rows (9 with member (3, 0)), which
+    # must not mask it
     with pytest.raises(
         ConsistencyError, match=rf"boundary witness \({bad[0]}, {bad[1]}\) failed for {value}"
     ):
-        courant._boundary_witnesses(si, algebra.integer_value(1, value), member)
+        courant._boundary_witnesses(np.array([9, value, 9]), np.array([(3, 0), member, (3, 0)]))
 
 
 def test_strictness_witness_at_the_value_is_not_below_it():
     # a level 16 posing as (3, 3): every reference point lies below 16, but
     # the strictness witness (4, 0) lies at 16 itself
-    si = spectrum.build_index(triangle(), 20)
-    lv = Level(algebra.integer_value(1, 16), ((3, 3),))
-    base = courant._base(lv, 20)
     with pytest.raises(ConsistencyError, match=r"strictness witness \(4, 0\) is not below 16"):
-        courant._reference_set_verdict(si, lv, base, (3, 3))
+        courant._reference_set_verdict(triangle(), 16, (3, 3), 20)
 
 
 def test_boundary_witnesses_satisfy_the_exact_conditions():
@@ -179,14 +178,12 @@ def test_boundary_witnesses_satisfy_the_exact_conditions():
 
 def test_triangle_verdicts_use_no_eigenvalue_compare_or_grid(monkeypatch):
     want = courant.classify(triangle(), 5000)
-    si = spectrum.build_index(triangle(), 5000)
 
     def refuse(*args, **kwargs):
         raise AssertionError("called on the triangle path")
 
-    # the index's own enumeration certifies its order with algebra.compare,
-    # so it is built before compare is refused
-    monkeypatch.setattr(courant, "build_index", lambda domain, cutoff: si)
+    # refused before the index is built: in the integer ring the sort on the
+    # coefficient is the exact order, with no pair left to certify
     for module, name in (
         (algebra, "from_quantum_number"),
         (algebra, "compare"),
@@ -244,8 +241,7 @@ def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tupl
 
     monkeypatch.setattr(qlattice, builder, patched)
     si, lv = reference_level(value)
-    i = si.levels.index(lv)
-    return courant._classify_triangle_level(si, lv, si.position_at(i))
+    return courant.classify_triangle(si).verdicts()[si.levels.index(lv)]
 
 
 # 18 = (3, 3) is checked against the diagonal set, 16 = (4, 0) against the
@@ -253,7 +249,7 @@ def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tupl
 @pytest.mark.parametrize("value,extra", [(18, (4, 0)), (16, (3, 2))])
 def test_reference_set_levels_unpatched(value, extra):
     si, lv = reference_level(value)
-    v = courant._classify_triangle_level(si, lv, si.position_at(si.levels.index(lv)))
+    v = courant.classify_triangle(si).verdicts()[si.levels.index(lv)]
     assert v.reason == courant.REFERENCE_SET_STRICT
     assert v.witness["extra_point"] == extra
 
@@ -301,9 +297,9 @@ def test_reference_point_at_the_value_is_not_below_it(monkeypatch):
     monkeypatch.setattr(qlattice, "reference_points_diagonal", patched)
     si = spectrum.build_index(triangle(), 60)
     lv = si.level_of(algebra.integer_value(1, 50))
-    base = courant._base(lv, si.position_at(si.levels.index(lv)))
+    position = si.position_at(si.levels.index(lv))
     with pytest.raises(ConsistencyError, match=r"reference point \(7, 1\) is not below 50"):
-        courant._reference_set_verdict(si, lv, base, (5, 5))
+        courant._reference_set_verdict(triangle(), 50, (5, 5), position)
 
 
 def oracle_reference_check(si, v, member):
@@ -335,3 +331,107 @@ def test_positions_and_reference_verdicts_match_the_exact_path():
             assert v.witness == oracle_reference_check(si, v, lv.members[0])
             checked += 1
     assert checked > 20
+
+
+# ---------------------------------------------------------------------------
+# the columnar triangle engine against the former scalar classifier
+
+
+def test_triangle_columns_equal_the_scalar_oracle():
+    assert courant.classify(triangle(), 5000) == triangle_oracle.classify(5000)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.fractions(min_value=-2, max_value=3000, max_denominator=50))
+def test_triangle_columns_equal_the_scalar_oracle_at_random_cutoffs(cutoff):
+    assert courant.classify(triangle(), cutoff) == triangle_oracle.classify(cutoff)
+
+
+def test_classify_triangle_takes_the_neumann_triangle_only():
+    for dom in (triangle("dirichlet"), box(2)):
+        with pytest.raises(DomainError, match="triangle-neumann"):
+            courant.classify_triangle(spectrum.build_index(dom, 50))
+
+
+def corrupted_index(cutoff, edit) -> spectrum.SpectrumIndex:
+    """The triangle index below cutoff, its columns (coeffs, offsets,
+    members) replaced by edit(copies of them)."""
+    r = spectrum.build_index(triangle(), cutoff).region
+    columns = edit(r.coeffs.copy(), r.offsets.copy(), r.members.copy())
+    return spectrum.SpectrumIndex(qlattice.LatticeRegion(r.domain, r.cutoff, *columns))
+
+
+def first_member(value: int, member: tuple):
+    """An edit that makes member the first member of the level at value."""
+
+    def edit(coeffs, offsets, members):
+        members[offsets[np.flatnonzero(coeffs[:, 0] == value)[0]]] = member
+        return coeffs, offsets, members
+
+    return edit
+
+
+def listed_twice(value: int):
+    """An edit that lists the first member of the level at value twice,
+    moving every later level one position up."""
+
+    def edit(coeffs, offsets, members):
+        i = np.flatnonzero(coeffs[:, 0] == value)[0]
+        offsets[i + 1 :] += 1
+        return coeffs, offsets, np.insert(members, offsets[i], members[offsets[i]], axis=0)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit,error,message",
+    [
+        # odd_boundary: (3, 0) gives the witness (2, 2), whose value 8 is not below 5
+        (first_member(5, (3, 0)), ConsistencyError, r"boundary witness \(2, 2\) failed for 5"),
+        # the fold: 4 = 2^2 * 1, but (2, 1) has odd parity
+        (first_member(4, (2, 1)), FoldParityError,
+         r"\(2, 1\) has odd parity and cannot be folded"),
+        # subdomain_multiplicity: (5, 1) folds to (3, 2), the square pair (2, 0)
+        (first_member(10, (5, 1)), ConsistencyError, r"subdomain value 26 != 10"),
+        # explicit_count: 5 listed twice puts 8 at position 7, its count is 6
+        (listed_twice(5), ConsistencyError, r"explicit count 6 != N 7"),
+        # orthogonality_second: 0 listed twice puts 1 at position 3
+        (listed_twice(0), ConsistencyError, r"lambda_2 nodal count 2 != N 3"),
+    ],
+    ids=["boundary", "fold-parity", "subdomain-value", "explicit-count", "second"],
+)
+def test_a_corrupted_row_raises_the_scalar_message(edit, error, message):
+    # the columnar engine names the corrupted row as the scalar oracle does
+    si = corrupted_index(100, edit)
+    with pytest.raises(error, match=message):
+        courant.classify_triangle(si)
+    with pytest.raises(error, match=message):
+        [triangle_oracle.classify_level(si, lv, si.position_at(i))
+         for i, lv in enumerate(si.levels)]
+
+
+def test_a_degenerate_subdomain_row_is_refused():
+    # no odd core gives a pair (p, p), so one row of the subdomain columns
+    # below 100 is replaced by the core (1, 0) of 4 = 2^2 * 1, whose k = 2
+    # rectangle pair (1, 1) has the value 2 (1^2 + 1^2) = 4 but is degenerate
+    si = spectrum.build_index(triangle(), 100)
+    t = courant.classify_triangle(si)
+    rows = np.flatnonzero(t.reason == courant.SUBDOMAIN_MULTIPLICITY)
+    z, k = t.value[rows], t.k[rows]
+    cm, cn = courant._fold(si.region.members[si.starts[rows]], k).T
+    p, q = courant._subdomain_pairs(z, k, cm, cn)
+    assert np.array_equal(t.points[rows, 0], np.column_stack([p, q]))
+    z[3], k[3], cm[3], cn[3] = 4, 2, 1, 0
+    with pytest.raises(ConsistencyError, match="subdomain witness pair degenerate"):
+        courant._subdomain_pairs(z, k, cm, cn)
+
+
+def test_the_first_failing_row_is_named():
+    # two corrupted odd levels: the lower one is reported
+    def edit(coeffs, offsets, members):
+        for value, member in ((13, (4, 1)), (5, (3, 0))):
+            coeffs, offsets, members = first_member(value, member)(coeffs, offsets, members)
+        return coeffs, offsets, members
+
+    with pytest.raises(ConsistencyError, match=r"failed for 5"):
+        courant.classify_triangle(corrupted_index(100, edit))

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from foldspec.algebra import GREATER, LESS, AlgebraicValue
 from foldspec.domains import NEUMANN, TRIANGLE, box, eigenvalue, qn_parity, triangle
 from foldspec.errors import DomainError, OutOfRangeError
 from foldspec.spectrum import Level
+from triangle_oracle import spectrum_columns
 
 
 def brute_triangle_region(cutoff: float, dirichlet: bool = False) -> set:
@@ -444,3 +446,20 @@ def test_tiny_positive_cutoff_keeps_the_ground_state():
     assert qlattice.enumerate_below(box(3), Fraction(1, 10**400)).points == ((0, 0, 0),)
     assert qlattice.enumerate_below(triangle(), 0).points == ()
     assert qlattice.enumerate_below(triangle(), -3.5).points == ()
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_triangle_columns_match_an_independent_enumeration(bc):
+    # the integer ring's columns against np.unique over the half disc, at
+    # 10^5: one coefficient per level, in increasing order, with its
+    # multiplicity; every member on its level, members in lexicographic order
+    region = qlattice.enumerate_below(triangle(bc), 10**5)
+    z, counts = spectrum_columns(10**5, bc)
+    assert region.coeffs.shape == (len(z), 1) and region.coeffs.dtype == np.int64
+    assert np.array_equal(region.coeffs[:, 0], z)
+    assert np.array_equal(np.diff(region.offsets), counts) and region.offsets[0] == 0
+    a, b = region.members.T
+    assert np.array_equal(a * a + b * b, np.repeat(z, counts))
+    assert (a >= b).all() and (b >= (0 if bc == "neumann" else 1)).all()
+    level = np.repeat(np.arange(len(z)), counts)
+    assert np.array_equal(np.lexsort((b, a, level)), np.arange(len(a)))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,32 @@ def test_factorization_rejects_non_eigenvalues():
         spectrum.multiplicity_by_factorization(2, algebra.integer_value(2, 7))
     with pytest.raises(DomainError):
         spectrum.multiplicity_by_factorization(3, AlgebraicValue(3, (1, 0, 0)))
+
+
+@pytest.mark.parametrize(
+    "cutoff", [Fraction(1, 3), 2, Fraction(401, 2), Fraction(12345, 7), Fraction(30001, 10)]
+)
+def test_dnn_index_is_the_odd_levels_of_the_triangle_index(cutoff):
+    dnn = spectrum.build_dnn_index(cutoff)
+    odd = [lv for lv in spectrum.build_index(triangle(), cutoff).levels
+           if algebra.parity(lv.value) == "odd"]
+    assert dnn.levels == tuple(odd)
+    position = 1
+    for i, lv in enumerate(odd):
+        assert dnn.position_at(i) == position == dnn.position_of(lv.value)
+        position += lv.multiplicity
+
+
+def test_lookups_refuse_a_value_of_another_ring():
+    # integer_value(2, 5) has the coefficients (5,) of the triangle level 5
+    si = spectrum.build_index(triangle(), 60)
+    other = algebra.integer_value(2, 5)
+    for lookup in (si.level_of, si.multiplicity_of, si.counting, si.region_below):
+        with pytest.raises(DomainError, match="ring n=2"):
+            lookup(other)
+    assert si.multiplicity_of(algebra.integer_value(1, 5)) == 1
+    with pytest.raises(DomainError, match="ring n=1"):
+        spectrum.build_index(box(2), 60).level_of(algebra.integer_value(1, 5))
 
 
 def test_dnn_index_is_odd_sublattice():
