@@ -65,6 +65,15 @@ def coeffs_float(coeffs: tuple[int, ...]) -> float:
     return total
 
 
+def coeffs_floats(rows: np.ndarray) -> np.ndarray:
+    """coeffs_float of every row of an int64 coefficient matrix, bit for
+    bit: the same products and sums in the same order, a column at a time."""
+    total = np.zeros(len(rows))
+    for c, b in zip(rows.T, _basis_floats(rows.shape[1])):
+        total += c * b
+    return total
+
+
 def coeffs_text(n: int, coeffs: tuple[int, ...]) -> str:
     """Canonical form "c0 + c1*g^e1 + ...", g = 2^(1/n), of the value with
     these coefficients, without building it."""

@@ -6,10 +6,10 @@ invocation: ordering is exact-value order and floats are emitted via repr.
 The spectrum and verdict row lists are streamed to text, one template per
 row, by a small writer whose JSON is byte-identical to
 json.dumps(rows, indent=2); spectrum rows are taken straight from the
-index's columns, triangle verdict rows from the verdict columns.  Their CSV
-header comes from the row schema, so an empty result prints the header
-alone.  Other JSON goes through
-json.dumps.
+index's columns and verdict rows, of either domain, from the verdict
+table's columns, with each witness filled into one %-template per reason
+and member count.  Their CSV header comes from the row schema, so an empty
+result prints the header alone.  Other JSON goes through json.dumps.
 checksym and checkframe decide exactly from the quantum number, in any box
 dimension; checkframe names the first facet where the function does not
 vanish, if there is one.
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import algebra, courant, eigenfn, folding, nodal, qlattice, spectrum, svgout
 from .algebra import AlgebraicValue
-from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, box, triangle
+from .domains import DIRICHLET, NEUMANN, Domain, box, triangle
 from .errors import ConsistencyError, DomainError, FoldspecError
 
 
@@ -113,12 +113,6 @@ def _json_float(x: float) -> str:
     return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
 
 
-def _json_value(obj, indent: int = 4) -> str:
-    """obj as json.dumps(..., indent=2) writes it at this indent (4: the
-    value of a row's field)."""
-    return json.dumps(obj, indent=2).replace("\n", "\n" + " " * indent)
-
-
 def _json_list(rows: Iterable[str]) -> str:
     """The written rows as one JSON list, as json.dumps(..., indent=2) + "\n"
     writes it."""
@@ -156,10 +150,11 @@ def _spectrum_json(rows: Iterable[tuple]) -> str:
     return _json_list(text(*row) for row in rows)
 
 
-def _verdicts_json(rows: Iterable[tuple], witness=_json_value) -> str:
+def _verdicts_json(rows: Iterable[tuple]) -> str:
     """json.dumps([dict(zip(courant.VERDICT_FIELDS, row)) for row in rows],
-    indent=2) + "\n", byte for byte, for rows from Verdict.row; witness(w)
-    writes a row's witness w."""
+    indent=2) + "\n", byte for byte, for rows from Verdict.row whose
+    witness w is already written as json.dumps(w, indent=2) writes it as
+    the value of a row's field."""
 
     def text(position, value, flt, multiplicity, parity, core, k, sharp, reason, nu,
              w) -> str:
@@ -169,7 +164,7 @@ def _verdicts_json(rows: Iterable[tuple], witness=_json_value) -> str:
             f'    "parity": {_json_str(parity)},\n    "core": {_json_str(core)},\n'
             f'    "k": {k},\n    "sharp": {"true" if sharp else "false"},\n'
             f'    "reason": {_json_str(reason)},\n    "nu": {"null" if nu is None else nu},\n'
-            f'    "witness": {witness(w)}\n  }}'
+            f'    "witness": {w}\n  }}'
         )
 
     return _json_list(text(*row) for row in rows)
@@ -184,56 +179,83 @@ def _verdicts_table(rows: Iterable[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _triangle_witnesses(t: courant.TriangleVerdicts, compact: bool) -> list[str]:
+def _leaves(obj) -> list:
+    """The leaves of nested dicts, lists and tuples, in the order json.dumps
+    writes them."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if not isinstance(obj, (list, tuple)):
+        return [obj]
+    return [leaf for item in obj for leaf in _leaves(item)]
+
+
+def _witness_texts(t: courant.VerdictTable, compact: bool) -> list[str]:
     """Every row's witness as json.dumps writes it, compactly or with indent
-    2 as the value of a row's field, from the columns: one %-template per
-    witness shape, itself written by json.dumps."""
-
-    def template(witness: dict) -> str:
-        text = json.dumps(witness) if compact else _json_value(witness)
-        return text.replace('"%d"', "%d")
-
-    pair = [["%d", "%d"]] * 2
-    texts = ["{}"] * len(t.reason)
-    points = t.points.reshape(-1, 4).tolist()
-    k, size = t.k.tolist(), t.size.tolist()
-    for reason, witness, args in (
-        (courant.ODD_BOUNDARY, {"boundary_even_points": pair}, lambda i: points[i]),
-        (courant.SUBDOMAIN_MULTIPLICITY, {"subdomain": "%s", "pairs": pair},
-         lambda i: [courant.subdomain_name(k[i])] + points[i]),
-        (courant.REFERENCE_SET_STRICT, {"reference_size": "%d", "extra_point": pair[0]},
-         lambda i: [size[i]] + points[i][:2]),
-    ):
-        text = template(witness)
-        for i in np.flatnonzero(t.reason == reason).tolist():
-            texts[i] = text % tuple(args(i))
-    members = t.region.members
-    offsets = t.region.offsets.tolist()
-    by_count: dict[int, str] = {}
-    for i in np.flatnonzero(t.reason == courant.MULTIPLE_EIGENVALUE).tolist():
-        rows = members[offsets[i] : offsets[i + 1]]
-        if len(rows) not in by_count:
-            by_count[len(rows)] = template({"members": [["%d", "%d"]] * len(rows)})
-        texts[i] = by_count[len(rows)] % tuple(rows.ravel().tolist())
+    2 as the value of a row's field.  The rows of one reason and member
+    count share a %-template: courant.witness over placeholders, written by
+    json.dumps, filled from courant.witness over the rows' columns."""
+    r = t.region
+    texts = ["{}"] * len(t)
+    place = ["%d"] * t.points.shape[2]
+    for reason in set(t.reason.tolist()):
+        of_reason = t.reason == reason
+        for count in np.unique(t.multiplicity[of_reason]).tolist():
+            rows = np.flatnonzero(of_reason & (t.multiplicity == count))
+            w = courant.witness(reason, [place, place], "%d", "%s", [place] * count)
+            text = json.dumps(w) if compact else json.dumps(w, indent=2).replace("\n", "\n    ")
+            text = text.replace('"%d"', "%d")
+            ks, at = np.unique(t.k[rows], return_inverse=True)
+            members = r.members[r.offsets[rows][:, None] + np.arange(count)]
+            columns = courant.witness(
+                reason,
+                [tuple(t.points[rows, j].T) for j in (0, 1)],
+                t.nu[rows],
+                np.array([courant.subdomain_name(k) for k in ks.tolist()])[at],
+                [tuple(members[:, j].T) for j in range(count)],
+            )
+            for i, args in zip(rows.tolist(), zip(*(c.tolist() for c in _leaves(columns)))):
+                texts[i] = text % args
     return texts
 
 
-def _triangle_rows(t: courant.TriangleVerdicts, compact: bool) -> Iterator[tuple]:
+_PARITY = np.array(["even", "odd"], dtype=object)
+
+
+def _texts(n: int, rows: np.ndarray) -> list[str]:
+    """algebra.coeffs_text of every coefficient row; one coefficient is its
+    own text."""
+    if rows.shape[1] == 1:
+        return list(map(str, rows[:, 0].tolist()))
+    return [algebra.coeffs_text(n, c) for c in qlattice.tuples(rows)]
+
+
+def _level_columns(
+    n: int, position: np.ndarray, coeffs: np.ndarray, multiplicity: np.ndarray,
+    core: np.ndarray, k: np.ndarray,
+) -> list[list]:
+    """The position, value text, float, multiplicity, parity, odd-core text
+    and k of every level of ring n, one list per field, from its columns."""
+    return [
+        position.tolist(),
+        _texts(n, coeffs),
+        algebra.coeffs_floats(coeffs).tolist(),
+        multiplicity.tolist(),
+        _PARITY[coeffs[:, 0] % 2].tolist(),
+        _texts(n, core),
+        k.tolist(),
+    ]
+
+
+def _verdict_rows(t: courant.VerdictTable, compact: bool) -> Iterator[tuple]:
     """Verdict.row of every level, from the columns, with the witness
-    already written (see _triangle_witnesses)."""
-    z = t.value.tolist()
+    already written (see _witness_texts)."""
+    r = t.region
     return zip(
-        t.position.tolist(),
-        map(str, z),
-        map(float, z),
-        t.multiplicity.tolist(),
-        ["odd" if v % 2 else "even" for v in z],
-        map(str, t.core.tolist()),
-        t.k.tolist(),
+        *_level_columns(r.domain.ring, t.position, r.coeffs, t.multiplicity, t.core, t.k),
         t.sharp.tolist(),
         t.reason.tolist(),
         [None if nu < 0 else nu for nu in t.nu.tolist()],
-        _triangle_witnesses(t, compact),
+        _witness_texts(t, compact),
     )
 
 
@@ -261,27 +283,15 @@ def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool) -> Iterator[tuple]:
     points; every field comes from the index's columns."""
     n = si.domain.ring
     region = si.region
-    members = qlattice.tuples(region.members) if points else []
-    bounds = region.offsets.tolist()
-    for c, position, multiplicity, lo, hi in zip(
-        qlattice.tuples(region.coeffs), (si.starts + 1).tolist(),
-        si.multiplicities.tolist(), bounds, bounds[1:],
-    ):
-        if any(c):
-            core, k = spectrum.odd_core_coeffs(n, c)
-            odd_core = algebra.coeffs_text(n, core)
-        else:
-            odd_core = k = None
-        row = (
-            position,
-            algebra.coeffs_text(n, c),
-            algebra.coeffs_float(c),
-            multiplicity,
-            "odd" if c[0] % 2 else "even",
-            odd_core,
-            k,
-        )
-        yield row + (tuple(members[lo:hi]),) if points else row
+    core, k = spectrum.odd_core_columns(n, region.coeffs)
+    columns = _level_columns(n, si.starts + 1, region.coeffs, si.multiplicities, core, k)
+    for i in np.flatnonzero(~region.coeffs.any(axis=1)).tolist():
+        columns[5][i] = columns[6][i] = None  # the ground state has no odd core
+    if points:
+        members = qlattice.tuples(region.members)
+        bounds = region.offsets.tolist()
+        columns.append([tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+    return zip(*columns)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -294,25 +304,17 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verdicts(args: argparse.Namespace) -> int:
-    domain = _parse_domain(args)
-    cutoff = _parse_cutoff(args.cutoff)
+    table = courant.classify(_parse_domain(args), _parse_cutoff(args.cutoff))
     if args.explain is not None:
-        v = courant.explain(courant.classify(domain, cutoff), args.explain)
-        _emit(args, _json(v.as_dict()))
+        _emit(args, _json(courant.explain(table, args.explain).as_dict()))
         return 0
-    if domain.kind == TRIANGLE:
-        table = courant.classify_triangle(spectrum.build_index(domain, cutoff))
-        rows = _triangle_rows(table, compact=args.format == "csv")
-        witness = str  # written already
-    else:
-        rows = map(courant.Verdict.row, courant.classify(domain, cutoff))
-        witness = _json_value
+    rows = _verdict_rows(table, compact=args.format == "csv")
     if args.format == "csv":
         _emit(args, _csv(courant.VERDICT_FIELDS, rows))
     elif args.format == "table":
         _emit(args, _verdicts_table(rows))
     else:
-        _emit(args, _verdicts_json(rows, witness))
+        _emit(args, _verdicts_json(rows))
     return 0
 
 

@@ -219,7 +219,7 @@ def _exact_order(ring: int, coeffs: np.ndarray) -> np.ndarray:
     each adjacent pair certified exactly; where doubles could not order one,
     by exact comparison."""
     rows = tuples(coeffs)
-    rank = sorted(range(len(rows)), key=[algebra.coeffs_float(c) for c in rows].__getitem__)
+    rank = np.argsort(algebra.coeffs_floats(coeffs), kind="stable").tolist()
     values = [AlgebraicValue(ring, rows[i]) for i in rank]
     if any(algebra.compare(a, b) != LESS for a, b in zip(values, values[1:])):
         order = sorted(

@@ -109,10 +109,6 @@ class SpectrumIndex:
     def position_of(self, value: AlgebraicValue) -> int:
         return self.counting(value).position
 
-    def position_at(self, i: int) -> int:
-        """First spectral position of levels[i]."""
-        return int(self.starts[i]) + 1
-
     def multiplicity_of(self, value: AlgebraicValue) -> int:
         i = self._find(value)
         return 0 if i is None else int(self.multiplicities[i])
@@ -132,19 +128,13 @@ def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
 
 
 def odd_core(value: AlgebraicValue) -> OddCore:
-    """Unique odd value core and exponent k with value = gamma^(2k) * core."""
-    core, k = odd_core_coeffs(value.n, value.coeffs)
-    return OddCore(core=AlgebraicValue(value.n, core), k=k)
+    """Unique odd value core and exponent k with value = gamma^(2k) * core.
 
-
-def odd_core_coeffs(n: int, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """odd_core on the coefficient tuple over {t^j} of a value in ring n:
-    the core's coefficients and k, without building either value.
-
-    Dividing by t rotates the coefficients one slot down, the wrapped t^0
-    coefficient halved (t^r = 2), and gamma^2 is one such step (two for odd
-    n > 1).
+    Dividing by t rotates the coefficients over {t^j} one slot down, the
+    wrapped t^0 coefficient halved (t^r = 2), and gamma^2 is one such step
+    (two for odd n > 1).
     """
+    n, coeffs = value.n, value.coeffs
     if not any(coeffs):
         raise DomainError("zero has no odd core")
     steps = algebra.gamma2_steps(n)
@@ -158,7 +148,31 @@ def odd_core_coeffs(n: int, coeffs: tuple[int, ...]) -> tuple[tuple[int, ...], i
                 )
             coeffs = coeffs[1:] + (coeffs[0] >> 1,)
         k += 1
-    return coeffs, k
+    return OddCore(core=AlgebraicValue(n, coeffs), k=k)
+
+
+def odd_core_columns(n: int, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """odd_core of every row of an int64 coefficient matrix in ring n: the
+    core rows and the column of k.  A zero row, the ground state, keeps
+    core 0 and k 0."""
+    core = coeffs.copy()
+    k = np.zeros(len(core), dtype=np.int64)
+    rows = np.flatnonzero((core[:, 0] % 2 == 0) & core.any(axis=1))
+    while len(rows):
+        c = core[rows]
+        for _ in range(algebra.gamma2_steps(n)):
+            odd = np.flatnonzero(c[:, 0] % 2)
+            if len(odd):
+                start = tuple(core[rows[odd[0]]].tolist())
+                raise DivisibilityError(
+                    f"{algebra.coeffs_text(n, start)} is not divisible by gamma^2"
+                )
+            c = np.roll(c, -1, axis=1)
+            c[:, -1] >>= 1
+        core[rows] = c
+        k[rows] += 1
+        rows = rows[c[:, 0] % 2 == 0]
+    return core, k
 
 
 def r2(z: int) -> int:

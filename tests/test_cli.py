@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspec import cli, courant, spectrum
+from foldspec import cli, courant
 from foldspec.cli import main
-from foldspec.domains import triangle
+from foldspec.domains import box, triangle
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str]:
@@ -398,6 +398,19 @@ PINNED_ROW_OUTPUTS = [
     (["spectrum", "--domain", "triangle", "--bc", "dirichlet", "--cutoff", "2000", "--points",
       "--format", "json"],
      "47359f5d53c3d99c112ba3caba20f802b0dc12b2f6c24cb7dcba61a4d3b9a6f9"),
+    # recorded before the box verdicts joined the verdict columns: multiple
+    # eigenvalues, explicit counts and smaller points, and one --explain of
+    # each domain
+    (["verdicts", "--domain", "box", "--dim", "2", "--cutoff", "2000", "--format", "json"],
+     "8535c8146bac6ca4d6fc62cf18b950488a2002cb81dcd93f378d31051c427493"),
+    (["verdicts", "--domain", "box", "--dim", "4", "--cutoff", "500", "--format", "csv"],
+     "ed22390b365763e1afda08b514f7fd57d02f2d8c5ecef50d220488fb9491127b"),
+    (["verdicts", "--domain", "box", "--dim", "6", "--cutoff", "80", "--format", "json"],
+     "a62b7a57b974f76fbfa1390128c77df50647095907d9148a0ab251fa3e4a638b"),
+    (["verdicts", "--domain", "box", "--dim", "2", "--cutoff", "2000", "--explain", "40"],
+     "2782960c659c5604d01df9d9ec1c5e3325355c0899b5ca1f0422fe9d5d02ab80"),
+    (["verdicts", "--domain", "triangle", "--cutoff", "5000", "--explain", "100"],
+     "9dcd3c9052c474fb06ded5ad3971f6623829262c816aa00f128b2dba0c3adb3c"),
 ]
 
 
@@ -432,20 +445,34 @@ def test_an_empty_result_prints_the_header_alone(capsys, argv, header):
     assert code == 0 and out == "[]\n"
 
 
-@pytest.mark.parametrize("cutoff", [0, 1, 2, 61, 5000])
-def test_triangle_rows_are_the_verdict_rows(cutoff):
-    # one engine, two views: every row written from the columns equals
+def indented(witness) -> str:
+    """A witness as json.dumps(..., indent=2) writes it as the value of a
+    row's field."""
+    return json.dumps(witness, indent=2).replace("\n", "\n    ")
+
+
+def assert_rows_are_the_verdict_rows(table):
+    # one table, two views: every row written from the columns equals
     # Verdict.row of the same level, its witness as json.dumps writes it
     # (at a row field's indent for JSON, compact for CSV)
-    table = courant.classify_triangle(spectrum.build_index(triangle(), cutoff))
-    verdicts = table.verdicts()
-    indented = lambda w: json.dumps(w, indent=2).replace("\n", "\n    ")  # noqa: E731
+    verdicts = list(table)
     for compact, write in ((False, indented), (True, json.dumps)):
-        rows = list(cli._triangle_rows(table, compact))
+        rows = list(cli._verdict_rows(table, compact))
         assert len(rows) == len(verdicts)
         for row, v in zip(rows, verdicts):
             want = v.row()
             assert row == want[:-1] + (write(want[-1]),)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 61, 5000])
+def test_triangle_rows_are_the_verdict_rows(cutoff):
+    assert_rows_are_the_verdict_rows(courant.classify(triangle(), cutoff))
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 0), (2, 1), (2, 2000), (3, 200), (4, 100), (6, 40)])
+def test_box_rows_are_the_verdict_rows(n, cutoff):
+    # smaller points and members of every count go through the templates
+    assert_rows_are_the_verdict_rows(courant.classify(box(n), cutoff))
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +535,5 @@ def test_spectrum_writer_matches_json_dumps(case):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(VERDICT_ROW, max_size=4))
 def test_verdicts_writer_matches_json_dumps(rows):
-    assert cli._verdicts_json(rows) == dumped(courant.VERDICT_FIELDS, rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON)
-def test_value_writer_matches_json_dumps(obj):
-    assert cli._json_value(obj, 0) == json.dumps(obj, indent=2)
+    written = [row[:-1] + (indented(row[-1]),) for row in rows]
+    assert cli._verdicts_json(written) == dumped(courant.VERDICT_FIELDS, rows)

@@ -75,6 +75,9 @@ def test_every_level_gets_exactly_one_verdict():
         verdicts = courant.classify(dom, cutoff)
         assert len(verdicts) == len(si.levels)
         assert [v.position for v in verdicts] == sorted(v.position for v in verdicts)
+        assert verdicts[-1] == list(verdicts)[-1] == verdicts[len(verdicts) - 1]
+        with pytest.raises(IndexError):
+            verdicts[len(verdicts)]
         for v in verdicts:
             if v.sharp:
                 assert v.reason in courant.SHARP_REASONS
@@ -90,6 +93,57 @@ def test_sharp_reasons_partition():
         courant.ORTHOGONALITY_SECOND,
         courant.EXPLICIT_COUNT,
     }
+
+
+# ---------------------------------------------------------------------------
+# box witness checks: each fails on a corrupted decision tree or count
+
+
+def box_with(monkeypatch, smaller=None, count=None):
+    """classify(box(2), 30) with _box_smaller_point's witness w for m
+    replaced by smaller(m, w), or count_formula's count c for m by
+    count(m, c)."""
+    if smaller:
+        tree = courant._box_smaller_point
+        monkeypatch.setattr(courant, "_box_smaller_point", lambda m, n: smaller(m, tree(m, n)))
+    if count:
+        formula = nodal.count_formula
+
+        def counted(domain, m):
+            return nodal.NodalCount(count(m, formula(domain, m).count), "formula")
+
+        monkeypatch.setattr(nodal, "count_formula", counted)
+    return courant.classify(box(2), 30)
+
+
+@pytest.mark.parametrize(
+    "smaller,count,message",
+    [
+        # (0, 1), value 2 at position 3, is the first level with a witness
+        (lambda m, w: None, None, r"decision tree found no witness for \(0, 1\)"),
+        (lambda m, w: m, None, r"witness \(0, 1\) lies inside the nodal box of \(0, 1\)"),
+        (lambda m, w: (m[0] + 3,) + m[1:], None, r"witness \(3, 1\) is not below 2"),
+        # the sharp members (1, 0), (1, 1) and (2, 1) keep their counts
+        (None, lambda m, c: c if m in ((1, 0), (1, 1), (2, 1)) else 10 * c,
+         r"nu 20 not below N 3"),
+        (None, lambda m, c: c + 1, r"sharp candidate \(1, 0\): nu 3 != N 2"),
+    ],
+    ids=["no-witness", "inside-box", "not-below", "nu-not-below", "sharp-count"],
+)
+def test_a_corrupted_box_witness_is_refused(monkeypatch, smaller, count, message):
+    with pytest.raises(ConsistencyError, match=message):
+        box_with(monkeypatch, smaller, count)
+
+
+def test_box_witness_values_are_compared_exactly(monkeypatch):
+    # in box(3) the value text is a Z[gamma^2] combination: (0, 1, 0) at
+    # 1*g^2 claims the witness (2, 0, 0), whose value 4 is larger
+    tree = courant._box_smaller_point
+    monkeypatch.setattr(
+        courant, "_box_smaller_point", lambda m, n: (2, 0, 0) if m == (0, 1, 0) else tree(m, n)
+    )
+    with pytest.raises(ConsistencyError, match=r"witness \(2, 0, 0\) is not below 1\*g\^2"):
+        courant.classify(box(3), 30)
 
 
 def test_verdicts_stable_under_cutoff_growth():
@@ -123,7 +177,15 @@ def test_verdicts_cross_validated_by_grid_counts():
 def test_explain_covers_multiplicity_range():
     verdicts = courant.classify(triangle(), 60)
     v50 = verdict_for(verdicts, 50.0)
-    assert courant.explain(verdicts, v50.position + 1) is v50
+    assert courant.explain(verdicts, v50.position + 1) == v50
+    # every position 1..N lies in exactly one level, and no other position
+    for dom in (triangle(), box(2)):
+        verdicts = courant.classify(dom, 60)
+        covered = [v for v in verdicts for _ in range(v.multiplicity)]
+        assert [courant.explain(verdicts, p) for p in range(1, len(covered) + 1)] == covered
+        for p in (0, -1, len(covered) + 1, 10**30):
+            with pytest.raises(DomainError, match=f"no verdict covers position {p}$"):
+                courant.explain(verdicts, p)
 
 
 def test_failed_witness_check_names_the_witness():
@@ -190,7 +252,7 @@ def test_triangle_verdicts_use_no_eigenvalue_compare_or_grid(monkeypatch):
         (nodal, "count_grid"),
     ):
         monkeypatch.setattr(module, name, refuse)
-    assert courant.classify(triangle(), 5000) == want
+    assert list(courant.classify(triangle(), 5000)) == list(want)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +303,7 @@ def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tupl
 
     monkeypatch.setattr(qlattice, builder, patched)
     si, lv = reference_level(value)
-    return courant.classify_triangle(si).verdicts()[si.levels.index(lv)]
+    return courant.classify_index(si)[si.levels.index(lv)]
 
 
 # 18 = (3, 3) is checked against the diagonal set, 16 = (4, 0) against the
@@ -249,7 +311,7 @@ def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tupl
 @pytest.mark.parametrize("value,extra", [(18, (4, 0)), (16, (3, 2))])
 def test_reference_set_levels_unpatched(value, extra):
     si, lv = reference_level(value)
-    v = courant.classify_triangle(si).verdicts()[si.levels.index(lv)]
+    v = courant.classify_index(si)[si.levels.index(lv)]
     assert v.reason == courant.REFERENCE_SET_STRICT
     assert v.witness["extra_point"] == extra
 
@@ -297,7 +359,7 @@ def test_reference_point_at_the_value_is_not_below_it(monkeypatch):
     monkeypatch.setattr(qlattice, "reference_points_diagonal", patched)
     si = spectrum.build_index(triangle(), 60)
     lv = si.level_of(algebra.integer_value(1, 50))
-    position = si.position_at(si.levels.index(lv))
+    position = int(si.starts[si.levels.index(lv)]) + 1
     with pytest.raises(ConsistencyError, match=r"reference point \(7, 1\) is not below 50"):
         courant._reference_set_verdict(triangle(), 50, (5, 5), position)
 
@@ -338,19 +400,21 @@ def test_positions_and_reference_verdicts_match_the_exact_path():
 
 
 def test_triangle_columns_equal_the_scalar_oracle():
-    assert courant.classify(triangle(), 5000) == triangle_oracle.classify(5000)
+    assert list(courant.classify(triangle(), 5000)) == triangle_oracle.classify(5000)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.fractions(min_value=-2, max_value=3000, max_denominator=50))
 def test_triangle_columns_equal_the_scalar_oracle_at_random_cutoffs(cutoff):
-    assert courant.classify(triangle(), cutoff) == triangle_oracle.classify(cutoff)
+    assert list(courant.classify(triangle(), cutoff)) == triangle_oracle.classify(cutoff)
 
 
-def test_classify_triangle_takes_the_neumann_triangle_only():
-    for dom in (triangle("dirichlet"), box(2)):
-        with pytest.raises(DomainError, match="triangle-neumann"):
-            courant.classify_triangle(spectrum.build_index(dom, 50))
+def test_classify_index_takes_a_neumann_index_only():
+    for dom in (triangle("dirichlet"), box(2, "dirichlet")):
+        with pytest.raises(DomainError, match="covers the Neumann problem"):
+            courant.classify_index(spectrum.build_index(dom, 50))
+        with pytest.raises(DomainError, match="covers the Neumann problem"):
+            courant.classify(dom, 50)
 
 
 def corrupted_index(cutoff, edit) -> spectrum.SpectrumIndex:
@@ -404,9 +468,9 @@ def test_a_corrupted_row_raises_the_scalar_message(edit, error, message):
     # the columnar engine names the corrupted row as the scalar oracle does
     si = corrupted_index(100, edit)
     with pytest.raises(error, match=message):
-        courant.classify_triangle(si)
+        courant.classify_index(si)
     with pytest.raises(error, match=message):
-        [triangle_oracle.classify_level(si, lv, si.position_at(i))
+        [triangle_oracle.classify_level(si, lv, int(si.starts[i]) + 1)
          for i, lv in enumerate(si.levels)]
 
 
@@ -415,9 +479,9 @@ def test_a_degenerate_subdomain_row_is_refused():
     # below 100 is replaced by the core (1, 0) of 4 = 2^2 * 1, whose k = 2
     # rectangle pair (1, 1) has the value 2 (1^2 + 1^2) = 4 but is degenerate
     si = spectrum.build_index(triangle(), 100)
-    t = courant.classify_triangle(si)
+    t = courant.classify_index(si)
     rows = np.flatnonzero(t.reason == courant.SUBDOMAIN_MULTIPLICITY)
-    z, k = t.value[rows], t.k[rows]
+    z, k = si.region.coeffs[rows, 0], t.k[rows]
     cm, cn = courant._fold(si.region.members[si.starts[rows]], k).T
     p, q = courant._subdomain_pairs(z, k, cm, cn)
     assert np.array_equal(t.points[rows, 0], np.column_stack([p, q]))
@@ -434,4 +498,4 @@ def test_the_first_failing_row_is_named():
         return coeffs, offsets, members
 
     with pytest.raises(ConsistencyError, match=r"failed for 5"):
-        courant.classify_triangle(corrupted_index(100, edit))
+        courant.classify_index(corrupted_index(100, edit))

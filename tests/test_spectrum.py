@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspec import algebra, spectrum
+from foldspec import algebra, qlattice, spectrum
 from foldspec.algebra import AlgebraicValue
 from foldspec.domains import box, triangle
 from foldspec.errors import (
@@ -59,7 +61,7 @@ def test_total_counts_match_region_size():
 
     for dom, cutoff in ((triangle(), 150), (box(2), 150), (box(3), 60)):
         si = spectrum.build_index(dom, cutoff)
-        total = si.position_at(len(si) - 1) + si.levels[-1].multiplicity - 1
+        total = si.starts[-1] + 1 + si.levels[-1].multiplicity - 1
         assert total == sum(lv.multiplicity for lv in si.levels)
         assert total == len(qlattice.enumerate_below(dom, cutoff))
 
@@ -147,7 +149,7 @@ def test_dnn_index_is_the_odd_levels_of_the_triangle_index(cutoff):
     assert dnn.levels == tuple(odd)
     position = 1
     for i, lv in enumerate(odd):
-        assert dnn.position_at(i) == position == dnn.position_of(lv.value)
+        assert dnn.starts[i] + 1 == position == dnn.position_of(lv.value)
         position += lv.multiplicity
 
 
@@ -194,10 +196,15 @@ def odd_core_by_division(value: AlgebraicValue) -> spectrum.OddCore:
     ids=lambda x: x.label() if hasattr(x, "label") else str(x),
 )
 def test_odd_core_matches_division_oracle_on_every_level(dom, cutoff):
-    levels = spectrum.build_index(dom, cutoff).levels
+    si = spectrum.build_index(dom, cutoff)
+    levels = si.levels
     assert len(levels) > 100
-    for lv in levels[1:]:  # levels[0] is the ground state 0
-        assert spectrum.odd_core(lv.value) == odd_core_by_division(lv.value)
+    core, k = spectrum.odd_core_columns(dom.ring, si.region.coeffs)
+    assert not core[0].any() and k[0] == 0  # levels[0] is the ground state 0
+    for lv, c, kk in zip(levels[1:], qlattice.tuples(core[1:]), k[1:].tolist()):
+        want = odd_core_by_division(lv.value)
+        assert spectrum.odd_core(lv.value) == want
+        assert (c, kk) == (want.core.coeffs, want.k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,19 +266,28 @@ def test_coefficient_level_text_and_odd_core_match_the_values(case):
     value = algebra.scale_gamma2(AlgebraicValue(n, tuple(coeffs)), k)
     text = algebra.coeffs_text(n, value.coeffs)
     assert text == value.text() == text_by_terms(value)
+    # the column form on a one-row matrix, where the coefficients fit int64
+    row = np.array([value.coeffs], dtype=np.int64) if max(map(abs, value.coeffs)) < 2**62 else None
     if value.is_zero():
         with pytest.raises(DomainError):
-            spectrum.odd_core_coeffs(n, value.coeffs)
+            spectrum.odd_core(value)
+        if row is not None:
+            assert [a.tolist() for a in spectrum.odd_core_columns(n, row)] == [[list(coeffs)], [0]]
         return
     try:
         want = odd_core_by_division(value)
     except DivisibilityError as exc:
         with pytest.raises(DivisibilityError) as got:
-            spectrum.odd_core_coeffs(n, value.coeffs)
+            spectrum.odd_core(value)
         assert str(got.value) == str(exc)  # both name the value that stops dividing
+        if row is not None:
+            with pytest.raises(DivisibilityError, match=re.escape(str(exc))):
+                spectrum.odd_core_columns(n, row)
         return
-    assert spectrum.odd_core_coeffs(n, value.coeffs) == (want.core.coeffs, want.k)
     assert spectrum.odd_core(value) == want
+    if row is not None:
+        core, k = spectrum.odd_core_columns(n, row)
+        assert (tuple(core[0].tolist()), int(k[0])) == (want.core.coeffs, want.k)
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,7 +20,7 @@ from foldspec.qlattice import Level
 
 def classify(cutoff) -> list[Verdict]:
     si = spectrum.build_index(triangle(), cutoff)
-    return [classify_level(si, lv, si.position_at(i)) for i, lv in enumerate(si.levels)]
+    return [classify_level(si, lv, int(si.starts[i]) + 1) for i, lv in enumerate(si.levels)]
 
 
 def _require(cond: bool, message: str) -> None:
