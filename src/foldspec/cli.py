@@ -260,15 +260,11 @@ def _verdict_rows(t: courant.VerdictTable, compact: bool) -> Iterator[tuple]:
 
 
 def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    """A header of the field names, then the rows; list, tuple and dict cells
-    are written as compact JSON."""
+    """A header of the field names, then the rows."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
-    writer.writerows(
-        [json.dumps(c) if isinstance(c, (list, tuple, dict)) else c for c in row]
-        for row in rows
-    )
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -278,9 +274,10 @@ def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
 _SPECTRUM_FIELDS = ("position", "value", "float", "multiplicity", "parity", "odd_core", "k")
 
 
-def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool) -> Iterator[tuple]:
+def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool, compact: bool) -> Iterator[tuple]:
     """One row per level in _SPECTRUM_FIELDS order, then the members if
-    points; every field comes from the index's columns."""
+    points, as compact JSON text if compact; every field comes from the
+    index's columns."""
     n = si.domain.ring
     region = si.region
     core, k = spectrum.odd_core_columns(n, region.coeffs)
@@ -288,9 +285,10 @@ def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool) -> Iterator[tuple]:
     for i in np.flatnonzero(~region.coeffs.any(axis=1)).tolist():
         columns[5][i] = columns[6][i] = None  # the ground state has no odd core
     if points:
-        members = qlattice.tuples(region.members)
+        qn = qlattice.tuples(region.members)
         bounds = region.offsets.tolist()
-        columns.append([tuple(members[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+        members = [tuple(qn[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        columns.append(list(map(json.dumps, members)) if compact else members)
     return zip(*columns)
 
 
@@ -298,7 +296,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     si = spectrum.build_index(domain, _parse_cutoff(args.cutoff))
     fields = _SPECTRUM_FIELDS + ("members",) if args.points else _SPECTRUM_FIELDS
-    rows = _spectrum_rows(si, args.points)
+    rows = _spectrum_rows(si, args.points, compact=args.format == "csv")
     _emit(args, _csv(fields, rows) if args.format == "csv" else _spectrum_json(rows))
     return 0
 

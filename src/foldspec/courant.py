@@ -12,8 +12,10 @@ of its reasons is a mask decided from z, the multiplicity and the level's
 first member, each witness is checked by an array predicate that names the
 first failing row, and every nu comes from a closed form, with no grid and
 no exact comparison.  Only its reference sets are checked level by level,
-over int64 point arrays.  Box levels are decided one at a time, each witness
-compared in Z[gamma^2].  The table builds a Verdict only for a row read.
+over int64 point arrays.  Every simple box level's smaller point comes from
+one array rule over the members, and lies below the level when its place in
+the index, whose order is certified exactly, comes first.  The table builds
+a Verdict only for a row read.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, nodal, qlattice
-from .algebra import LESS, AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain, eigenvalue
+from .algebra import AlgebraicValue
+from .domains import NEUMANN, TRIANGLE, Domain
 from .errors import ConsistencyError, DomainError, FoldParityError
 from .qlattice import QN, Cutoff, LatticeRegion
 from .spectrum import SpectrumIndex, build_index, odd_core_columns
@@ -167,7 +169,10 @@ def classify_index(si: SpectrumIndex) -> VerdictTable:
     zero = ~region.coeffs.any(axis=1)
     t.reason[zero] = GROUND_STATE
     t.nu[zero] = 1
-    (_triangle_reasons if domain.kind == TRIANGLE else _box_reasons)(t, ~zero)
+    if domain.kind == TRIANGLE:
+        _triangle_reasons(t, ~zero)
+    else:
+        _box_reasons(si, t, ~zero)
     t.sharp[:] = [reason in SHARP_REASONS for reason in t.reason.tolist()]
     return t
 
@@ -375,85 +380,72 @@ def _reference_set_verdict(
 # boxes
 
 
-def _box_smaller_point(m: QN, n: int) -> QN | None:
-    """A lattice point outside the nodal box with a smaller eigenvalue, or
-    None for the finitely many Courant-sharp exceptions."""
-
-    def unit(pos: int, entry: int) -> QN:
-        out = [0] * n
-        out[pos] = entry
-        return tuple(out)
-
-    for j in range(n - 1):
-        if m[j] < m[j + 1]:
-            return unit(j, m[j] + 1)
-
-    # non-increasing entries; first index holding the minimum
-    low = min(m)
-    idx = m.index(low)
-    if idx == 0:  # constant vector
-        if low == 0:
-            return None  # ground state
-        if n == 2 and low == 1:
-            return None  # (1, 1), the fourth rectangle eigenvalue
-        return unit(0, m[0] + 1)
-    if idx >= 2:
-        return unit(idx, m[idx] + 1)
-
-    # idx == 1: m = (m1, m2, ..., m2) with m1 > m2
-    m1, m2 = m[0], m[1]
-    if n >= 3:
-        if m2 >= 1:
-            return unit(1, m2 + 1)
-        if m1 >= 2:
-            return unit(1, 1)
-        return None  # (1, 0, ..., 0), the second eigenvalue
-    if m2 >= 3:
-        return unit(1, m2 + 1)
-    if m2 == 2:
-        return (0, 3) if m1 > 3 else (4, 0)
-    if m2 == 1:
-        return (0, 2) if m1 >= 3 else None  # (2, 1) is the sixth eigenvalue
-    return unit(1, 1) if m1 >= 2 else None  # (1, 0) is the second eigenvalue
+def _box_witnesses(m: np.ndarray) -> np.ndarray:
+    """The paper's smaller lattice point outside the nodal box of each
+    member row m: m[j] + 1 at j, every other entry 0, where j is the first
+    ascent m[j] < m[j + 1], or the first minimum where m has none.  For
+    n = 2, a row (m1, m2) with m1 > m2 takes (0, 3) if m1 > 3, else (4, 0),
+    at m2 = 2 and (0, 2) at m2 = 1.  A row of zeros is no witness."""
+    ascent = m[:, :-1] < m[:, 1:]
+    j = np.where(ascent.any(axis=1), ascent.argmax(axis=1), m.argmin(axis=1))
+    rows = np.arange(len(m))
+    w = np.zeros_like(m)
+    w[rows, j] = m[rows, j] + 1
+    if m.shape[1] == 2:
+        m1, m2 = m.T
+        w[(m1 > m2) & (m2 == 2)] = (4, 0)
+        w[(m1 > 3) & (m2 == 2)] = (0, 3)
+        w[(m1 > m2) & (m2 == 1)] = (0, 2)
+    return w
 
 
-def _box_reasons(t: VerdictTable, live: np.ndarray) -> None:
+def _box_reasons(si: SpectrumIndex, t: VerdictTable, live: np.ndarray) -> None:
     """The reasons, nu and witness points of the box's levels where live
-    holds, a simple level at a time: a sharp candidate's count, or a smaller
-    point outside the nodal box."""
+    holds: a sharp candidate's count, or a smaller point outside the nodal
+    box, found below the level by its place in the index's exact order."""
     region = t.region
     domain = region.domain
     n = domain.n
     t.reason[live & (t.multiplicity > 1)] = MULTIPLE_EIGENVALUE
     simple = np.flatnonzero(live & (t.multiplicity == 1))
-    second = (1,) + (0,) * (n - 1)
-    explicit = ((1, 1), (2, 1)) if n == 2 else ()
-    for i, member, coeffs, n_pos in zip(
-        simple.tolist(),
-        qlattice.tuples(region.members[region.offsets[simple]]),
-        qlattice.tuples(region.coeffs[simple]),
-        t.position[simple].tolist(),
-    ):
-        nu = t.nu[i] = nodal.count_formula(domain, member).count
-        if member == second or member in explicit:
-            _require(nu == n_pos, lambda: f"sharp candidate {member}: nu {nu} != N {n_pos}")
-            t.reason[i] = ORTHOGONALITY_SECOND if member == second else EXPLICIT_COUNT
-            continue
-        smaller = _box_smaller_point(member, n)
-        _require(
-            smaller is not None, lambda: f"decision tree found no witness for {member}"
-        )
-        _require(
-            any(w > e for w, e in zip(smaller, member)),
-            lambda: f"witness {smaller} lies inside the nodal box of {member}",
-        )
-        value = AlgebraicValue(domain.ring, coeffs)
-        _require(
-            algebra.compare(eigenvalue(domain, smaller), value) == LESS,
-            lambda: f"witness {smaller} is not below {value.text()}",
-        )
-        _require(nu < n_pos, lambda: f"nu {nu} not below N {n_pos}")
-        t.reason[i], t.points[i, 0] = BOX_CASE_ANALYSIS, smaller
+    m = region.members[region.offsets[simple]]
+    second = (m == (1,) + (0,) * (n - 1)).all(axis=1)
+    explicit = np.zeros_like(second)
+    for c in ((1, 1), (2, 1)) if n == 2 else ():
+        explicit |= (m == c).all(axis=1)
+    sharp = second | explicit
+    t.nu[simple] = [nodal.count_formula(domain, qn).count for qn in qlattice.tuples(m)]
+    nu, n_pos = t.nu[simple], t.position[simple]
+    w = _box_witnesses(m)
+    # the index's order is exact; a witness it does not hold (-1) lies at or
+    # above the cutoff
+    at = si.level_indices(algebra.coefficient_rows(domain.ring, w))
+    below = (at >= 0) & (at < simple)
+
+    def member(i: int) -> QN:
+        return tuple(m[i].tolist())
+
+    def point(i: int) -> QN:
+        return tuple(w[i].tolist())
+
+    def value(i: int) -> str:
+        return algebra.coeffs_text(domain.ring, tuple(region.coeffs[simple[i]].tolist()))
+
+    _require_rows(
+        (~sharp | (nu == n_pos), lambda i: ConsistencyError(
+            f"sharp candidate {member(i)}: nu {nu[i]} != N {n_pos[i]}")),
+        (sharp | w.any(axis=1), lambda i: ConsistencyError(
+            f"decision tree found no witness for {member(i)}")),
+        (sharp | (w > m).any(axis=1), lambda i: ConsistencyError(
+            f"witness {point(i)} lies inside the nodal box of {member(i)}")),
+        (sharp | below, lambda i: ConsistencyError(
+            f"witness {point(i)} is not below {value(i)}")),
+        (sharp | (nu < n_pos), lambda i: ConsistencyError(f"nu {nu[i]} not below N {n_pos[i]}")),
+    )
+    t.reason[simple] = BOX_CASE_ANALYSIS
+    t.reason[simple[second]] = ORTHOGONALITY_SECOND
+    t.reason[simple[explicit]] = EXPLICIT_COUNT
+    t.points[simple[~sharp], 0] = w[~sharp]
 
 
 def sharp_positions(verdicts: VerdictTable) -> list[int]:

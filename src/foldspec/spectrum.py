@@ -68,6 +68,11 @@ class SpectrumIndex:
             )
         return self._by_coeffs.get(value.coeffs)
 
+    def level_indices(self, rows: np.ndarray) -> np.ndarray:
+        """The level index of each coefficient row of the index's ring, -1
+        for a row that is no level's value."""
+        return np.array([self._by_coeffs.get(c, -1) for c in tuples(rows)], dtype=np.intp)
+
     def level_of(self, value: AlgebraicValue) -> Level | None:
         i = self._find(value)
         return None if i is None else self.levels[i]

@@ -411,6 +411,14 @@ PINNED_ROW_OUTPUTS = [
      "2782960c659c5604d01df9d9ec1c5e3325355c0899b5ca1f0422fe9d5d02ab80"),
     (["verdicts", "--domain", "triangle", "--cutoff", "5000", "--explain", "100"],
      "9dcd3c9052c474fb06ded5ad3971f6623829262c816aa00f128b2dba0c3adb3c"),
+    # recorded before the box witnesses became one array rule; each has
+    # sharp positions [1, 2]
+    (["verdicts", "--domain", "box", "--dim", "5", "--cutoff", "120", "--format", "csv"],
+     "e35ea2f3c49e4c168afc5462dec4f8b29fdf7681a628cfde3619c4d59e48f89c"),
+    (["verdicts", "--domain", "box", "--dim", "7", "--cutoff", "60", "--format", "csv"],
+     "99309c8e3ff72648ee16b505006f6f70476b3df9762f36be6281113b1eff73df"),
+    (["verdicts", "--domain", "box", "--dim", "8", "--cutoff", "40", "--format", "csv"],
+     "1267ac551b4958352ebdc1fc4909cfbab95906193323009386662721aa951979"),
 ]
 
 

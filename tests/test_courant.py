@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import box_oracle
 import triangle_oracle
 from foldspec import algebra, courant, eigenfn, nodal, qlattice, spectrum
 from foldspec.algebra import LESS
@@ -96,16 +97,26 @@ def test_sharp_reasons_partition():
 
 
 # ---------------------------------------------------------------------------
-# box witness checks: each fails on a corrupted decision tree or count
+# box witness checks: each fails on a corrupted witness rule or count
+
+
+def corrupt_rule(monkeypatch, smaller):
+    """Replace _box_witnesses's witness w for each member m by smaller(m, w),
+    both as tuples; None becomes the rule's zero row, no witness."""
+    rule = courant._box_witnesses
+
+    def corrupted(m):
+        rows = [smaller(tuple(r), tuple(w)) for r, w in zip(m.tolist(), rule(m).tolist())]
+        return np.array([w or (0,) * m.shape[1] for w in rows], dtype=np.int64).reshape(m.shape)
+
+    monkeypatch.setattr(courant, "_box_witnesses", corrupted)
 
 
 def box_with(monkeypatch, smaller=None, count=None):
-    """classify(box(2), 30) with _box_smaller_point's witness w for m
-    replaced by smaller(m, w), or count_formula's count c for m by
-    count(m, c)."""
+    """classify(box(2), 30) with the witness rule corrupted by smaller (see
+    corrupt_rule), or count_formula's count c for m replaced by count(m, c)."""
     if smaller:
-        tree = courant._box_smaller_point
-        monkeypatch.setattr(courant, "_box_smaller_point", lambda m, n: smaller(m, tree(m, n)))
+        corrupt_rule(monkeypatch, smaller)
     if count:
         formula = nodal.count_formula
 
@@ -127,8 +138,11 @@ def box_with(monkeypatch, smaller=None, count=None):
         (None, lambda m, c: c if m in ((1, 0), (1, 1), (2, 1)) else 10 * c,
          r"nu 20 not below N 3"),
         (None, lambda m, c: c + 1, r"sharp candidate \(1, 0\): nu 3 != N 2"),
+        # value 83 lies above the cutoff, so the index does not hold it
+        (lambda m, w: (m[0] + 9,) + m[1:], None, r"witness \(9, 1\) is not below 2"),
     ],
-    ids=["no-witness", "inside-box", "not-below", "nu-not-below", "sharp-count"],
+    ids=["no-witness", "inside-box", "not-below", "nu-not-below", "sharp-count",
+         "above-cutoff"],
 )
 def test_a_corrupted_box_witness_is_refused(monkeypatch, smaller, count, message):
     with pytest.raises(ConsistencyError, match=message):
@@ -138,10 +152,7 @@ def test_a_corrupted_box_witness_is_refused(monkeypatch, smaller, count, message
 def test_box_witness_values_are_compared_exactly(monkeypatch):
     # in box(3) the value text is a Z[gamma^2] combination: (0, 1, 0) at
     # 1*g^2 claims the witness (2, 0, 0), whose value 4 is larger
-    tree = courant._box_smaller_point
-    monkeypatch.setattr(
-        courant, "_box_smaller_point", lambda m, n: (2, 0, 0) if m == (0, 1, 0) else tree(m, n)
-    )
+    corrupt_rule(monkeypatch, lambda m, w: (2, 0, 0) if m == (0, 1, 0) else w)
     with pytest.raises(ConsistencyError, match=r"witness \(2, 0, 0\) is not below 1\*g\^2"):
         courant.classify(box(3), 30)
 
@@ -253,6 +264,23 @@ def test_triangle_verdicts_use_no_eigenvalue_compare_or_grid(monkeypatch):
     ):
         monkeypatch.setattr(module, name, refuse)
     assert list(courant.classify(triangle(), 5000)) == list(want)
+
+
+def test_box_verdicts_use_no_eigenvalue_or_compare(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the box path")
+
+    # refused once the index is built: its level order is certified by
+    # algebra.compare, and every witness is placed in that order
+    for n, cutoff in ((2, 2000), (4, 500)):
+        si = spectrum.build_index(box(n), cutoff)
+        want = box_oracle.classify(n, cutoff)
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "from_quantum_number", refuse)
+            m.setattr(algebra, "compare", refuse)
+            m.setattr(algebra.AlgebraicValue, "__post_init__", refuse)
+            got = courant.classify_index(si)
+        assert list(got) == want
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +435,28 @@ def test_triangle_columns_equal_the_scalar_oracle():
 @given(st.fractions(min_value=-2, max_value=3000, max_denominator=50))
 def test_triangle_columns_equal_the_scalar_oracle_at_random_cutoffs(cutoff):
     assert list(courant.classify(triangle(), cutoff)) == triangle_oracle.classify(cutoff)
+
+
+# ---------------------------------------------------------------------------
+# the columnar box rule against the former decision tree
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 2000), (3, 500), (4, 500), (6, 80)])
+def test_box_columns_equal_the_scalar_oracle(n, cutoff):
+    assert list(courant.classify(box(n), cutoff)) == box_oracle.classify(n, cutoff)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([2, 3]), st.fractions(min_value=-2, max_value=400, max_denominator=50))
+def test_box_columns_equal_the_scalar_oracle_at_random_cutoffs(n, cutoff):
+    assert list(courant.classify(box(n), cutoff)) == box_oracle.classify(n, cutoff)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=5, max_value=8), st.fractions(min_value=0, max_value=25,
+                                                           max_denominator=10))
+def test_box_columns_equal_the_scalar_oracle_in_higher_dimensions(n, cutoff):
+    assert list(courant.classify(box(n), cutoff)) == box_oracle.classify(n, cutoff)
 
 
 def test_classify_index_takes_a_neumann_index_only():
