@@ -10,12 +10,12 @@ classify returns one VerdictTable of columns for every Neumann domain, one
 row per level.  The triangle's eigenvalue is the integer z = m^2 + n^2: each
 of its reasons is a mask decided from z, the multiplicity and the level's
 first member, each witness is checked by an array predicate that names the
-first failing row, and every nu comes from a closed form, with no grid and
-no exact comparison.  Only its reference sets are checked level by level,
-over int64 point arrays.  Every simple box level's smaller point comes from
-one array rule over the members, and lies below the level when its place in
-the index, whose order is certified exactly, comes first.  The table builds
-a Verdict only for a row read.
+first failing row, with no grid and no exact comparison.  Only its
+reference sets are checked level by level, over int64 point arrays.  Every
+simple box level's smaller point comes from one array rule over the
+members, and lies below the level when its place in the index, whose order
+is certified exactly, comes first.  Each group of rows reads nu from one
+call of nodal.formula_counts.  The table builds a Verdict only for a row read.
 """
 
 from __future__ import annotations
@@ -133,14 +133,12 @@ class VerdictTable(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         i = range(len(self))[i]
-        r = self.region
-        ring = r.domain.ring
-        value = AlgebraicValue(ring, tuple(r.coeffs[i].tolist()))
-        reason, nu, k = self.reason[i], int(self.nu[i]), int(self.k[i])
-        members = qlattice.tuples(r.members[r.offsets[i] : r.offsets[i + 1]])
+        level = self.region.level(i)
+        value, reason, nu, k = level.value, self.reason[i], int(self.nu[i]), int(self.k[i])
+        members = list(level.members)
         return Verdict(
             int(self.position[i]), value, int(self.multiplicity[i]), algebra.parity(value),
-            AlgebraicValue(ring, tuple(self.core[i].tolist())), k, bool(self.sharp[i]),
+            AlgebraicValue(value.n, tuple(self.core[i].tolist())), k, bool(self.sharp[i]),
             reason, None if nu < 0 else nu,
             witness(reason, qlattice.tuples(self.points[i]), nu, subdomain_name(k), members),
         )
@@ -231,22 +229,21 @@ def _triangle_reasons(t: VerdictTable, live: np.ndarray) -> None:
     reference = simple[~off_axis & ~explicit]
     explicit = simple[explicit]
 
-    for at, name, label in (
-        (np.flatnonzero(second), ORTHOGONALITY_SECOND, "lambda_2 nodal count"),
-        (explicit, EXPLICIT_COUNT, "explicit count"),
-    ):
-        t.reason[at] = name
-        t.nu[at] = [nodal.count_formula(domain, m).count for m in map(tuple, member[at].tolist())]
-        counted, n_pos = t.nu[at], position[at]
-        _require_rows(
-            (counted == n_pos,
-             lambda i: ConsistencyError(f"{label} {counted[i]} != N {n_pos[i]}")),
-        )
+    second = np.flatnonzero(second)
+    t.reason[second] = ORTHOGONALITY_SECOND
+    t.reason[explicit] = EXPLICIT_COUNT
+    counted = np.concatenate([second, explicit])
+    t.nu[counted] = nu = nodal.formula_counts(domain, member[counted])
+    n_pos = position[counted]
+    _require_rows((nu == n_pos, lambda i: ConsistencyError(
+        f"{'lambda_2 nodal count' if i < len(second) else 'explicit count'} "
+        f"{nu[i]} != N {n_pos[i]}")))
 
     t.reason[reference] = REFERENCE_SET_STRICT
+    t.nu[reference] = nodal.formula_counts(domain, member[reference])
     for i in reference.tolist():
-        t.nu[i], t.points[i, 0] = _reference_set_verdict(
-            domain, int(z[i]), tuple(member[i].tolist()), int(position[i])
+        t.points[i, 0] = _reference_set_verdict(
+            domain, int(z[i]), tuple(member[i].tolist()), int(position[i]), int(t.nu[i])
         )
 
 
@@ -326,11 +323,11 @@ def _subdomain_pairs(
 
 
 def _reference_set_verdict(
-    domain: Domain, z: int, member: QN, position: int
-) -> tuple[int, QN]:
+    domain: Domain, z: int, member: QN, position: int, nu: int
+) -> QN:
     """The nu reference points lie below z (the member aside) and extra
-    lies below it outside them, so N(z) > nu: (nu, extra).  Every reference
-    point is checked, as a row of an int64 array."""
+    lies below it outside them, so N(z) > nu: extra.  Every reference point
+    is checked, as a row of an int64 array."""
     a, b = member
     if a == b:
         ref = qlattice.reference_points_diagonal(a)
@@ -339,7 +336,6 @@ def _reference_set_verdict(
         _require(b == 0 and a % 2 == 0, lambda: f"unexpected reference shape {member}")
         ref = qlattice.reference_points_axis(a // 2)
         extra = (a - 1, 2)
-    nu = nodal.count_formula(domain, member).count
     p0, p1 = ref[:, 0], ref[:, 1]
 
     def first(bad: np.ndarray) -> QN:
@@ -373,7 +369,7 @@ def _reference_set_verdict(
         lambda: f"strictness witness {extra} is not below {z}",
     )
     _require(nu < position, lambda: f"nu {nu} not below N {position}")
-    return nu, extra
+    return extra
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +410,7 @@ def _box_reasons(si: SpectrumIndex, t: VerdictTable, live: np.ndarray) -> None:
     for c in ((1, 1), (2, 1)) if n == 2 else ():
         explicit |= (m == c).all(axis=1)
     sharp = second | explicit
-    t.nu[simple] = [nodal.count_formula(domain, qn).count for qn in qlattice.tuples(m)]
+    t.nu[simple] = nodal.formula_counts(domain, m)
     nu, n_pos = t.nu[simple], t.position[simple]
     w = _box_witnesses(m)
     # the index's order is exact; a witness it does not hold (-1) lies at or

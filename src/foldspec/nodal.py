@@ -63,8 +63,9 @@ class NodalCount:
     stable: bool = True
 
 
-def count_formula(domain: Domain, m: QN) -> NodalCount:
-    """Closed-form nodal count; raises DomainError where none is available.
+def formula_counts(domain: Domain, m: np.ndarray) -> np.ndarray:
+    """The closed-form nodal count of each row of a quantum-number matrix m;
+    raises DomainError where none is available, naming the first such row.
 
     A box basis function is a product of one cosine per axis, so its nodal
     domains are the prod(m_j + 1) cells of a grid of planes.  On the triangle
@@ -82,25 +83,29 @@ def count_formula(domain: Domain, m: QN) -> NodalCount:
         j from side to side; they are parallel, so strip j holds a - 2j + 1
         cells.  The sum over j is floor((a+2)^2 / 4): (m+1)^2 at a = 2m and
         (m+1)(m+2) at a = 2m + 1.
+
+    On an index's int64 members no count overflows: coordinates are below
+    2^22, and a box count is the number of lattice points in the nodal box,
+    each at or below the member, so inside the region and its POINT_BUDGET.
     """
-    m = check_qn(domain, m)
     if domain.bc != NEUMANN:
         raise DomainError("closed-form nodal counts cover the Neumann basis only")
-    if domain.kind == TRIANGLE:
-        a, b = m
-        if a == b:
-            nu = (a + 1) * (a + 2) // 2
-        elif b == 0:
-            nu = (a + 2) ** 2 // 4
-        else:
-            raise DomainError(
-                f"no closed-form nodal count for triangle {m}; use count_grid"
-            )
-        return NodalCount(nu, "formula")
-    nu = 1
-    for mj in m:
-        nu *= mj + 1
-    return NodalCount(nu, "formula")
+    triangle = domain.kind == TRIANGLE
+    valid = (m >= 0).all(axis=1) & (m[:, 0] >= m[:, 1] if triangle else True)
+    for row in m[~valid][:1].tolist():
+        check_qn(domain, tuple(row))  # refuses the first invalid row with its message
+    if not triangle:
+        return np.prod(m + 1, axis=1)
+    a, b = m.T
+    for row in m[(a != b) & (b != 0)][:1].tolist():
+        raise DomainError(f"no closed-form nodal count for triangle {tuple(row)}; use count_grid")
+    return np.where(a == b, (a + 1) * (a + 2) // 2, (a + 2) ** 2 // 4)
+
+
+def count_formula(domain: Domain, m: QN) -> NodalCount:
+    """formula_counts of one checked quantum number, exact at any size."""
+    row = np.array([check_qn(domain, m)], dtype=object)
+    return NodalCount(int(formula_counts(domain, row)[0]), "formula")
 
 
 def _max_halfperiods(f: Combo) -> int:
@@ -440,8 +445,7 @@ def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyRepo
         raise DomainError("deficiency bounds are for the Neumann problem")
     if value.is_zero():
         raise DomainError("the ground state has no deficiency bound")
-    level = si.level_of(value)
-    if level is None:
+    if not si.multiplicity_of(value):
         raise DomainError(f"{value.text()} is not in the spectrum below the cutoff")
     oc = odd_core(value)
     d = si.multiplicity_of(oc.core)

@@ -64,8 +64,8 @@ class Level:
 @dataclass(frozen=True, eq=False)
 class LatticeRegion:
     """The levels below cutoff, in exact increasing order, as int64 columns:
-    level i has the coefficient row coeffs[i] and the members
-    members[offsets[i]:offsets[i + 1]]."""
+    level i has the coefficient row coeffs[i], the members
+    members[offsets[i]:offsets[i + 1]], the value value(i) and the Level level(i)."""
 
     domain: Domain
     cutoff: Cutoff
@@ -73,15 +73,16 @@ class LatticeRegion:
     offsets: np.ndarray  # (levels + 1,), offsets[0] == 0
     members: np.ndarray  # (points, coords)
 
+    def value(self, i: int) -> AlgebraicValue:
+        return AlgebraicValue(self.domain.ring, tuple(self.coeffs[i].tolist()))
+
+    def level(self, i: int) -> Level:
+        lo, hi = self.offsets[i : i + 2].tolist()
+        return Level(self.value(i), tuple(tuples(self.members[lo:hi])))
+
     @functools.cached_property
     def levels(self) -> tuple[Level, ...]:
-        ring = self.domain.ring
-        members = tuples(self.members)
-        bounds = self.offsets.tolist()
-        return tuple(
-            Level(AlgebraicValue(ring, c), tuple(members[lo:hi]))
-            for c, lo, hi in zip(tuples(self.coeffs), bounds, bounds[1:])
-        )
+        return tuple(map(self.level, range(len(self.coeffs))))
 
     @property
     def points(self) -> tuple[QN, ...]:

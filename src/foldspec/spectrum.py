@@ -6,7 +6,6 @@ import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -35,8 +34,8 @@ class SpectrumIndex:
     """Eigenvalues below a cutoff, grouped by exact value, positions 1-based.
 
     Built on a region's columns: multiplicities[i] is the size of level i
-    and starts[i] the number of eigenvalues strictly before it.  Level
-    objects and the lookup table by coefficients are built on first use.
+    and starts[i] the number of eigenvalues strictly before it.  A lookup
+    builds the one Level it returns; the table by coefficients, on first use.
     """
 
     def __init__(self, region: LatticeRegion):
@@ -75,7 +74,7 @@ class SpectrumIndex:
 
     def level_of(self, value: AlgebraicValue) -> Level | None:
         i = self._find(value)
-        return None if i is None else self.levels[i]
+        return None if i is None else self.region.level(i)
 
     def _level_index(self, value: AlgebraicValue) -> tuple[int, bool]:
         """Index of the first level with level.value >= value, and whether
@@ -83,7 +82,7 @@ class SpectrumIndex:
 
         A level's own value is found by its coefficients alone.  Any other
         value is checked against the cutoff and bisected with the exact
-        comparison.
+        comparison, one level value built per probe.
         """
         i = self._find(value)
         if i is not None:
@@ -92,7 +91,7 @@ class SpectrumIndex:
             raise OutOfRangeError(
                 f"{value.text()} is not below the index cutoff"
             )
-        return bisect_left(self.levels, value, key=attrgetter("value")), False
+        return bisect_left(range(len(self)), value, key=self.region.value), False
 
     def counting(self, value: AlgebraicValue) -> Counting:
         """Counting functions at value; value must lie below the cutoff."""

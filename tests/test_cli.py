@@ -419,6 +419,16 @@ PINNED_ROW_OUTPUTS = [
      "99309c8e3ff72648ee16b505006f6f70476b3df9762f36be6281113b1eff73df"),
     (["verdicts", "--domain", "box", "--dim", "8", "--cutoff", "40", "--format", "csv"],
      "1267ac551b4958352ebdc1fc4909cfbab95906193323009386662721aa951979"),
+    # recorded before an index lookup built only the Level it returns and
+    # the closed-form counts became one column rule
+    (["deficiency", "--domain", "triangle", "--lambda", "999997"],  # bound 359
+     "2dc00589d30be8e29f1417d06b52bd3dfd6649832297ba3224a56d53e9be9c9f"),
+    (["deficiency", "--domain", "box", "--dim", "6", "--lambda", "150,0,0"],
+     "07598b0351f92be21a4d74e4899115550a7928da9cf39f462359bcee6b853511"),
+    (["dirichlet-check", "--dim", "2", "--lambda", "300"],
+     "e282d00aa4d0a2d9a7c65fe49f8b56aa5e32b8a558e368e9021d7efb1208a459"),
+    (["nodal", "--domain", "triangle", "--qn", "100000000000000000000,0"],
+     "937dbb683107d406bf2e499bedfd58aca56ad73f087cc045272675ca8883116d"),
 ]
 
 

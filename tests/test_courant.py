@@ -114,16 +114,18 @@ def corrupt_rule(monkeypatch, smaller):
 
 def box_with(monkeypatch, smaller=None, count=None):
     """classify(box(2), 30) with the witness rule corrupted by smaller (see
-    corrupt_rule), or count_formula's count c for m replaced by count(m, c)."""
+    corrupt_rule), or formula_counts's count c for each member m replaced by
+    count(m, c), m as a tuple."""
     if smaller:
         corrupt_rule(monkeypatch, smaller)
     if count:
-        formula = nodal.count_formula
+        formula = nodal.formula_counts
 
         def counted(domain, m):
-            return nodal.NodalCount(count(m, formula(domain, m).count), "formula")
+            rows = zip(m.tolist(), formula(domain, m).tolist())
+            return np.array([count(tuple(r), c) for r, c in rows], dtype=np.int64)
 
-        monkeypatch.setattr(nodal, "count_formula", counted)
+        monkeypatch.setattr(nodal, "formula_counts", counted)
     return courant.classify(box(2), 30)
 
 
@@ -147,6 +149,22 @@ def box_with(monkeypatch, smaller=None, count=None):
 def test_a_corrupted_box_witness_is_refused(monkeypatch, smaller, count, message):
     with pytest.raises(ConsistencyError, match=message):
         box_with(monkeypatch, smaller, count)
+
+
+def test_classification_reads_every_count_from_the_column_rule(monkeypatch):
+    # courant counts through nodal.formula_counts, one call per group of
+    # rows, never through the one-row count_formula
+    calls = []
+    formula = nodal.count_formula
+
+    def counted(domain, m):
+        calls.append(m)
+        return formula(domain, m)
+
+    monkeypatch.setattr(nodal, "count_formula", counted)
+    for dom, cutoff in ((triangle(), 5000), (box(6), 80)):
+        courant.classify_index(spectrum.build_index(dom, cutoff))
+    assert calls == []
 
 
 def test_box_witness_values_are_compared_exactly(monkeypatch):
@@ -228,7 +246,9 @@ def test_strictness_witness_at_the_value_is_not_below_it():
     # a level 16 posing as (3, 3): every reference point lies below 16, but
     # the strictness witness (4, 0) lies at 16 itself
     with pytest.raises(ConsistencyError, match=r"strictness witness \(4, 0\) is not below 16"):
-        courant._reference_set_verdict(triangle(), 16, (3, 3), 20)
+        courant._reference_set_verdict(
+            triangle(), 16, (3, 3), 20, nodal.count_formula(triangle(), (3, 3)).count
+        )
 
 
 def test_boundary_witnesses_satisfy_the_exact_conditions():
@@ -389,7 +409,9 @@ def test_reference_point_at_the_value_is_not_below_it(monkeypatch):
     lv = si.level_of(algebra.integer_value(1, 50))
     position = int(si.starts[si.levels.index(lv)]) + 1
     with pytest.raises(ConsistencyError, match=r"reference point \(7, 1\) is not below 50"):
-        courant._reference_set_verdict(triangle(), 50, (5, 5), position)
+        courant._reference_set_verdict(
+            triangle(), 50, (5, 5), position, nodal.count_formula(triangle(), (5, 5)).count
+        )
 
 
 def oracle_reference_check(si, v, member):

@@ -491,3 +491,54 @@ def test_deficiency_reports_are_pinned():
         ]
     assert len(rows) == 476
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFICIENCY_PIN
+
+
+@pytest.mark.parametrize("n,cutoff", [(2, 400), (3, 60), (6, 80)])
+def test_formula_counts_are_the_box_products(n, cutoff):
+    members = spectrum.build_index(box(n), cutoff).region.members
+    counts = nodal.formula_counts(box(n), members)
+    assert counts.tolist() == [math.prod(e + 1 for e in m) for m in members.tolist()]
+
+
+def test_formula_counts_are_the_triangle_closed_forms():
+    a = np.arange(301)
+    members = np.concatenate([np.column_stack([a, a]), np.column_stack([a, 0 * a])])
+    counts = nodal.formula_counts(triangle(), members)
+    assert counts.tolist() == [(x + 1) * (x + 2) // 2 for x in range(301)] + [
+        (x + 2) ** 2 // 4 for x in range(301)
+    ]
+
+
+@pytest.mark.parametrize(
+    "dom,rows,first,message",
+    [
+        (triangle(), [(4, 0), (3, 1), (5, 2)], 1,
+         r"^no closed-form nodal count for triangle \(3, 1\); use count_grid$"),
+        (triangle("dirichlet"), [(2, 1)], 0,
+         r"^closed-form nodal counts cover the Neumann basis only$"),
+        (triangle(), [(2, 2), (5, 1), (1, -1), (-1, -1)], 2,
+         r"^\(1, -1\) is not a triangle-neumann quantum number$"),
+        (box(3), [(0, 0, 0), (2, -1, 0)], 1,
+         r"^\(2, -1, 0\) is not a box3-neumann quantum number$"),
+    ],
+    ids=["shape", "dirichlet", "triangle-negative", "box-negative"],
+)
+def test_formula_count_refusals_keep_their_messages(dom, rows, first, message):
+    # the rule names the first refused row; count_formula refuses that row alike
+    with pytest.raises(DomainError, match=message):
+        nodal.formula_counts(dom, np.array(rows, dtype=np.int64))
+    with pytest.raises(DomainError, match=message):
+        nodal.count_formula(dom, rows[first])
+
+
+@pytest.mark.parametrize(
+    "dom,m,count",
+    [
+        (triangle(), (2**40, 2**40), (2**40 + 1) * (2**40 + 2) // 2),
+        (triangle(), (10**20, 0), (10**20 + 2) ** 2 // 4),
+        (box(3), (2**30,) * 3, (2**30 + 1) ** 3),
+    ],
+)
+def test_count_formula_is_exact_past_int64(dom, m, count):
+    assert count > 2**63
+    assert nodal.count_formula(dom, m) == nodal.NodalCount(count, "formula")

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspec import algebra, qlattice, spectrum
+from foldspec import algebra, cli, courant, nodal, qlattice, spectrum
 from foldspec.algebra import AlgebraicValue
-from foldspec.domains import box, triangle
+from foldspec.domains import DIRICHLET, box, triangle
 from foldspec.errors import (
     DivisibilityError,
     DomainError,
@@ -311,3 +311,41 @@ def test_scale_gamma2_round_trips_and_odd_core_undoes_it(case, k):
     assert algebra.scale_gamma2(algebra.scale_gamma2(v, k), -k) == v
     core = AlgebraicValue(n, (2 * coeffs[0] + 1,) + tuple(coeffs[1:]))
     assert spectrum.odd_core(algebra.scale_gamma2(core, k)) == spectrum.OddCore(core, k)
+
+
+def test_no_package_path_builds_every_level(monkeypatch, capsys):
+    # each read builds the one Level it returns, or none; unpatched, each
+    # lookup's Level is the one levels holds
+    def values(si):
+        return [AlgebraicValue(si.domain.ring, c) for c in qlattice.tuples(si.region.coeffs)]
+
+    for dom, cutoff in ((triangle(), 300), (box(3), 60)):
+        si = spectrum.build_index(dom, cutoff)
+        assert list(map(si.level_of, values(si))) == list(si.levels)
+
+    def refuse(region):
+        raise AssertionError("a read path built every Level of a region")
+
+    monkeypatch.setattr(qlattice.LatticeRegion, "levels", property(refuse))
+    for dom, cutoff in ((triangle(), 2000), (box(3), 200)):
+        si = spectrum.build_index(dom, cutoff)
+        for value in values(si)[1::7]:
+            nodal.deficiency_bound(si, value)
+    dirichlet = spectrum.build_index(box(2, DIRICHLET), 300)
+    assert nodal.dirichlet_deficiency_check(dirichlet, algebra.integer_value(2, 12)).as_dict()
+    si = spectrum.build_index(triangle(), 60)
+    level, between = algebra.integer_value(1, 50), algebra.integer_value(1, 51)
+    assert si.level_of(level).members == ((5, 5), (7, 1))
+    assert si.level_of(between) is None
+    assert si.counting(level).multiplicity == 2 and si.counting(between).multiplicity == 0
+    assert si.counting(between).below == si.counting(level).upto
+    assert len(si.region_below(level)) == len(si.region_below(between)) - 2
+    courant.classify_index(si)
+    for argv in (
+        ["deficiency", "--domain", "triangle", "--lambda", "50"],
+        ["dirichlet-check", "--dim", "2", "--lambda", "12"],
+        ["verdicts", "--domain", "box", "--dim", "3", "--cutoff", "60"],
+        ["spectrum", "--domain", "triangle", "--cutoff", "200", "--points"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
