@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_dirichlet_check)
 
     p = sub.add_parser("selftest", help="run the acceptance criteria")
-    p.add_argument("--only", nargs="*", help="criterion ids to run")
+    p.add_argument("--only", nargs="+", help="criterion ids to run")
     p.set_defaults(fn=_cmd_selftest)
 
     return parser

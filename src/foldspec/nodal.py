@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import algebra, folding, qlattice
+from . import algebra, folding
 from .algebra import AlgebraicValue
-from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn, qn_parity
+from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn
 from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms
 from .errors import DomainError, GridInstabilityError
 from .qlattice import QN
@@ -413,6 +413,9 @@ def count_auto(domain: Domain, m: QN, resolution: int | None = None) -> NodalCou
 
 @dataclass(frozen=True)
 class DeficiencyReport:
+    """Both lower bounds on the nodal deficiency of value = gamma^(2k) core;
+    boundary_even is one read of SpectrumIndex.right_boundary_parity."""
+
     value: AlgebraicValue
     core: AlgebraicValue
     k: int
@@ -450,22 +453,11 @@ def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyRepo
     oc = odd_core(value)
     d = si.multiplicity_of(oc.core)
     mk = folding.partition_count(dom, oc.k)
-    boundary = qlattice.right_boundary(si.region_below(oc.core))
-    boundary_even = sum(qn_parity(dom, m) == "even" for m in boundary)
+    boundary_even, _ = si.right_boundary_parity(oc.core)
     b1 = (d - 1) * (mk - 1)
     b2 = boundary_even - 1 if oc.k == 0 else None
     bound = max(b1, b2 if b2 is not None else 0, 0)
-    return DeficiencyReport(
-        value=value,
-        core=oc.core,
-        k=oc.k,
-        core_multiplicity=d,
-        partition_size=mk,
-        boundary_even=boundary_even,
-        bound_unfolding=b1,
-        bound_boundary=b2,
-        bound=bound,
-    )
+    return DeficiencyReport(value, oc.core, oc.k, d, mk, boundary_even, b1, b2, bound)
 
 
 @dataclass(frozen=True)
@@ -514,14 +506,6 @@ def dirichlet_deficiency_check(
     folded = algebra.scale_gamma2(value, -1)
     lhs = _simple_deficiency(si, value)
     folded_def = _simple_deficiency(si, folded)
-    boundary = qlattice.right_boundary(si.region_below(value))
-    boundary_odd = sum(qn_parity(si.domain, m) == "odd" for m in boundary)
+    _, boundary_odd = si.right_boundary_parity(value)
     rhs = 2 * folded_def + boundary_odd - 1
-    return DirichletDeficiencyCheck(
-        value=value,
-        folded=folded,
-        lhs=lhs,
-        folded_deficiency=folded_def,
-        boundary_odd=boundary_odd,
-        rhs=rhs,
-    )
+    return DirichletDeficiencyCheck(value, folded, lhs, folded_def, boundary_odd, rhs)

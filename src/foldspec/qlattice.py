@@ -231,13 +231,6 @@ def _exact_order(ring: int, coeffs: np.ndarray) -> np.ndarray:
     return np.array(rank, dtype=np.intp)
 
 
-def right_boundary(region: LatticeRegion) -> list[QN]:
-    """Points of the region whose right neighbor (first coordinate + 1) is outside."""
-    points = region.points
-    members = set(points)
-    return [m for m in points if (m[0] + 1,) + m[1:] not in members]
-
-
 def reference_points_diagonal(m: int) -> np.ndarray:
     """Lattice triangle {(i, j): 0 <= j <= i <= m} as an (N, 2) int64 array,
     one row per point; nodal-count reference for (m, m)."""

@@ -35,7 +35,8 @@ class SpectrumIndex:
 
     Built on a region's columns: multiplicities[i] is the size of level i
     and starts[i] the number of eigenvalues strictly before it.  A lookup
-    builds the one Level it returns; the table by coefficients, on first use.
+    builds the one Level it returns; the table by coefficients and the
+    right-boundary parity column, on first use.
     """
 
     def __init__(self, region: LatticeRegion):
@@ -101,14 +102,26 @@ class SpectrumIndex:
         position = below + 1 if d else below
         return Counting(below=below, upto=below + d, position=position, multiplicity=d)
 
-    def region_below(self, value: AlgebraicValue) -> LatticeRegion:
-        """Every level strictly below value: Q(value) for an index from
-        build_index.  value must lie below the cutoff."""
-        i, _ = self._level_index(value)
-        r = self.region
-        return LatticeRegion(
-            self.domain, value, r.coeffs[:i], r.offsets[: i + 1], r.members[: r.offsets[i]]
-        )
+    @functools.cached_property
+    def _boundary_parity(self) -> np.ndarray:
+        """Row i, i = 0..len(self): the even and odd points on the right
+        boundary of the first i levels.  Each level holds every lattice point
+        of its value, so a member is on it for its level < i <= the level of
+        its right neighbour (len(self) if none); its parity is coeffs[:, 0] % 2."""
+        n, r = len(self), self.region
+        level = np.repeat(np.arange(n), self.multiplicities)
+        right = r.members + (np.arange(self.domain.coords) == 0)  # m + e_0
+        after = self.level_indices(algebra.coefficient_rows(self._ring, right))
+        odd = r.coeffs[level, 0] % 2
+        steps = np.bincount(2 * level + odd, minlength=2 * n + 2)
+        steps -= np.bincount(2 * np.where(after < 0, n, after) + odd, minlength=2 * n + 2)
+        steps = steps.reshape(n + 1, 2)
+        return np.cumsum(steps, axis=0) - steps
+
+    def right_boundary_parity(self, value: AlgebraicValue) -> tuple[int, int]:
+        """(even, odd) counts of the points of Q(value) whose right neighbour
+        (first coordinate + 1) is not in Q(value); value must lie below the cutoff."""
+        return tuple(self._boundary_parity[self._level_index(value)[0]].tolist())
 
     def position_of(self, value: AlgebraicValue) -> int:
         return self.counting(value).position

@@ -192,6 +192,16 @@ def test_selftest_unknown_id_names_the_valid_ids(capsys):
     assert capsys.readouterr().out == ""  # no criterion ran
 
 
+def test_selftest_only_needs_an_id(capsys):
+    # an empty --only is an argparse error, not a run of every criterion
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--only"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert "--only: expected at least one argument" in captured.err
+
+
 def test_output_file(tmp_path: Path, capsys):
     out_path = tmp_path / "spec.json"
     code, _ = run_cli(
@@ -429,6 +439,20 @@ PINNED_ROW_OUTPUTS = [
      "e282d00aa4d0a2d9a7c65fe49f8b56aa5e32b8a558e368e9021d7efb1208a459"),
     (["nodal", "--domain", "triangle", "--qn", "100000000000000000000,0"],
      "937dbb683107d406bf2e499bedfd58aca56ad73f087cc045272675ca8883116d"),
+    # recorded before the right-boundary parity split was read from the
+    # index: a multiple core (d = 5, boundary_even 22), a box4 value with
+    # k = 4, an odd simple box3 value (boundary_even 6) and one identity
+    # check each in dimensions 3 and 4 with a simple fold
+    (["deficiency", "--domain", "triangle", "--lambda", "4225"],
+     "92567398438bbd7a59318a3d71885cf2aa517e813c52776922fe1a1eb1a51ff5"),
+    (["deficiency", "--domain", "box", "--dim", "4", "--lambda", "12,4"],
+     "949ecf268815dbe62a909133f361a2e78795029ae920a43bba57276fd85245b2"),
+    (["deficiency", "--domain", "box", "--dim", "3", "--lambda", "1,8,4"],
+     "c008d0163e7f956d67373ca4e4a671fb9424b3acee3a315586e36d5ebb2b9395"),
+    (["dirichlet-check", "--dim", "3", "--lambda", "16,2,1"],  # boundary_odd 4
+     "8bf4868b4aa7a0b8008c65003676388eff71640075e1e4a9f16bd279ea487c22"),
+    (["dirichlet-check", "--dim", "4", "--lambda", "12,6"],  # boundary_odd 5
+     "763dc7994a06d48a876c156bb4bcd9f46ffc5b644ed8b5171f6c4f99e4f27d06"),
 ]
 
 

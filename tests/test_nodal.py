@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from foldspec import algebra, eigenfn, nodal, spectrum
+from foldspec import algebra, cli, eigenfn, nodal, qlattice, spectrum
 from foldspec.eigenfn import product_terms
-from foldspec.domains import box, triangle
+from foldspec.domains import DIRICHLET, box, triangle
 from foldspec.errors import DomainError, GridInstabilityError
 
 
@@ -371,6 +371,38 @@ def test_dirichlet_identity_preconditions():
     sin = spectrum.build_index(box(2), 40)
     with pytest.raises(DomainError):
         nodal.dirichlet_deficiency_check(sin, algebra.integer_value(2, 6))
+
+
+def test_deficiency_reads_no_point_tuples(monkeypatch, capsys):
+    # both deficiency identities read the index's right-boundary column and
+    # never list a region's points
+    def refuse(region):
+        raise AssertionError("a deficiency path listed a region's points")
+
+    monkeypatch.setattr(qlattice.LatticeRegion, "points", property(refuse))
+    for dom, cutoff in ((triangle(), 2000), (box(3), 200)):
+        si = spectrum.build_index(dom, cutoff)
+        simple = np.flatnonzero(si.multiplicities == 1)[1:]  # the ground state has no bound
+        for i in simple.tolist():
+            nodal.deficiency_bound(si, si.region.value(i))
+    si = spectrum.build_index(box(2, DIRICHLET), 300)
+    checked = 0
+    for i in np.flatnonzero(si.multiplicities == 1).tolist():
+        value = si.region.value(i)
+        if algebra.parity(value) != "even":
+            continue
+        if si.multiplicity_of(algebra.scale_gamma2(value, -1)) != 1:
+            continue
+        assert nodal.dirichlet_deficiency_check(si, value).as_dict()["holds"]
+        checked += 1
+    assert checked > 10
+    for argv in (
+        ["deficiency", "--domain", "triangle", "--lambda", "4225"],
+        ["deficiency", "--domain", "box", "--dim", "3", "--lambda", "1,8,4"],
+        ["dirichlet-check", "--dim", "2", "--lambda", "300"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
 
 
 def test_grid_budget_is_checked_before_evaluating():

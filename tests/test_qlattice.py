@@ -17,6 +17,7 @@ from foldspec.algebra import GREATER, LESS, AlgebraicValue
 from foldspec.domains import NEUMANN, TRIANGLE, box, eigenvalue, qn_parity, triangle
 from foldspec.errors import DomainError, OutOfRangeError
 from foldspec.spectrum import Level
+from boundary_oracle import parity_split, right_boundary
 from triangle_oracle import spectrum_columns
 
 
@@ -91,16 +92,18 @@ def test_parity_rules():
 
 
 def test_right_boundary_examples():
-    assert qlattice.right_boundary(qlattice.enumerate_below(triangle(), 5)) == [
+    # the point-set oracle, and the index's parity split of the same sets
+    assert right_boundary(qlattice.enumerate_below(triangle(), 5).points) == [
         (1, 1),
         (2, 0),
     ]
-    assert qlattice.right_boundary(qlattice.enumerate_below(triangle(), 2)) == [(1, 0)]
+    assert right_boundary(qlattice.enumerate_below(triangle(), 2).points) == [(1, 0)]
     r9 = qlattice.enumerate_below(triangle(), 9)
-    boundary_even = [
-        m for m in qlattice.right_boundary(r9) if qn_parity(triangle(), m) == "even"
-    ]
+    boundary_even = [m for m in right_boundary(r9.points) if qn_parity(triangle(), m) == "even"]
     assert boundary_even == [(2, 0), (2, 2)]
+    si = spectrum.build_index(triangle(), 10)
+    for value, split in ((2, (0, 1)), (5, (2, 0)), (9, (2, 1))):
+        assert si.right_boundary_parity(algebra.integer_value(1, value)) == split
 
 
 def _bijection_histograms(dom, top: int, boundary_parity: str):
@@ -141,6 +144,18 @@ def test_dirichlet_boundary_bijection():
     )
     for lam in range(2001):
         assert odd[lam] == even[lam] + boundary_odd[lam], lam
+
+
+@pytest.mark.parametrize("bc,parity", [("neumann", "even"), ("dirichlet", "odd")])
+def test_index_boundary_split_matches_the_histograms(bc, parity):
+    # the index's right-boundary column at every integer lam <= 2000, levels
+    # and the values between them, against the interval histograms
+    _, _, boundary = _bijection_histograms(triangle(bc), 2000, parity)
+    si = spectrum.build_index(triangle(bc), 2001)
+    slot = 0 if parity == "even" else 1
+    for lam in range(2001):
+        split = si.right_boundary_parity(algebra.integer_value(1, lam))
+        assert split[slot] == boundary[lam], lam
 
 
 def _rows(points) -> set:
@@ -312,6 +327,7 @@ def test_enumerate_matches_oracle_at_random_cutoffs(case):
 
 
 def test_region_below_is_the_enumerated_region():
+    # Q(value) of level i is the index's prefix members[:offsets[i]]
     assert Level is qlattice.Level
     for dom, cutoff in ((triangle(), 300), (box(2), 200), (box(3), 60), (box(5), 30)):
         si = spectrum.build_index(dom, cutoff)
@@ -319,11 +335,13 @@ def test_region_below_is_the_enumerated_region():
         step = max(1, len(si.levels) // 25)
         for i in range(0, len(si.levels), step):
             lv = si.levels[i]
-            region = si.region_below(lv.value)
-            points = region.points
-            assert set(points) == set(qlattice.enumerate_below(dom, lv.value).points)
-            assert len(region) == len(set(points))
-            assert region.levels == si.levels[:i]
+            below = si.counting(lv.value).below
+            assert below == si.region.offsets[i]
+            points = qlattice.tuples(si.region.members[:below])
+            sub = qlattice.enumerate_below(dom, lv.value)
+            assert set(points) == set(sub.points)
+            assert len(sub) == len(set(points)) == below
+            assert sub.levels == si.levels[:i]
 
 
 @pytest.mark.parametrize(
@@ -412,10 +430,13 @@ def test_counting_matches_brute_counts(case, data):
         assert (c.below, c.upto, c.multiplicity) == (below, upto, upto - below), q
         assert c.position == (below + 1 if upto > below else below), q
         assert si.position_of(q) == c.position and si.multiplicity_of(q) == upto - below
-        region = si.region_below(q)
-        assert set(region.points) == {m for m, v in zip(points, values) if v < q}, q
-        assert len(region) == below
-        assert region.levels == tuple(lv for lv in si.levels if lv.value < q), q
+        # Q(q) is the prefix of the first i levels, i the levels below q
+        q_points = [m for m, v in zip(points, values) if v < q]
+        i = int(np.searchsorted(si.region.offsets, c.below))
+        assert si.region.offsets[i] == c.below
+        assert set(qlattice.tuples(si.region.members[: c.below])) == set(q_points), q
+        assert si.levels[:i] == tuple(lv for lv in si.levels if lv.value < q), q
+        assert si.right_boundary_parity(q) == parity_split(dom, q_points), q
 
 
 def test_over_budget_cutoffs_fail_fast():

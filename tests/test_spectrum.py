@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 from foldspec import algebra, cli, courant, nodal, qlattice, spectrum
 from foldspec.algebra import AlgebraicValue
-from foldspec.domains import DIRICHLET, box, triangle
+from foldspec.domains import DIRICHLET, box, qn_parity, triangle
 from foldspec.errors import (
     DivisibilityError,
     DomainError,
     InvalidEigenvalueError,
     OutOfRangeError,
 )
+from boundary_oracle import prefix_splits
 
 
 def test_triangle_index_values():
@@ -157,7 +158,7 @@ def test_lookups_refuse_a_value_of_another_ring():
     # integer_value(2, 5) has the coefficients (5,) of the triangle level 5
     si = spectrum.build_index(triangle(), 60)
     other = algebra.integer_value(2, 5)
-    for lookup in (si.level_of, si.multiplicity_of, si.counting, si.region_below):
+    for lookup in (si.level_of, si.multiplicity_of, si.counting, si.right_boundary_parity):
         with pytest.raises(DomainError, match="ring n=2"):
             lookup(other)
     assert si.multiplicity_of(algebra.integer_value(1, 5)) == 1
@@ -339,7 +340,7 @@ def test_no_package_path_builds_every_level(monkeypatch, capsys):
     assert si.level_of(between) is None
     assert si.counting(level).multiplicity == 2 and si.counting(between).multiplicity == 0
     assert si.counting(between).below == si.counting(level).upto
-    assert len(si.region_below(level)) == len(si.region_below(between)) - 2
+    assert si.counting(level).below == si.counting(between).below - 2
     courant.classify_index(si)
     for argv in (
         ["deficiency", "--domain", "triangle", "--lambda", "50"],
@@ -349,3 +350,46 @@ def test_no_package_path_builds_every_level(monkeypatch, capsys):
     ):
         assert cli.main(argv) == 0, argv
     capsys.readouterr()
+
+
+_BOUNDARY_INDEXES = {
+    "triangle-neumann@400": lambda: spectrum.build_index(triangle(), 400),
+    "triangle-dirichlet@300": lambda: spectrum.build_index(triangle(DIRICHLET), 300),
+    "box2-neumann@400": lambda: spectrum.build_index(box(2), 400),
+    "box2-dirichlet@300": lambda: spectrum.build_index(box(2, DIRICHLET), 300),
+    "box3-neumann@60": lambda: spectrum.build_index(box(3), 60),
+    "box4-neumann@60": lambda: spectrum.build_index(box(4), 60),
+    "dnn@400": lambda: spectrum.build_dnn_index(400),
+}
+
+
+def _assert_boundary_column(si):
+    """Every row of the right-boundary column, and right_boundary_parity at
+    every level, against the point-set oracle over members[:offsets[i]]."""
+    want = prefix_splits(si.domain, si.region.members, si.region.offsets)
+    assert si._boundary_parity.tolist() == [list(split) for split in want]
+    for i in range(len(si)):
+        assert si.right_boundary_parity(si.region.value(i)) == want[i], i
+
+
+@pytest.mark.parametrize("name", list(_BOUNDARY_INDEXES))
+def test_boundary_column_matches_the_point_set_oracle(name):
+    si = _BOUNDARY_INDEXES[name]()
+    _assert_boundary_column(si)
+    # the column reads a member's parity off its level's coefficients
+    levels = np.repeat(np.arange(len(si)), si.multiplicities)
+    coeff_parity = si.region.coeffs[levels, 0] % 2
+    member_parity = [qn_parity(si.domain, m) == "odd" for m in qlattice.tuples(si.region.members)]
+    assert coeff_parity.tolist() == member_parity
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(
+        [(triangle(), 900), (triangle(DIRICHLET), 900), (box(2), 500), (box(3), 60)]
+    ),
+    cutoff=st.fractions(min_value=-1, max_value=1, max_denominator=1000),
+)
+def test_boundary_column_at_random_fraction_cutoffs(case, cutoff):
+    dom, top = case
+    _assert_boundary_column(spectrum.build_index(dom, top * (cutoff + 1) / 2))
