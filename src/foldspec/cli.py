@@ -221,14 +221,6 @@ def _witness_texts(t: courant.VerdictTable, compact: bool) -> list[str]:
 _PARITY = np.array(["even", "odd"], dtype=object)
 
 
-def _texts(n: int, rows: np.ndarray) -> list[str]:
-    """algebra.coeffs_text of every coefficient row; one coefficient is its
-    own text."""
-    if rows.shape[1] == 1:
-        return list(map(str, rows[:, 0].tolist()))
-    return [algebra.coeffs_text(n, c) for c in qlattice.tuples(rows)]
-
-
 def _level_columns(
     n: int, position: np.ndarray, coeffs: np.ndarray, multiplicity: np.ndarray,
     core: np.ndarray, k: np.ndarray,
@@ -237,11 +229,11 @@ def _level_columns(
     and k of every level of ring n, one list per field, from its columns."""
     return [
         position.tolist(),
-        _texts(n, coeffs),
+        algebra.coeffs_texts(n, coeffs),
         algebra.coeffs_floats(coeffs).tolist(),
         multiplicity.tolist(),
         _PARITY[coeffs[:, 0] % 2].tolist(),
-        _texts(n, core),
+        algebra.coeffs_texts(n, core),
         k.tolist(),
     ]
 

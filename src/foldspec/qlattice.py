@@ -14,10 +14,11 @@ order and each level's members sorted by quantum number, held as int64
 columns: a coefficient row per level, level offsets, and every member as
 one row of a points matrix.  In the triangle's integer ring (r = 1) the
 sort on the single coefficient is the exact order; in the box rings doubles
-order the levels and exact comparison certifies every adjacent pair.  Level
-objects are built only when a caller asks for them.  This is the one place
-that orders eigenvalues; spectrum indexes and the regions they serve reuse
-it.
+order the levels, one int64 bracket on the column of adjacent differences
+certifies the pairs, and exact comparison decides only the pairs it leaves
+open (see _open_pairs).  Level objects are built only when a caller asks for
+them.  This is the one place that orders eigenvalues; spectrum indexes and
+the regions they serve reuse it.
 """
 
 from __future__ import annotations
@@ -215,20 +216,56 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     return LatticeRegion(domain, cutoff, coeffs, offsets, qn)
 
 
+# Bits of the fixed bracket that certifies adjacent levels, see _open_pairs.
+ORDER_BITS = 40
+
+
 def _exact_order(ring: int, coeffs: np.ndarray) -> np.ndarray:
-    """The order of the distinct coefficient rows by exact value: by double,
-    each adjacent pair certified exactly; where doubles could not order one,
-    by exact comparison."""
-    rows = tuples(coeffs)
-    rank = np.argsort(algebra.coeffs_floats(coeffs), kind="stable").tolist()
-    values = [AlgebraicValue(ring, rows[i]) for i in rank]
-    if any(algebra.compare(a, b) != LESS for a, b in zip(values, values[1:])):
-        order = sorted(
-            range(len(rank)),
-            key=functools.cmp_to_key(lambda i, j: algebra.compare(values[i], values[j])),
-        )
-        rank = [rank[i] for i in order]
-    return np.array(rank, dtype=np.intp)
+    """The order of the distinct coefficient rows by exact value: a stable
+    sort by double, each adjacent pair certified by one int64 bracket
+    (_open_pairs) and the pairs it leaves open by algebra.compare; if one of
+    those is out of order, an exact sort by algebra.compare."""
+    rank = np.argsort(algebra.coeffs_floats(coeffs), kind="stable")
+    srt = coeffs[rank]
+
+    def value(row: np.ndarray) -> AlgebraicValue:
+        return AlgebraicValue(ring, tuple(row.tolist()))
+
+    if all(
+        algebra.compare(value(srt[i]), value(srt[i + 1])) == LESS
+        for i in _open_pairs(srt).tolist()
+    ):
+        return rank
+    values = [AlgebraicValue(ring, row) for row in tuples(coeffs)]
+    order = sorted(
+        rank.tolist(),
+        key=functools.cmp_to_key(lambda i, j: algebra.compare(values[i], values[j])),
+    )
+    return np.array(order, dtype=np.intp)
+
+
+def _open_pairs(srt: np.ndarray) -> np.ndarray:
+    """The indices i of the adjacent rows for which one int64 bracket does
+    not certify that srt[i + 1] has the larger value; srt is an int64
+    coefficient matrix of r columns whose entries times r stay below 2^61 in
+    magnitude (enumerate_below's are below 2^44, see POINT_BUDGET), so that
+    d, B and max|d_j| * r lie inside int64.
+
+    This is the bracket of algebra._sign_of_combination at p = ORDER_BITS,
+    on every difference row d = srt[i + 1] - srt[i] at once: with
+    F_j = floor(2^(j/r) * 2^p) (algebra._scaled_basis), A = sum d_j F_j lies
+    strictly within B = sum |d_j| of 2^p * S, S the exact difference, so
+    A > B proves S > 0.  Each F_j is below 2^(p+1), so every partial sum of
+    A is at most max|d_j| * r * 2^(p+1) in magnitude; the product is taken
+    only on the rows where that is below 2^63, that is max|d_j| * r below
+    2^(62-p) = 2^22, and every other row stays open.
+    """
+    r = srt.shape[1]
+    d = srt[1:] - srt[:-1]
+    size = np.abs(d)
+    d[size.max(axis=1) * r >= 1 << (62 - ORDER_BITS)] = 0
+    approx = d @ np.array(algebra._scaled_basis(r, ORDER_BITS), dtype=np.int64)
+    return np.flatnonzero(approx <= size.sum(axis=1))
 
 
 def reference_points_diagonal(m: int) -> np.ndarray:

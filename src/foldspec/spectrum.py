@@ -35,8 +35,8 @@ class SpectrumIndex:
 
     Built on a region's columns: multiplicities[i] is the size of level i
     and starts[i] the number of eigenvalues strictly before it.  A lookup
-    builds the one Level it returns; the table by coefficients and the
-    right-boundary parity column, on first use.
+    builds the one Level it returns; the table by coefficients, the levels
+    sorted by double and the right-boundary parity column, on first use.
     """
 
     def __init__(self, region: LatticeRegion):
@@ -68,10 +68,39 @@ class SpectrumIndex:
             )
         return self._by_coeffs.get(value.coeffs)
 
+    @functools.cached_property
+    def _by_float(self) -> tuple[np.ndarray, np.ndarray]:
+        """The levels in order of their doubles (algebra.coeffs_floats), and
+        those doubles sorted."""
+        floats = algebra.coeffs_floats(self.region.coeffs)
+        order = np.argsort(floats, kind="stable")
+        return order, floats[order]
+
     def level_indices(self, rows: np.ndarray) -> np.ndarray:
         """The level index of each coefficient row of the index's ring, -1
-        for a row that is no level's value."""
-        return np.array([self._by_coeffs.get(c, -1) for c in tuples(rows)], dtype=np.intp)
+        for a row that is no level's value.
+
+        Identical rows have bit-identical doubles, so a row's level lies in
+        the run of levels whose double is the row's: one sorted search finds
+        where the run starts, and each pass checks the next level of every
+        run by coefficients until the row is found or its run ends.  Runs
+        longer than one level are rare."""
+        order, floats = self._by_float
+        coeffs = self.region.coeffs
+        q = algebra.coeffs_floats(rows)
+        at = np.searchsorted(floats, q)
+        found = np.full(len(rows), -1, dtype=np.intp)
+        todo = np.arange(len(rows))
+        while True:
+            todo = todo[at[todo] < len(floats)]
+            todo = todo[floats[at[todo]] == q[todo]]
+            if not len(todo):
+                return found
+            level = order[at[todo]]
+            same = (coeffs[level] == rows[todo]).all(axis=1)
+            found[todo[same]] = level[same]
+            todo = todo[~same]
+            at[todo] += 1
 
     def level_of(self, value: AlgebraicValue) -> Level | None:
         i = self._find(value)

@@ -5,6 +5,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -354,10 +355,48 @@ def test_levels_keep_the_exact_order_without_the_double_key(dom, cutoff, monkeyp
     # which is not the value order in rings with more than one basis element;
     # only the exact comparison can put them back
     want = qlattice.enumerate_below(dom, cutoff)
+    calls = []
+    compare = algebra.compare
+    monkeypatch.setattr(algebra, "compare", lambda a, b: calls.append(1) or compare(a, b))
     monkeypatch.setattr(algebra, "coeffs_float", lambda coeffs: 0.0)
+    monkeypatch.setattr(algebra, "coeffs_floats", lambda rows: np.zeros(len(rows)))
     got = qlattice.enumerate_below(dom, cutoff)
     assert got.levels == want.levels
     assert got.points == want.points
+    # checking the open pairs of n levels takes at most n - 1 calls, and the
+    # exact sort at least n - 1 more: n or more calls mean the sort ran
+    if want.coeffs.shape[1] > 1:
+        assert len(calls) >= len(want.levels)
+    else:
+        assert calls == []
+
+
+def scalar_order(ring: int, coeffs: np.ndarray) -> np.ndarray:
+    """Oracle for qlattice._exact_order: the stable sort by double, then one
+    AlgebraicValue per row and algebra.compare on every adjacent pair; if one
+    is out of order, the exact sort by algebra.compare."""
+    rows = qlattice.tuples(coeffs)
+    rank = np.argsort(algebra.coeffs_floats(coeffs), kind="stable").tolist()
+    values = [AlgebraicValue(ring, rows[i]) for i in rank]
+    if any(algebra.compare(a, b) != LESS for a, b in zip(values, values[1:])):
+        order = sorted(
+            range(len(rank)),
+            key=functools.cmp_to_key(lambda i, j: algebra.compare(values[i], values[j])),
+        )
+        rank = [rank[i] for i in order]
+    return np.array(rank, dtype=np.intp)
+
+
+@pytest.mark.parametrize(
+    "n,cutoff", [(2, 2000), (3, 500), (4, 500), (6, 200), (8, 40)], ids=str
+)
+def test_column_order_matches_the_scalar_chain(n, cutoff):
+    # the level rows in coefficient order, as enumerate_below hands them over
+    coeffs = np.unique(qlattice.enumerate_below(box(n), cutoff).coeffs, axis=0)
+    with mock.patch.object(algebra, "compare", wraps=algebra.compare) as compare:
+        got = qlattice._exact_order(box(n).ring, coeffs)
+    assert np.array_equal(got, scalar_order(box(n).ring, coeffs))
+    assert compare.call_count == 0  # the int64 bracket certified every pair
 
 
 @functools.lru_cache(maxsize=None)
@@ -374,6 +413,41 @@ def _tiny(r: int) -> tuple:
             if abs(k1 * t - h1) < mpmath.mpf(10) ** -14:
                 return (-h1, k1) + (0,) * (r - 2)
             x = 1 / (x - a)
+
+
+# box dimensions of rings with more than one basis element, at small cutoffs
+_ORDER_CUTOFFS = {3: 60, 4: 40, 5: 30, 6: 20, 8: 12}
+
+
+@st.composite
+def _order_rows(draw):
+    """A box ring's level rows with injected rows, permuted: near ties (a
+    level's row plus or minus _tiny) and rows whose entries are all 2^23 or
+    more in magnitude, so that their differences to a level break the int64
+    guard of qlattice._open_pairs (|d| >= 2^22 / r)."""
+    n = draw(st.sampled_from(sorted(_ORDER_CUTOFFS)))
+    levels = qlattice.enumerate_below(box(n), _ORDER_CUTOFFS[n]).coeffs
+    r = levels.shape[1]
+    sign = st.sampled_from([-1, 1])
+    near = [
+        levels[i] + draw(sign) * np.array(_tiny(r))
+        for i in draw(st.lists(st.integers(0, len(levels) - 1), max_size=5))
+    ]
+    entry = st.builds(lambda s, m: s * m, sign, st.integers(1 << 23, 1 << 30))
+    large = draw(st.lists(st.lists(entry, min_size=r, max_size=r), max_size=3))
+    assume(near or large)
+    rows = np.unique(np.vstack([levels, *near, *np.array(large, dtype=np.int64)]), axis=0)
+    return box(n).ring, rows[draw(st.permutations(range(len(rows))))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_order_rows())
+def test_open_pairs_go_to_compare(case):
+    ring, rows = case
+    with mock.patch.object(algebra, "compare", wraps=algebra.compare) as compare:
+        got = qlattice._exact_order(ring, rows)
+    assert compare.call_count > 0  # the injected rows left a pair open
+    assert np.array_equal(got, scalar_order(ring, rows))
 
 
 @st.composite

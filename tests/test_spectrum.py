@@ -269,6 +269,8 @@ def test_coefficient_level_text_and_odd_core_match_the_values(case):
     assert text == value.text() == text_by_terms(value)
     # the column form on a one-row matrix, where the coefficients fit int64
     row = np.array([value.coeffs], dtype=np.int64) if max(map(abs, value.coeffs)) < 2**62 else None
+    if row is not None:
+        assert algebra.coeffs_texts(n, row) == [text]
     if value.is_zero():
         with pytest.raises(DomainError):
             spectrum.odd_core(value)
@@ -361,6 +363,39 @@ _BOUNDARY_INDEXES = {
     "box4-neumann@60": lambda: spectrum.build_index(box(4), 60),
     "dnn@400": lambda: spectrum.build_dnn_index(400),
 }
+
+
+@pytest.mark.parametrize("name", ["box3-neumann@60", "box4-neumann@60", "triangle-neumann@400"])
+def test_coeffs_texts_match_the_terms(name):
+    # every nonzero pattern of the ring: level values, odd cores, signed
+    # differences and the zero row, each written by the former term loop
+    si = _BOUNDARY_INDEXES[name]()
+    n, coeffs = si.domain.ring, si.region.coeffs
+    rows = np.vstack([coeffs, spectrum.odd_core_columns(n, coeffs)[0], coeffs - coeffs[::-1]])
+    want = [text_by_terms(AlgebraicValue(n, c)) for c in qlattice.tuples(rows)]
+    assert algebra.coeffs_texts(n, rows) == want
+    assert algebra.coeffs_texts(n, rows[:0]) == []
+
+
+@pytest.mark.parametrize("name", list(_BOUNDARY_INDEXES))
+@pytest.mark.parametrize("ties", [False, True], ids=["doubles", "one-double"])
+def test_level_indices_match_the_table(name, ties, monkeypatch):
+    if ties:
+        # every double 0: each row is found by the scan of one run of all levels
+        monkeypatch.setattr(algebra, "coeffs_floats", lambda rows: np.zeros(len(rows)))
+    si = _BOUNDARY_INDEXES[name]()
+    coeffs = si.region.coeffs
+    right = si.region.members + (np.arange(si.domain.coords) == 0)
+    rows = np.vstack([
+        coeffs[::-1], algebra.coefficient_rows(si.domain.ring, right), coeffs + 1, -coeffs,
+    ])
+    table = {c: i for i, c in enumerate(qlattice.tuples(coeffs))}
+    want = [table.get(c, -1) for c in qlattice.tuples(rows)]
+    assert -1 in want  # rows that are no level's value are asked for too
+    assert si.level_indices(rows).tolist() == want
+    assert si.level_indices(rows[:0]).tolist() == []
+    empty = spectrum.build_index(si.domain, 0)
+    assert empty.level_indices(rows).tolist() == [-1] * len(rows)
 
 
 def _assert_boundary_column(si):
