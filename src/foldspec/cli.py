@@ -4,15 +4,15 @@ Subcommands: spectrum, verdicts, nodal, frame, eval, checksym, checkframe,
 deficiency, dirichlet-check, selftest.  Output is deterministic for a fixed
 invocation: ordering is exact-value order and floats are emitted via repr.
 The spectrum and verdict row lists are streamed to text, one template per
-row, by a small writer whose JSON is byte-identical to
-json.dumps(rows, indent=2); spectrum rows are taken straight from the
-index's columns and verdict rows, of either domain, from the verdict
-table's columns, with each witness filled into one %-template per reason
-and member count.  Their CSV header comes from the row schema, so an empty
-result prints the header alone.  Other JSON goes through json.dumps.
-checksym and checkframe decide exactly from the quantum number, in any box
-dimension; checkframe names the first facet where the function does not
-vanish, if there is one.
+row, by a small writer whose JSON is byte-identical to json.dumps(rows,
+indent=2); spectrum rows come from the index's columns, each encoded once,
+their members (also the CSV's) filled into one %-template per member count,
+and verdict rows, of either domain, from the verdict table's columns, each
+witness filled into one %-template per reason and member count.  Their CSV
+header comes from the row schema, so an empty result prints the header
+alone.  Other JSON goes through json.dumps.  checksym and checkframe decide
+exactly from the quantum number, in any box dimension; checkframe names the
+first facet where the function does not vanish, if there is one.
 """
 
 from __future__ import annotations
@@ -120,34 +120,27 @@ def _json_list(rows: Iterable[str]) -> str:
     return f"[\n{text}\n]\n" if text else "[]\n"
 
 
-def _json_points(points: Sequence[tuple[int, ...]]) -> str:
-    """Lattice points, int tuples of length >= 1, as json.dumps(...,
-    indent=2) writes them as the value of a row's field."""
-    if not points:
-        return "[]"
-    listed = ",\n      ".join(
-        ["[\n        " + ",\n        ".join(map(str, p)) + "\n      ]" for p in points]
-    )
-    return f"[\n      {listed}\n    ]"
+def _json_field(obj, compact: bool) -> str:
+    """obj as json.dumps writes it, compactly or with indent 2 as the value
+    of a row's field."""
+    return json.dumps(obj) if compact else json.dumps(obj, indent=2).replace("\n", "\n    ")
 
 
-def _spectrum_json(rows: Iterable[tuple]) -> str:
-    """json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n",
-    byte for byte, for rows from _spectrum_rows: fields are _SPECTRUM_FIELDS,
-    plus "members" when a row has eight entries."""
-
-    def text(position, value, flt, multiplicity, parity, odd_core, k, members=None) -> str:
-        return (
-            f'  {{\n    "position": {position},\n    "value": {_json_str(value)},\n'
-            f'    "float": {_json_float(flt)},\n    "multiplicity": {multiplicity},\n'
-            f'    "parity": {_json_str(parity)},\n'
-            f'    "odd_core": {"null" if odd_core is None else _json_str(odd_core)},\n'
-            f'    "k": {"null" if k is None else k}'
-            + ("" if members is None else f',\n    "members": {_json_points(members)}')
-            + "\n  }"
-        )
-
-    return _json_list(text(*row) for row in rows)
+def _spectrum_json(columns: Sequence[Sequence]) -> str:
+    """json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=2)
+    + "\n", byte for byte, for columns from _spectrum_columns (fields
+    _SPECTRUM_FIELDS, plus "members" if eight); each is encoded once."""
+    position, value, flt, multiplicity, parity, core, k, *members = columns
+    tail = [f',\n    "members": {m}' for m in members[0]] if members else [""] * len(position)
+    encoded = zip(position, map(_json_str, value), map(_json_float, flt), multiplicity,
+                  map(_json_str, parity), ["null" if c is None else _json_str(c) for c in core],
+                  ["null" if i is None else i for i in k], tail)
+    return _json_list([
+        f'  {{\n    "position": {p},\n    "value": {v},\n    "float": {f},\n'
+        f'    "multiplicity": {d},\n    "parity": {a},\n    "odd_core": {c},\n'
+        f'    "k": {i}{t}\n  }}'
+        for p, v, f, d, a, c, i, t in encoded
+    ])
 
 
 def _verdicts_json(rows: Iterable[tuple]) -> str:
@@ -202,8 +195,7 @@ def _witness_texts(t: courant.VerdictTable, compact: bool) -> list[str]:
         for count in np.unique(t.multiplicity[of_reason]).tolist():
             rows = np.flatnonzero(of_reason & (t.multiplicity == count))
             w = courant.witness(reason, [place, place], "%d", "%s", [place] * count)
-            text = json.dumps(w) if compact else json.dumps(w, indent=2).replace("\n", "\n    ")
-            text = text.replace('"%d"', "%d")
+            text = _json_field(w, compact).replace('"%d"', "%d")
             ks, at = np.unique(t.k[rows], return_inverse=True)
             members = r.members[r.offsets[rows][:, None] + np.arange(count)]
             columns = courant.witness(
@@ -266,10 +258,23 @@ def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
 _SPECTRUM_FIELDS = ("position", "value", "float", "multiplicity", "parity", "odd_core", "k")
 
 
-def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool, compact: bool) -> Iterator[tuple]:
-    """One row per level in _SPECTRUM_FIELDS order, then the members if
-    points, as compact JSON text if compact; every field comes from the
-    index's columns."""
+def _member_texts(region: qlattice.LatticeRegion, compact: bool) -> list[str]:
+    """Every level's members as _json_field writes them: the levels of one
+    member count fill one %-template from a (levels, count * coords) block."""
+    texts, sizes = [""] * len(region.coeffs), np.diff(region.offsets)
+    place = ["%d"] * region.members.shape[1]
+    for count in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == count)
+        text = _json_field([place] * count, compact).replace('"%d"', "%d")
+        block = region.members[region.offsets[rows][:, None] + np.arange(count)]
+        for i, args in zip(rows.tolist(), qlattice.tuples(block.reshape(len(rows), -1))):
+            texts[i] = text % args
+    return texts
+
+
+def _spectrum_columns(si: spectrum.SpectrumIndex, points: bool, compact: bool) -> list[list]:
+    """One column per field of _SPECTRUM_FIELDS, then the member texts if
+    points (see _member_texts); every field comes from the index's columns."""
     n = si.domain.ring
     region = si.region
     core, k = spectrum.odd_core_columns(n, region.coeffs)
@@ -277,19 +282,16 @@ def _spectrum_rows(si: spectrum.SpectrumIndex, points: bool, compact: bool) -> I
     for i in np.flatnonzero(~region.coeffs.any(axis=1)).tolist():
         columns[5][i] = columns[6][i] = None  # the ground state has no odd core
     if points:
-        qn = qlattice.tuples(region.members)
-        bounds = region.offsets.tolist()
-        members = [tuple(qn[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        columns.append(list(map(json.dumps, members)) if compact else members)
-    return zip(*columns)
+        columns.append(_member_texts(region, compact))
+    return columns
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     si = spectrum.build_index(domain, _parse_cutoff(args.cutoff))
     fields = _SPECTRUM_FIELDS + ("members",) if args.points else _SPECTRUM_FIELDS
-    rows = _spectrum_rows(si, args.points, compact=args.format == "csv")
-    _emit(args, _csv(fields, rows) if args.format == "csv" else _spectrum_json(rows))
+    columns = _spectrum_columns(si, args.points, compact=args.format == "csv")
+    _emit(args, _csv(fields, zip(*columns)) if args.format == "csv" else _spectrum_json(columns))
     return 0
 
 

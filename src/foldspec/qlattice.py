@@ -152,6 +152,14 @@ def _float_cutoff(domain: Domain, cutoff: Cutoff) -> tuple[float, float]:
     return c, (n + r + 16) * 2.0 ** -51 * scale
 
 
+def _cutoff_text(cutoff: Cutoff, c: float) -> str:
+    """The cutoff as an error names it: its double c if finite, else as given."""
+    try:
+        return f"{c:.3g}" if math.isfinite(c) else str(cutoff)
+    except ValueError:  # an int past Python's int-to-str digit limit
+        return "(too long to print)"
+
+
 def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     """All quantum numbers with eigenvalue strictly below cutoff, as levels
     in exact increasing order, each level's members sorted by quantum
@@ -161,8 +169,8 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     top = c + tol
     if not top < 2.0**44:  # also catches inf and nan
         raise DomainError(
-            f"the cutoff {c:.3g} is over the {domain.label()} lattice budget "
-            f"of {POINT_BUDGET} points"
+            f"the cutoff {_cutoff_text(cutoff, c)} is over the {domain.label()} lattice "
+            f"budget of {POINT_BUDGET} points"
         )
     lo = 0 if domain.bc == NEUMANN else 1
     # rest[j]: the smallest contribution of the axes after j (each m >= lo)

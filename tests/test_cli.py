@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspec import cli, courant
+from foldspec import cli, courant, spectrum
 from foldspec.cli import main
-from foldspec.domains import box, triangle
+from foldspec.domains import DIRICHLET, box, triangle
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str]:
@@ -273,6 +273,26 @@ def test_huge_lambda_exits_cleanly(capsys):
     ):
         assert main(argv) == 1, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_an_overflowing_cutoff_is_named_as_given(capsys):
+    # 10^400 is an exact Fraction whose double overflows; the budget error
+    # names the cutoff, not inf
+    assert main(["spectrum", "--domain", "triangle", "--cutoff", "1e400"]) == 1
+    err = capsys.readouterr().err
+    assert "inf" not in err
+    assert err == f"error: the cutoff {10**400} is over the triangle-neumann lattice " \
+        "budget of 1048576 points\n"
+    # an AlgebraicValue cutoff is named by its text, and one past Python's
+    # int-to-str limit still ends in the same error
+    for argv in (
+        ["deficiency", "--domain", "box", "--dim", "3", "--lambda", f"1,{10**400},0"],
+        ["spectrum", "--domain", "box", "--cutoff", "1e5000"],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: the cutoff ") and "budget" in err, argv
+        assert "inf" not in err, argv
 
 
 def test_checks_are_exact_in_eight_dimensions(capsys):
@@ -569,9 +589,31 @@ def dumped(fields, rows) -> str:
     )
 )
 def test_spectrum_writer_matches_json_dumps(case):
+    # the writer takes columns, with the members already written (as
+    # _member_texts writes them on real indexes), the way the verdicts
+    # writer takes its witnesses
     points, rows = case
     fields = cli._SPECTRUM_FIELDS + ("members",) if points else cli._SPECTRUM_FIELDS
-    assert cli._spectrum_json(rows) == dumped(fields, rows)
+    written = [row[:7] + tuple(map(indented, row[7:])) for row in rows]
+    columns = [[row[j] for row in written] for j in range(len(fields))]
+    assert cli._spectrum_json(columns) == dumped(fields, rows)
+
+
+@pytest.mark.parametrize(
+    "domain,cutoff",
+    [(box(n), c) for n, c in ((2, 400), (3, 120), (4, 60), (5, 40), (6, 30), (7, 20),
+                             (8, 16), (9, 14), (10, 12), (11, 12), (12, 12))]
+    + [(triangle(), 2000), (triangle(DIRICHLET), 2000), (box(2, DIRICHLET), 300),
+       (box(3), 0), (box(3), 1), (triangle(), 1)],
+    ids=lambda x: x.label() if hasattr(x, "label") else str(x),
+)
+def test_member_texts_match_json_dumps(domain, cutoff):
+    # every member count of each index goes through its template; cutoff 0
+    # leaves no level and cutoff 1 only the ground state
+    region = spectrum.build_index(domain, cutoff).region
+    members = [level.members for level in region.levels]
+    assert cli._member_texts(region, compact=True) == list(map(json.dumps, members))
+    assert cli._member_texts(region, compact=False) == list(map(indented, members))
 
 
 @settings(max_examples=200, deadline=None)
