@@ -10,12 +10,13 @@ classify returns one VerdictTable of columns for every Neumann domain, one
 row per level.  The triangle's eigenvalue is the integer z = m^2 + n^2: each
 of its reasons is a mask decided from z, the multiplicity and the level's
 first member, each witness is checked by an array predicate that names the
-first failing row, with no grid and no exact comparison.  Only its
-reference sets are checked level by level, over int64 point arrays.  Every
-simple box level's smaller point comes from one array rule over the
-members, and lies below the level when its place in the index, whose order
-is certified exactly, comes first.  Each group of rows reads nu from one
-call of nodal.formula_counts.  The table builds a Verdict only for a row read.
+first failing row, with no grid and no exact comparison.  Its reference sets
+are decided by lemmas in the member's a (see _reference_witnesses), so no
+reference point is built.  Every simple box level's smaller point comes
+from one array rule over the members, and lies below the level when its
+place in the index, whose order is certified exactly, comes first.  Each
+group of rows reads nu from one call of nodal.formula_counts.  The table
+builds a Verdict only for a row read.
 """
 
 from __future__ import annotations
@@ -175,18 +176,11 @@ def classify_index(si: SpectrumIndex) -> VerdictTable:
     return t
 
 
-def _require(cond: bool, message: Callable[[], str]) -> None:
-    """Raise ConsistencyError with message() when cond fails; the message is
-    built only then."""
-    if not cond:
-        raise ConsistencyError(message())
-
-
 def _require_rows(*checks: tuple[np.ndarray, Callable[[int], Exception]]) -> None:
-    """The array form of _require.  Each check is a boolean column ok and the
-    error for a row where ok fails, error(i), built only then; the checks
-    come in the order one row is checked.  Raises the first failing check's
-    error on the first row where any check fails."""
+    """Each check is a boolean column ok and the error for a row where ok
+    fails, error(i), built only then; the checks come in the order one row
+    is checked.  Raises the first failing check's error on the first row
+    where any check fails."""
     bad = ~np.array([ok for ok, _ in checks], dtype=bool).reshape(len(checks), -1)
     rows = np.flatnonzero(bad.any(axis=0))
     if len(rows):
@@ -240,11 +234,10 @@ def _triangle_reasons(t: VerdictTable, live: np.ndarray) -> None:
         f"{nu[i]} != N {n_pos[i]}")))
 
     t.reason[reference] = REFERENCE_SET_STRICT
-    t.nu[reference] = nodal.formula_counts(domain, member[reference])
-    for i in reference.tolist():
-        t.points[i, 0] = _reference_set_verdict(
-            domain, int(z[i]), tuple(member[i].tolist()), int(position[i]), int(t.nu[i])
-        )
+    t.nu[reference] = nu = nodal.formula_counts(domain, member[reference])
+    t.points[reference, 0] = _reference_witnesses(
+        z[reference], member[reference], position[reference], nu
+    )
 
 
 def _boundary_witnesses(z: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -322,54 +315,59 @@ def _subdomain_pairs(
     return p, q
 
 
-def _reference_set_verdict(
-    domain: Domain, z: int, member: QN, position: int, nu: int
-) -> QN:
-    """The nu reference points lie below z (the member aside) and extra
-    lies below it outside them, so N(z) > nu: extra.  Every reference point
-    is checked, as a row of an int64 array."""
-    a, b = member
-    if a == b:
-        ref = qlattice.reference_points_diagonal(a)
-        extra = (a + 1, 0)
-    else:
-        _require(b == 0 and a % 2 == 0, lambda: f"unexpected reference shape {member}")
-        ref = qlattice.reference_points_axis(a // 2)
-        extra = (a - 1, 2)
-    p0, p1 = ref[:, 0], ref[:, 1]
+def _reference_witnesses(
+    z: np.ndarray, m: np.ndarray, position: np.ndarray, nu: np.ndarray
+) -> np.ndarray:
+    """The strictness witness of each reference-set row, as a (rows, 2)
+    array: the row's nu reference points lie below its value z (the member
+    aside), and the witness lies below z outside them, so N(z) > nu.
 
-    def first(bad: np.ndarray) -> QN:
-        return tuple(ref[np.flatnonzero(bad)[0]].tolist())
+    A member (a, a) has the reference set {(i, j): 0 <= j <= i <= a} and
+    the witness (a + 1, 0); a member (a, 0), a = 2h, has the set
+    {(h + j, h - i): 0 <= i <= h, |j| <= i} and the witness (a - 1, 2).
+    Given z = a^2 + b^2, two lemmas hold of every point of either set, so no
+    point is built:
 
-    bad = (p1 < 0) | (p0 < p1)
-    _require(
-        not bad.any(),
-        lambda: f"reference point {first(bad)} is not a {domain.label()} "
-        "quantum number",
+      * it is a quantum number p0 >= p1 >= 0: j <= i on the first set, and
+        h + j >= h - i >= 0 on the second;
+      * it lies below z or is the member: i^2 + j^2 <= 2a^2, with equality
+        only at i = j = a; and, as h + j >= 0, (h + j)^2 + (h - i)^2 is at
+        most (h + i)^2 + (h - i)^2 = 2h^2 + 2i^2 <= 4h^2, with equality
+        only at i = j = h.
+
+    Each row is checked on the integers, in this order: the member's shape,
+    the lemmas' hypothesis z = a^2 + b^2, the set's size (a + 1)(a + 2)/2
+    or (h + 1)^2 (the map (i, j) -> (h + j, h - i) is one to one) against
+    nu, the witness outside the set by the set's definition (a + 1 > a, and
+    (a - 1, 2) would need j = h - 1 > i = h - 2) and below z, and nu < N.
+    The witness lies below z iff a >= 3 on the first set and h >= 2 on the
+    second, which the levels sent here meet.  Exact in int64, as z < 2^44.
+    """
+    a, b = m[:, 0], m[:, 1]
+    h = a // 2
+    diagonal = a == b
+    ex = np.where(diagonal, a + 1, a - 1)
+    ey = np.where(diagonal, 0, 2)
+    w = np.column_stack([ex, ey])
+    size = np.where(diagonal, (a + 1) * (a + 2) // 2, (h + 1) ** 2)
+    shape = (a >= b) & (b >= 0) & (diagonal | ((b == 0) & (a % 2 == 0)))
+    inside = (ey >= 0) & np.where(diagonal, (ey <= ex) & (ex <= a), np.abs(ex - h) <= h - ey)
+
+    def row(x: np.ndarray, i: int) -> QN:
+        return tuple(x[i].tolist())
+
+    _require_rows(
+        (shape, lambda i: ConsistencyError(f"unexpected reference shape {row(m, i)}")),
+        (a * a + b * b == z, lambda i: ConsistencyError(
+            f"reference member {row(m, i)} has value {a[i] ** 2 + b[i] ** 2}, not {z[i]}")),
+        (size == nu, lambda i: ConsistencyError(f"reference set size {size[i]} != nu {nu[i]}")),
+        (~inside, lambda i: ConsistencyError(
+            f"strictness witness {row(w, i)} inside reference set")),
+        ((ex >= ey) & (ey >= 0) & (ex * ex + ey * ey < z), lambda i: ConsistencyError(
+            f"strictness witness {row(w, i)} is not below {z[i]}")),
+        (nu < position, lambda i: ConsistencyError(f"nu {nu[i]} not below N {position[i]}")),
     )
-    # exact in int64: enumerate_below refuses cutoffs of 2^44 or more, so the
-    # value z is below 2^44; the builders' coordinates are at most a, with
-    # a^2 <= z, so p0^2 + p1^2 < 2^45
-    above = (p0 * p0 + p1 * p1 >= z) & ((p0 != a) | (p1 != b))
-    _require(
-        not above.any(),
-        lambda: f"reference point {first(above)} is not below {z}",
-    )
-    side = max(int(ref.max()), *extra) + 1
-    seen = np.zeros((side, side), dtype=bool)
-    seen[p0, p1] = True
-    size = int(seen.sum())
-    _require(nu == size, lambda: f"reference set size {size} != nu {nu}")
-    _require(
-        not seen[extra], lambda: f"strictness witness {extra} inside reference set"
-    )
-    ex, ey = extra
-    _require(
-        ex >= ey >= 0 and ex * ex + ey * ey < z,
-        lambda: f"strictness witness {extra} is not below {z}",
-    )
-    _require(nu < position, lambda: f"nu {nu} not below N {position}")
-    return extra
+    return w
 
 
 # ---------------------------------------------------------------------------

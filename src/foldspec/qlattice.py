@@ -275,20 +275,3 @@ def _open_pairs(srt: np.ndarray) -> np.ndarray:
     approx = d @ np.array(algebra._scaled_basis(r, ORDER_BITS), dtype=np.int64)
     return np.flatnonzero(approx <= size.sum(axis=1))
 
-
-def reference_points_diagonal(m: int) -> np.ndarray:
-    """Lattice triangle {(i, j): 0 <= j <= i <= m} as an (N, 2) int64 array,
-    one row per point; nodal-count reference for (m, m)."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    return np.column_stack(np.tril_indices(m + 1)).astype(np.int64)
-
-
-def reference_points_axis(m: int) -> np.ndarray:
-    """Reference set {(m+j, m-i): 0 <= i <= m, -i <= j <= i} for (2m, 0) as
-    an (N, 2) int64 array, one row per point."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    i = np.repeat(np.arange(m + 1, dtype=np.int64), 2 * np.arange(m + 1) + 1)
-    j = np.arange(len(i)) - i * i - i  # row i holds i^2 earlier points
-    return np.column_stack([m + j, m - i])

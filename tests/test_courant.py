@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import box_oracle
 import triangle_oracle
-from foldspec import algebra, courant, eigenfn, nodal, qlattice, spectrum
+from foldspec import algebra, courant, eigenfn, folding, nodal, qlattice, spectrum
 from foldspec.algebra import LESS
 from foldspec.domains import box, eigenvalue, qn_parity, triangle
 from foldspec.errors import ConsistencyError, DomainError, FoldParityError
@@ -242,13 +242,41 @@ def test_boundary_witness_check_rejects_each_failed_condition(value, member, bad
         courant._boundary_witnesses(np.array([9, value, 9]), np.array([(3, 0), member, (3, 0)]))
 
 
+def reference_rows(z, member, position, nu):
+    """The strictness witnesses of one reference-set row checked between two
+    passing rows, (4, 0) at 16 with nu 9 at position 10, which must not mask
+    it."""
+    return courant._reference_witnesses(
+        np.array([16, z, 16]), np.array([(4, 0), member, (4, 0)]),
+        np.array([10, position, 10]), np.array([9, nu, 9]),
+    )
+
+
 def test_strictness_witness_at_the_value_is_not_below_it():
-    # a level 16 posing as (3, 3): every reference point lies below 16, but
-    # the strictness witness (4, 0) lies at 16 itself
-    with pytest.raises(ConsistencyError, match=r"strictness witness \(4, 0\) is not below 16"):
-        courant._reference_set_verdict(
-            triangle(), 16, (3, 3), 20, nodal.count_formula(triangle(), (3, 3)).count
-        )
+    # the explicit-count members meet every other condition, but their
+    # strictness witnesses do not lie below the value: the lemma needs a >= 3
+    # on the diagonal and a >= 4 on the axis.  No witness lies at the value
+    # itself, as (a + 1)^2 = 2a^2 and (a - 1)^2 + 4 = a^2 have no integer root
+    for z, member, nu, extra in ((2, (1, 1), 3, (2, 0)), (8, (2, 2), 6, (3, 0)),
+                                 (4, (2, 0), 4, (1, 2))):
+        with pytest.raises(ConsistencyError, match=(
+                rf"strictness witness \({extra[0]}, {extra[1]}\) is not below {z}$")):
+            reference_rows(z, member, 20, nu)
+
+
+@pytest.mark.parametrize(
+    "z,member,nu",
+    [(26, (5, 1), 9), (9, (3, 0), 9), (16, (-4, 0), 1), (2, (-1, -1), 0)],
+    ids=["off-axis", "odd-axis", "negative-axis", "negative-diagonal"],
+)
+def test_reference_witness_check_rejects_an_unexpected_shape(z, member, nu):
+    # neither (a, a) nor (a, 0) with a even, each a quantum number, though
+    # z = a^2 + b^2 holds; no column edit reaches this check, as
+    # formula_counts refuses a member that is no quantum number and the fold
+    # one with a - b odd before it (a corrupted reference row is refused by
+    # test_a_corrupted_row_raises_the_scalar_message)
+    with pytest.raises(ConsistencyError, match=rf"unexpected reference shape \({member[0]}, "):
+        reference_rows(z, member, 20, nu)
 
 
 def test_boundary_witnesses_satisfy_the_exact_conditions():
@@ -304,7 +332,7 @@ def test_box_verdicts_use_no_eigenvalue_or_compare(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# integer witness checks over reference-set arrays
+# the oracle's reference-set arrays, checked point by point
 
 
 def diagonal_set(m: int) -> set:
@@ -318,8 +346,8 @@ def axis_set(m: int) -> set:
 @pytest.mark.parametrize(
     "build,closed_form",
     [
-        (qlattice.reference_points_diagonal, diagonal_set),
-        (qlattice.reference_points_axis, axis_set),
+        (triangle_oracle.reference_points_diagonal, diagonal_set),
+        (triangle_oracle.reference_points_axis, axis_set),
     ],
     ids=["diagonal", "axis"],
 )
@@ -339,9 +367,9 @@ def reference_level(value: int):
 
 
 def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tuple):
-    """The reference-set verdict of the triangle level at value, with one row
-    of the builder's array replaced."""
-    build = getattr(qlattice, builder)
+    """The oracle's reference-set verdict of the triangle level at value,
+    with one row of the oracle builder's array replaced."""
+    build = getattr(triangle_oracle, builder)
 
     def patched(m):
         ref = build(m)
@@ -349,19 +377,22 @@ def patched_verdict(monkeypatch, value: int, builder: str, old: tuple, new: tupl
         ref[rows.index(old)] = new
         return ref
 
-    monkeypatch.setattr(qlattice, builder, patched)
+    monkeypatch.setattr(triangle_oracle, builder, patched)
     si, lv = reference_level(value)
-    return courant.classify_index(si)[si.levels.index(lv)]
+    return triangle_oracle.classify_level(si, lv, int(si.starts[si.levels.index(lv)]) + 1)
 
 
 # 18 = (3, 3) is checked against the diagonal set, 16 = (4, 0) against the
-# axis set; both levels are reference-set verdicts when nothing is patched
+# axis set; both levels are reference-set verdicts when nothing is patched,
+# in the engine and in the oracle alike
 @pytest.mark.parametrize("value,extra", [(18, (4, 0)), (16, (3, 2))])
 def test_reference_set_levels_unpatched(value, extra):
     si, lv = reference_level(value)
-    v = courant.classify_index(si)[si.levels.index(lv)]
+    i = si.levels.index(lv)
+    v = courant.classify_index(si)[i]
     assert v.reason == courant.REFERENCE_SET_STRICT
     assert v.witness["extra_point"] == extra
+    assert triangle_oracle.classify_level(si, lv, int(si.starts[i]) + 1) == v
 
 
 @pytest.mark.parametrize(
@@ -397,21 +428,19 @@ def test_reference_set_check_rejects_a_bad_row(
 def test_reference_point_at_the_value_is_not_below_it(monkeypatch):
     # 50 = 5^2 + 5^2 = 7^2 + 1^2: of the points with the value itself, only
     # the member (5, 5) may stand in its reference set, so (7, 1) must fail
-    build = qlattice.reference_points_diagonal
+    build = triangle_oracle.reference_points_diagonal
 
     def patched(m):
         ref = build(m)
         ref[0] = (7, 1)  # was (0, 0)
         return ref
 
-    monkeypatch.setattr(qlattice, "reference_points_diagonal", patched)
+    monkeypatch.setattr(triangle_oracle, "reference_points_diagonal", patched)
     si = spectrum.build_index(triangle(), 60)
     lv = si.level_of(algebra.integer_value(1, 50))
-    position = int(si.starts[si.levels.index(lv)]) + 1
+    base = triangle_oracle._base(lv, int(si.starts[si.levels.index(lv)]) + 1)
     with pytest.raises(ConsistencyError, match=r"reference point \(7, 1\) is not below 50"):
-        courant._reference_set_verdict(
-            triangle(), 50, (5, 5), position, nodal.count_formula(triangle(), (5, 5)).count
-        )
+        triangle_oracle._reference_set_verdict(si, lv, base, (5, 5))
 
 
 def oracle_reference_check(si, v, member):
@@ -491,9 +520,11 @@ def test_classify_index_takes_a_neumann_index_only():
 
 def corrupted_index(cutoff, edit) -> spectrum.SpectrumIndex:
     """The triangle index below cutoff, its columns (coeffs, offsets,
-    members) replaced by edit(copies of them)."""
+    members) replaced by edit(copies of them), or kept where edit is None."""
     r = spectrum.build_index(triangle(), cutoff).region
-    columns = edit(r.coeffs.copy(), r.offsets.copy(), r.members.copy())
+    columns = (r.coeffs.copy(), r.offsets.copy(), r.members.copy())
+    if edit:
+        columns = edit(*columns)
     return spectrum.SpectrumIndex(qlattice.LatticeRegion(r.domain, r.cutoff, *columns))
 
 
@@ -519,25 +550,88 @@ def listed_twice(value: int):
     return edit
 
 
+def dropped(value: int):
+    """An edit that removes the level at value, moving every later level
+    down by its multiplicity."""
+
+    def edit(coeffs, offsets, members):
+        i = np.flatnonzero(coeffs[:, 0] == value)[0]
+        lo, hi = offsets[i], offsets[i + 1]
+        offsets = np.delete(offsets, i + 1)
+        offsets[i + 1 :] -= hi - lo
+        return np.delete(coeffs, i, axis=0), offsets, np.delete(members, slice(lo, hi), axis=0)
+
+    return edit
+
+
+def raised_reference_counts(monkeypatch):
+    """formula_counts, and count_formula through it, with the count of every
+    member but the sharp ones raised by one."""
+    formula = nodal.formula_counts
+
+    def counted(domain, m):
+        raised = [r not in ([1, 0], [1, 1], [2, 0], [2, 2]) for r in m.tolist()]
+        return formula(domain, m).astype(np.int64) + raised
+
+    monkeypatch.setattr(nodal, "formula_counts", counted)
+
+
+def core_one_read_as_three(monkeypatch):
+    """The engine's fold and the oracle's with the core (1, 0) read as
+    (3, 0), which sends the explicit-count levels to the reference check."""
+    fold, fold_qn = courant._fold, folding.fold_qn
+
+    def folded(m, k):
+        cores = fold(m, k)
+        cores[(cores == (1, 0)).all(axis=1)] = (3, 0)
+        return cores
+
+    def folded_qn(domain, m):
+        core = fold_qn(domain, m)
+        return (3, 0) if core == (1, 0) else core
+
+    monkeypatch.setattr(courant, "_fold", folded)
+    monkeypatch.setattr(folding, "fold_qn", folded_qn)
+
+
 @pytest.mark.parametrize(
-    "edit,error,message",
+    "edit,patch,error,message",
     [
         # odd_boundary: (3, 0) gives the witness (2, 2), whose value 8 is not below 5
-        (first_member(5, (3, 0)), ConsistencyError, r"boundary witness \(2, 2\) failed for 5"),
+        (first_member(5, (3, 0)), None, ConsistencyError,
+         r"boundary witness \(2, 2\) failed for 5"),
         # the fold: 4 = 2^2 * 1, but (2, 1) has odd parity
-        (first_member(4, (2, 1)), FoldParityError,
+        (first_member(4, (2, 1)), None, FoldParityError,
          r"\(2, 1\) has odd parity and cannot be folded"),
         # subdomain_multiplicity: (5, 1) folds to (3, 2), the square pair (2, 0)
-        (first_member(10, (5, 1)), ConsistencyError, r"subdomain value 26 != 10"),
+        (first_member(10, (5, 1)), None, ConsistencyError, r"subdomain value 26 != 10"),
         # explicit_count: 5 listed twice puts 8 at position 7, its count is 6
-        (listed_twice(5), ConsistencyError, r"explicit count 6 != N 7"),
+        (listed_twice(5), None, ConsistencyError, r"explicit count 6 != N 7"),
         # orthogonality_second: 0 listed twice puts 1 at position 3
-        (listed_twice(0), ConsistencyError, r"lambda_2 nodal count 2 != N 3"),
+        (listed_twice(0), None, ConsistencyError, r"lambda_2 nodal count 2 != N 3"),
+        # reference_set_strict: (5, 5) folds to the core (5, 0) of 18 = 2 * 9,
+        # but lies at 50, so the lemmas do not apply
+        (first_member(18, (5, 5)), None, ConsistencyError,
+         r"reference member \(5, 5\) has value 50, not 18"),
+        # (3, 3) at 26 = 2 * 13 meets every other check: its points lie below 18
+        (first_member(26, (3, 3)), None, ConsistencyError,
+         r"reference member \(3, 3\) has value 18, not 26"),
+        # the set of (4, 0) at 16 has 9 points, its count raised to 10
+        (None, raised_reference_counts, ConsistencyError, r"reference set size 9 != nu 10"),
+        # (1, 1) at 2 sent to the reference check: its witness (2, 0) lies at 4
+        (None, core_one_read_as_three, ConsistencyError,
+         r"strictness witness \(2, 0\) is not below 2"),
+        # 13 dropped puts 16 at position 9, its count is 9
+        (dropped(13), None, ConsistencyError, r"nu 9 not below N 9"),
     ],
-    ids=["boundary", "fold-parity", "subdomain-value", "explicit-count", "second"],
+    ids=["boundary", "fold-parity", "subdomain-value", "explicit-count", "second",
+         "reference-hypothesis", "reference-member-moved", "reference-size", "reference-not-below",
+         "reference-nu-not-below"],
 )
-def test_a_corrupted_row_raises_the_scalar_message(edit, error, message):
+def test_a_corrupted_row_raises_the_scalar_message(monkeypatch, edit, patch, error, message):
     # the columnar engine names the corrupted row as the scalar oracle does
+    if patch:
+        patch(monkeypatch)
     si = corrupted_index(100, edit)
     with pytest.raises(error, match=message):
         courant.classify_index(si)

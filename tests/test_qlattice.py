@@ -13,13 +13,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from foldspec import algebra, qlattice, spectrum
+from foldspec import algebra, nodal, qlattice, spectrum
 from foldspec.algebra import GREATER, LESS, AlgebraicValue
 from foldspec.domains import NEUMANN, TRIANGLE, box, eigenvalue, qn_parity, triangle
 from foldspec.errors import DomainError, OutOfRangeError
 from foldspec.spectrum import Level
 from boundary_oracle import parity_split, right_boundary
-from triangle_oracle import spectrum_columns
+from triangle_oracle import reference_points_axis, reference_points_diagonal, spectrum_columns
 
 
 def brute_triangle_region(cutoff: float, dirichlet: bool = False) -> set:
@@ -164,32 +164,55 @@ def _rows(points) -> set:
 
 
 def test_reference_set_diagonal():
-    assert _rows(qlattice.reference_points_diagonal(1)) == {(0, 0), (1, 0), (1, 1)}
-    assert len(_rows(qlattice.reference_points_diagonal(3))) == 10
-    assert len(_rows(qlattice.reference_points_diagonal(5))) == 21
+    assert _rows(reference_points_diagonal(1)) == {(0, 0), (1, 0), (1, 1)}
+    assert len(_rows(reference_points_diagonal(3))) == 10
+    assert len(_rows(reference_points_diagonal(5))) == 21
 
 
 def test_reference_set_axis():
-    assert len(_rows(qlattice.reference_points_axis(3))) == 16
-    assert _rows(qlattice.reference_points_axis(1)) == {(1, 1), (0, 0), (1, 0), (2, 0)}
+    assert len(_rows(reference_points_axis(3))) == 16
+    assert _rows(reference_points_axis(1)) == {(1, 1), (0, 0), (1, 0), (2, 0)}
     # sizes are sums of odd numbers
     for m in range(7):
-        assert len(_rows(qlattice.reference_points_axis(m))) == (m + 1) ** 2
+        assert len(_rows(reference_points_axis(m))) == (m + 1) ** 2
+
+
+def _check_reference_lemmas(ref: np.ndarray, member: tuple, extra: tuple, extra_below: bool):
+    """The lemmas courant._reference_witnesses rests on, point by point: every
+    point a quantum number below the member's value, or the member itself;
+    as many distinct points as the member's closed-form nodal count; the
+    extra point outside the set, and below the value exactly when stated."""
+    value = member[0] ** 2 + member[1] ** 2
+    p0, p1 = ref.T
+    assert ((p0 >= p1) & (p1 >= 0)).all(), member
+    at = (p0 == member[0]) & (p1 == member[1])
+    assert at.any() and ((p0 * p0 + p1 * p1 < value) | at).all(), member
+    distinct = len(np.unique(p0 * (int(ref.max()) + 1) + p1))  # one key per point
+    assert distinct == nodal.count_formula(triangle(), member).count, member
+    assert not (ref == extra).all(axis=1).any(), member
+    ex, ey = extra
+    assert (ex >= ey >= 0 and ex * ex + ey * ey < value) == extra_below, member
 
 
 def test_reference_sets_sit_inside_regions():
-    # diagonal set for (m, m) fits below 2m^2 (plus the point itself), and for
-    # m >= 3 the region holds strictly more points
+    # the diagonal set of (a, a) for every a <= 200 and the axis set of
+    # (2m, 0) for every m <= 100; the extra point lies below the value from
+    # a = 3 and m = 2 on
+    for a in range(201):
+        _check_reference_lemmas(reference_points_diagonal(a), (a, a), (a + 1, 0), a >= 3)
+    for m in range(101):
+        _check_reference_lemmas(reference_points_axis(m), (2 * m, 0), (2 * m - 1, 2), m >= 2)
+    # the sets and extra points inside the regions the enumeration lists
     dom = triangle()
     for m in range(3, 9):
         value = 2 * m * m
         region = set(qlattice.enumerate_below(dom, value).points)
-        ref = _rows(qlattice.reference_points_diagonal(m))
+        ref = _rows(reference_points_diagonal(m))
         assert ref <= region | {(m, m)}
         assert (m + 1, 0) in region - ref
         axis_val = 4 * m * m
         axis_region = set(qlattice.enumerate_below(dom, axis_val).points)
-        axis_ref = _rows(qlattice.reference_points_axis(m))
+        axis_ref = _rows(reference_points_axis(m))
         assert axis_ref <= axis_region | {(2 * m, 0)}
         assert (2 * m - 1, 2) in axis_region - axis_ref
 

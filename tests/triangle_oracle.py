@@ -4,17 +4,18 @@ The former per-level triangle classifier: one Level and one Verdict at a
 time, the odd core through spectrum.odd_core, the fold through
 folding.fold_qn, the subdomain values through folding's closed forms and
 the nodal counts through nodal.count_formula.  Every witness is checked as
-it is built, one level after another.
+it is built, one level after another, and every reference set point by
+point, from the builders below.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from foldspec import algebra, courant, folding, nodal, qlattice, spectrum
+from foldspec import algebra, courant, folding, nodal, spectrum
 from foldspec.courant import Verdict
 from foldspec.domains import triangle
-from foldspec.errors import ConsistencyError
+from foldspec.errors import ConsistencyError, DomainError
 from foldspec.qlattice import Level
 
 
@@ -26,6 +27,24 @@ def classify(cutoff) -> list[Verdict]:
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConsistencyError(message)
+
+
+def reference_points_diagonal(m: int) -> np.ndarray:
+    """Lattice triangle {(i, j): 0 <= j <= i <= m} as an (N, 2) int64 array,
+    one row per point; nodal-count reference for (m, m)."""
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    return np.column_stack(np.tril_indices(m + 1)).astype(np.int64)
+
+
+def reference_points_axis(m: int) -> np.ndarray:
+    """Reference set {(m+j, m-i): 0 <= i <= m, -i <= j <= i} for (2m, 0) as
+    an (N, 2) int64 array, one row per point."""
+    if m < 0:
+        raise DomainError("m must be >= 0")
+    i = np.repeat(np.arange(m + 1, dtype=np.int64), 2 * np.arange(m + 1) + 1)
+    j = np.arange(len(i)) - i * i - i  # row i holds i^2 earlier points
+    return np.column_stack([m + j, m - i])
 
 
 def _base(lv: Level, position: int) -> dict:
@@ -112,16 +131,17 @@ def classify_level(si, lv: Level, position: int) -> Verdict:
 
 def _reference_set_verdict(si, lv: Level, base: dict, member: tuple) -> Verdict:
     """The reference set as a Python set of closed-form points, each checked
-    on the integer value."""
+    on the integer value; the member must lie on the level."""
     z, n_pos = lv.value.coeffs[0], base["position"]
     a, b = member
     if a == b:
-        ref = set(map(tuple, qlattice.reference_points_diagonal(a).tolist()))
+        ref = set(map(tuple, reference_points_diagonal(a).tolist()))
         extra = (a + 1, 0)
     else:
         _require(b == 0 and a % 2 == 0, f"unexpected reference shape {member}")
-        ref = set(map(tuple, qlattice.reference_points_axis(a // 2).tolist()))
+        ref = set(map(tuple, reference_points_axis(a // 2).tolist()))
         extra = (a - 1, 2)
+    _require(a * a + b * b == z, f"reference member {member} has value {a * a + b * b}, not {z}")
     nu = nodal.count_formula(si.domain, member).count
     for p in ref:
         _require(p[0] >= p[1] >= 0, f"reference point {p} is not a triangle-neumann quantum number")
