@@ -225,8 +225,26 @@ def scale_gamma2(v: AlgebraicValue, k: int) -> AlgebraicValue:
 
 
 def _iroot(x: int, r: int) -> int:
-    """floor(x^(1/r)) for x >= 1, by Newton's method from above."""
-    y = 1 << -(-x.bit_length() // r)  # y^r >= 2^bit_length > x
+    """floor(x^(1/r)) for x >= 1, by Newton's method from above.
+
+    The step z = ((r-1) y + x // y^(r-1)) // r from any y >= R = floor(x^(1/r))
+    stays at or above R: it equals floor(((r-1) y + x / y^(r-1)) / r), and
+    by the AM-GM inequality the mean inside is at least x^(1/r).  It moves
+    down (z < y) unless x // y^(r-1) >= y, that is y^r <= x, that is y <= R;
+    so the first y with z >= y is R, and the start must be at least R.  The
+    start is the float estimate 2^(log2(x) / r), raised by a relative 2^-30
+    (far above the float error at the sizes _scaled_basis asks for) and
+    rounded up.  It is kept only if y^r > x, which makes y > x^(1/r) >= R
+    whatever the float error; otherwise the start is 2^ceil(bit_length / r),
+    whose r-th power is at least 2^bit_length > x.  From within 2^-30 of the
+    root Newton converges quadratically; from up to twice the root, as the
+    second start may be, only at the rate 1 - 1/r.
+    """
+    e = math.log2(x) / r
+    q = max(0, int(e) - 60)  # 2^(e - q) < 2^61 has no float overflow
+    y = (math.floor(2.0 ** (e - q) * (1 + 2.0**-30)) + 1) << q
+    if y**r <= x:
+        y = 1 << -(-x.bit_length() // r)
     while True:
         z = ((r - 1) * y + x // y ** (r - 1)) // r
         if z >= y:

@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -68,20 +69,17 @@ def _parse_value(domain: Domain, text: str) -> AlgebraicValue:
     return AlgebraicValue(domain.ring, tuple(parts))
 
 
+_PI_FORM = re.compile(r"(?P<c>[^/]*?)pi(?:/(?P<d>.*))?")
+
+
 def _parse_coordinate(part: str) -> float:
-    """A coordinate: plain float, or forms like pi, pi/2, 3pi/4, 0.5pi."""
-    part = part.strip()
-    num, den = part, None
-    if "/" in part:
-        num, den = part.split("/", 1)
-    if "pi" in num:
-        prefix = num.replace("pi", "").strip()
-        value = math.pi * (float(prefix) if prefix else 1.0)
-    else:
-        value = float(num)
-    if den is not None:
-        value /= float(den)
-    return value
+    """A coordinate: a float, or [c]pi[/d] with floats c and d, as in pi,
+    pi/2, 3pi/4 and 0.5pi; anything else raises ValueError."""
+    form = _PI_FORM.fullmatch(part.strip())
+    if form is None:
+        return float(part)
+    c, d = form.group("c", "d")
+    return math.pi * (float(c) if c else 1.0) / (1.0 if d is None else float(d))
 
 
 def _parse_point(text: str) -> tuple[float, ...]:

@@ -12,9 +12,9 @@ joined only where f is proven to keep that sign on the segment between them:
 by a bound on its second derivative along the segment, bisecting where that
 bound does not suffice.  So no join bridges two nodal domains; what the grid
 can still miss is a neck of one domain narrower than a cell, which splits it
-and over-counts, and the doubling check guards against that.  The cells are
-labelled at grid resolution, and again at doubled resolution only within
-the components that hold a cut join.
+and over-counts, and the doubling check guards against that.  Each triangle
+grid is labelled once, as a doubled image whose even pixels are the cells
+and whose odd pixels are the proven joins.
 """
 
 from __future__ import annotations
@@ -45,10 +45,12 @@ _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 # triangle grid holds the live intervals of both axes together to the budget
 # too, counting _INTERVAL_POINTS points for each.  Peak memory, measured with
 # tracemalloc over the simple triangle levels below 403 at 1024 and 2048
-# cells: a triangle grid at most about 27 bytes per point of the n x n grid
-# (22 without a cut edge, 13 when halved), a live interval about 283 bytes
-# and the axes of a box basis function at most about 19 per sample, so the
-# budget holds peak memory near 0.9, 1.1 and 0.6 GiB.  In the test suite, the
+# cells: a triangle grid at most about 22.1 bytes per point of the n x n grid
+# with or without a cut edge (11.1 when halved), first in the float samples
+# and then in the int32 labels of the doubled image (16 of the 20 bytes
+# live while it is labelled), a live interval about 283 bytes and the axes
+# of a box basis function at most about 19 per sample, so the budget holds
+# peak memory near 0.7, 1.1 and 0.6 GiB.  In the test suite, the
 # largest grid count_grid samples has 4.2e6 points (a triangle at 2048 cells)
 # and its largest set of axes 589 samples.
 GRID_BUDGET = 1 << 25
@@ -204,18 +206,13 @@ def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
     return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
 
 
-# the 4-connected cross in the middle plane alone: labelling a stack of sign
-# masks with it joins cells within a plane and never across planes
-_PLANES = np.zeros((3, 3, 3), dtype=bool)
-_PLANES[1] = ndimage.generate_binary_structure(2, 1)
-
 # grid edges along axis 0 join cells (i, j) and (i + 1, j), along axis 1
 # cells (i, j) and (i, j + 1): the lower and upper ends of each as slices
 _EDGE_ENDS = ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))
 
 
 def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
-    """Triangle count with proven joins.
+    """Triangle count with proven joins, in one labelling.
 
     Two orthogonal same-sign neighbors are joined only when f is proven to
     keep that strict sign on the segment between their centers: at once when
@@ -223,16 +220,24 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     and w their frequency along the segment, and otherwise by bisection
     (_cut_edges).  A nodal line between the centers always leaves a sample
     of the other sign or an unproven interval, so diagonal nodal lines and
-    their crossings cannot silently bridge distinct domains.
+    their crossings cannot silently bridge distinct domains.  The count is
+    the number of components of the doubled image whose even pixels are the
+    cells and whose odd pixels are the joins between them.
     """
-    sign, cuts = _signs_and_cuts(f, cells0, halve)
-    count = _joined_components(sign, cuts)
+    cells, joins = _cells_and_joins(f, cells0, halve)
+    n0, n1 = cells.shape
+    img = np.zeros((2 * n0 - 1, 2 * n1 - 1), dtype=bool)
+    img[::2, ::2] = cells
+    img[1::2, ::2], img[::2, 1::2] = joins
+    del cells, joins  # the image alone is live while it is labelled
+    count = ndimage.label(img)[1]
     return 2 * count if halve else count
 
 
-def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
-    """The sign of f at each cell inside the (half) triangle, 0 outside, and
-    per axis the lower cells (i, j) of the same-sign edges that are cut."""
+def _cells_and_joins(f: Combo, cells0: int, halve: bool):
+    """The cells inside the (half) triangle where f is nonzero and, per axis,
+    the joins: the same-sign edges between them that are not cut.  The float
+    samples live here alone, so they are freed before the labelling."""
     n, _ = _grid_shape(f.domain, cells0)
     h = math.pi / n
     ax, ay = ((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
@@ -251,13 +256,14 @@ def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
 
     terms = product_terms(f)
     eps = _rounding_margin(terms)
-    unsure, curvs = [], []
+    joins, unsure, curvs = [], [], []
     for k, (a, b) in enumerate(_EDGE_ENDS):
         curv = sum(abs(c) * freqs[k] ** 2 for c, freqs in terms) / 8.0
-        same = (sign[a] == sign[b]) & (sign[a] != 0)
+        join = (sign[a] == sign[b]) & (sign[a] != 0)
         # min(|f0|, |f1|) <= bound, an end at a time
         low = mag <= curv * step**2 + eps
-        unsure.append(np.nonzero(same & (low[a] | low[b])))
+        unsure.append(np.nonzero(join & (low[a] | low[b])))
+        joins.append(join)
         curvs.append(curv)
     # both axes' edges in one bisection; edge e ends at (i1, j1)
     i, j = (np.concatenate(e) for e in zip(*unsure))
@@ -267,46 +273,10 @@ def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
         f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
         vals[i, j], vals[i1, j1], np.array(curvs)[axis], eps, cells0,
     )
-    return sign, [(i[cut & (axis == k)], j[cut & (axis == k)]) for k in (0, 1)]
-
-
-def _joined_components(sign: np.ndarray, cuts) -> int:
-    """Components of the nonzero cells of sign, 4-connected between cells of
-    one sign across every edge but the cut ones.
-
-    Both signs are labelled in one call at grid resolution.  A cut edge lies
-    inside one same-sign component, and leaving it out can only split that
-    component, so only the components that hold a cut are labelled again:
-    at doubled resolution, within their common bounding box, whose odd
-    pixels carry the joins that remain.
-    """
-    labels, found = ndimage.label(np.stack((sign > 0, sign < 0)), _PLANES)
-    i, j = (np.concatenate(e) for e in zip(*cuts))
-    if not i.size:
-        return found
-    # each cell's component id, from the plane its sign put it in
-    labels = labels[0] + labels[1]
-    held = np.unique(labels[i, j])
-    region = np.isin(labels, held)
-    r0, r1 = _span(region.any(axis=1))
-    c0, c1 = _span(region.any(axis=0))
-    bbox = np.s_[r0:r1, c0:c1]
-    cells, sign = region[bbox], sign[bbox]
-    # a join links a held cell to a neighbor of its sign, which lies in the
-    # same component and so is held too
-    joins = [cells[a] & (sign[a] == sign[b]) for a, b in _EDGE_ENDS]
-    for join, (i, j) in zip(joins, cuts):
-        join[i - r0, j - c0] = False
-    img = np.zeros((2 * (r1 - r0) - 1, 2 * (c1 - c0) - 1), dtype=bool)
-    img[::2, ::2] = cells
-    img[1::2, ::2], img[::2, 1::2] = joins
-    return found - held.size + ndimage.label(img)[1]
-
-
-def _span(occupied: np.ndarray) -> tuple[int, int]:
-    """First index and one past the last of the True entries."""
-    hit = np.flatnonzero(occupied)
-    return int(hit[0]), int(hit[-1]) + 1
+    for k, join in enumerate(joins):
+        on = cut & (axis == k)
+        join[i[on], j[on]] = False
+    return sign != 0, joins
 
 
 def _box_axes(domain: Domain, cells: int) -> list[np.ndarray]:
@@ -355,9 +325,7 @@ def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
     return count
 
 
-def count_grid(
-    f: Combo, resolution: int | None = None, use_antisymmetry: bool = True
-) -> NodalCount:
+def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
     """Grid nodal count with a stability certificate.
 
     resolution is the cell count along the first axis; the default gives at
@@ -365,25 +333,20 @@ def count_grid(
     function is counted as the product of its sign runs along each sampled
     axis, which equals the labelled count of the same samples on the full
     grid; box combos of several terms raise DomainError.  A triangle combo
-    is labelled on the full grid with proven joins (_triangle_grid_count):
-    a join never crosses a nodal line, and the doubling check guards against
-    a domain pinched narrower than a cell, which the grid would split.  An
-    edge that neither a proof nor a sample of the other sign decides raises
-    GridInstabilityError.  For combos that are antisymmetric across the cut
-    L the count is taken on the open half domain and doubled (they vanish on
-    L, so nodal domains come in mirror pairs); this keeps the diagonal cut
-    of the triangle off the sampling grid.  Pass use_antisymmetry=False to
-    force a full-domain count.
+    is counted in one labelling of its cells and proven joins
+    (_triangle_grid_count): a join never crosses a nodal line, and the
+    doubling check guards against a domain pinched narrower than a cell,
+    which the grid would split.  An edge that neither a proof nor a sample
+    of the other sign decides raises GridInstabilityError.  A triangle combo
+    that is antisymmetric across the cut L is always counted on the open
+    half domain and doubled (it vanishes on L, so its nodal domains come in
+    mirror pairs); this keeps the diagonal cut off the sampling grid.
     """
     if resolution is None:
         resolution = max(16, 8 * _max_halfperiods(f))
     if resolution < 16:
         raise DomainError("resolution must be >= 16 cells along the first axis")
-    halve = (
-        use_antisymmetry
-        and f.domain.kind == TRIANGLE
-        and _antisymmetric_wrt_cut(f)
-    )
+    halve = f.domain.kind == TRIANGLE and _antisymmetric_wrt_cut(f)
     cells = resolution
     c2 = _grid_count_once(f, cells, halve)
     for _ in range(3):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import types
 from fractions import Fraction
 
 import mpmath
@@ -147,6 +149,39 @@ def test_huge_coefficients_fall_back_to_intervals():
     zero4 = algebra.zero(4)
     assert algebra.compare(AlgebraicValue(4, (big, -big)), zero4) == algebra.LESS
     assert algebra.compare(AlgebraicValue(4, (-big, big)), zero4) == algebra.GREATER
+
+
+def _assert_floor_root(x, r):
+    y = algebra._iroot(x, r)
+    assert y**r <= x < (y + 1) ** r, (x, r)
+
+
+@pytest.mark.parametrize("p", [40, 64, 128, 256])
+def test_iroot_is_the_floor_root_of_the_scaled_basis(p):
+    # the largest entry of _scaled_basis(r, p), 2^((r-1)/r) * 2^p; every r
+    # up to 800 at the two smaller p, and every 8th r at the larger ones,
+    # whose checks cost tens of ms each near r = 800
+    step = 1 if p <= 64 else 8
+    for r in [*range(1, 801, step), 800]:
+        _assert_floor_root(1 << (r - 1 + p * r), r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 1 << 2000), y=st.integers(2, 1 << 100), r=st.integers(1, 100))
+def test_iroot_is_the_floor_root_of_random_integers(x, y, r):
+    _assert_floor_root(x, r)
+    # an exact power is its own root, and one less has the root below
+    assert algebra._iroot(y**r, r) == y
+    assert algebra._iroot(y**r - 1, r) == y - 1
+
+
+def test_iroot_falls_back_when_the_float_estimate_is_low(monkeypatch):
+    # an estimate far below the root must not be kept: Newton from below
+    # would return it as the root
+    low = types.SimpleNamespace(log2=lambda x: 0.0, floor=math.floor)
+    monkeypatch.setattr(algebra, "math", low)
+    for x, r in ((10**30, 2), (1 << 4000, 40), (3**500 - 1, 7)):
+        _assert_floor_root(x, r)
 
 
 def test_huge_pell_near_tie():

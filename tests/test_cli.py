@@ -230,6 +230,23 @@ def test_point_with_zero_denominator_exits_cleanly():
 
 
 @pytest.mark.parametrize(
+    "text,value",
+    [
+        ("pi", math.pi), ("pi/2", math.pi / 2), ("3pi/4", 3 * math.pi / 4),
+        ("0.5pi", 0.5 * math.pi), (" 1.25 ", 1.25), ("-2e-1", -0.2),
+    ],
+)
+def test_documented_coordinates_parse(text, value):
+    assert cli._parse_coordinate(text) == value
+
+
+@pytest.mark.parametrize("at", ["pipi,0", "pi2,0", "pi/pi,0", "1/2,0", "2pipi/3,0", "pi/,0", "x,0"])
+def test_malformed_coordinates_exit_cleanly(at):
+    with pytest.raises(SystemExit, match=f"invalid point '{at}'"):
+        main(["eval", "--domain", "triangle", "--qn", "1,0", "--at", at])
+
+
+@pytest.mark.parametrize(
     "argv,count",
     [
         (

@@ -179,11 +179,11 @@ def test_triangle_deficiency_band_counts_without_refusal():
         assert 0 <= bound <= si.position_of(lv.value) - nu, lv.members[0]
 
 
-def _doubled_image_count(f, cells0, halve, cut_signs):
-    """Oracle: the triangle count as one labelling of a doubled-resolution
-    image of the full grid, whose odd pixels carry the joins, each axis's
-    unproven edges bisected on their own.  cut_signs collects the sign of
-    every cut edge."""
+def _signs_and_joins(f, cells0, halve, cut_signs):
+    """The sign of f at each cell of the full grid inside the (half)
+    triangle, 0 outside, and per axis the same-sign edges that are proven,
+    each axis's unproven edges bisected on their own.  cut_signs collects
+    the sign of every cut edge."""
     n, _ = nodal._grid_shape(f.domain, cells0)
     h = math.pi / n
     axes = tuple((np.arange(n) + off) * h for off in nodal._GRID_OFFS[:2])
@@ -211,6 +211,14 @@ def _doubled_image_count(f, cells0, halve, cut_signs):
         cut_signs.extend(sign[i[cut], j[cut]].tolist())
         join[i[cut], j[cut]] = False
         joins.append(join)
+    return sign, joins
+
+
+def _doubled_image_count(f, cells0, halve, cut_signs):
+    """Oracle: the triangle count as one labelling of a doubled-resolution
+    image of the full grid, whose odd pixels carry the joins."""
+    sign, joins = _signs_and_joins(f, cells0, halve, cut_signs)
+    n = len(sign)
     img = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
     img[::2, ::2] = sign != 0
     img[1::2, ::2], img[::2, 1::2] = joins
@@ -234,13 +242,36 @@ def test_grid_counts_match_the_doubled_image_on_the_deficiency_band():
         default = max(16, 8 * nodal._max_halfperiods(f))
         for cells in (default, 2 * default):
             _assert_grid_counts_match_the_doubled_image(f, cells, cut_signs)
-    # cuts in both signs: the relabelling of cut components is exercised
+    # cuts in both signs: joins of either sign are left out of the image
     assert {1, -1} <= set(cut_signs)
     for lv in spectrum.build_index(triangle("dirichlet"), 200).levels:
         for m in lv.members:
             f = eigenfn.basis_fn(triangle("dirichlet"), m)
             default = max(16, 8 * nodal._max_halfperiods(f))
             _assert_grid_counts_match_the_doubled_image(f, default, [])
+
+
+def test_grid_counts_lie_between_the_uncut_labelling_and_one_split_per_cut():
+    # a check that labels no doubled image: S counts the 4-connected
+    # components of each sign with every same-sign edge kept, and each of
+    # the C cut edges can split at most one component, so S <= count <= S + C
+    _, levels = _simple_triangle_levels(403)
+    tight = 0
+    for lv in levels:
+        f = eigenfn.basis_fn(triangle(), lv.members[0])
+        default = max(16, 8 * nodal._max_halfperiods(f))
+        for cells in (default, 2 * default):
+            for halve in (False, True):
+                cut_signs = []
+                sign, _ = _signs_and_joins(f, cells, halve, cut_signs)
+                uncut = ndimage.label(sign > 0)[1] + ndimage.label(sign < 0)[1]
+                per_half = nodal._grid_count_once(f, cells, halve) // (2 if halve else 1)
+                case = (lv.members[0], cells, halve)
+                assert uncut <= per_half <= uncut + len(cut_signs), case
+                if not cut_signs:
+                    assert per_half == uncut, case
+                    tight += 1
+    assert tight > 0
 
 
 _MULTIPLE_LEVELS = {
@@ -275,11 +306,16 @@ def test_antisymmetric_counts_double_the_half_domain():
         if lv.multiplicity != 1 or algebra.parity(lv.value) != "odd":
             continue
         f = eigenfn.basis_fn(dom, lv.members[0])
-        halved = nodal.count_grid(f).count
+        certified = nodal.count_grid(f)
+        halved = certified.count
         assert halved % 2 == 0, lv.members[0]
         if float(lv.value) <= 100:
-            full = nodal.count_grid(f, use_antisymmetry=False).count
-            assert halved == full, lv.members[0]
+            # the full domain counted at the resolution the halved count was
+            # certified at, and at the doubling that certified it
+            cells = certified.resolution
+            for res in (cells, 2 * cells):
+                full = nodal._grid_count_once(f, res, halve=False)
+                assert halved == full, (lv.members[0], res)
 
 
 def test_odd_counts_obey_the_half_domain_courant_bound():
