@@ -24,7 +24,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 import numpy as np
@@ -104,11 +104,9 @@ def _json(obj) -> str:
 _json_str = json.encoder.encode_basestring_ascii
 
 
-def _json_float(x: float) -> str:
-    """x as json.dumps writes it."""
-    if x - x == 0:  # finite
-        return float.__repr__(x)
-    return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+def _json_floats(xs: list[float]) -> list[str]:
+    """Each float of xs as json.dumps writes it, in one encoder call."""
+    return json.dumps(xs)[1:-1].split(", ") if xs else []
 
 
 def _json_list(rows: Iterable[str]) -> str:
@@ -130,7 +128,7 @@ def _spectrum_json(columns: Sequence[Sequence]) -> str:
     _SPECTRUM_FIELDS, plus "members" if eight); each is encoded once."""
     position, value, flt, multiplicity, parity, core, k, *members = columns
     tail = [f',\n    "members": {m}' for m in members[0]] if members else [""] * len(position)
-    encoded = zip(position, map(_json_str, value), map(_json_float, flt), multiplicity,
+    encoded = zip(position, map(_json_str, value), _json_floats(flt), multiplicity,
                   map(_json_str, parity), ["null" if c is None else _json_str(c) for c in core],
                   ["null" if i is None else i for i in k], tail)
     return _json_list([
@@ -141,24 +139,24 @@ def _spectrum_json(columns: Sequence[Sequence]) -> str:
     ])
 
 
-def _verdicts_json(rows: Iterable[tuple]) -> str:
-    """json.dumps([dict(zip(courant.VERDICT_FIELDS, row)) for row in rows],
-    indent=2) + "\n", byte for byte, for rows from Verdict.row whose
-    witness w is already written as json.dumps(w, indent=2) writes it as
-    the value of a row's field."""
-
-    def text(position, value, flt, multiplicity, parity, core, k, sharp, reason, nu,
-             w) -> str:
-        return (
-            f'  {{\n    "position": {position},\n    "value": {_json_str(value)},\n'
-            f'    "float": {_json_float(flt)},\n    "multiplicity": {multiplicity},\n'
-            f'    "parity": {_json_str(parity)},\n    "core": {_json_str(core)},\n'
-            f'    "k": {k},\n    "sharp": {"true" if sharp else "false"},\n'
-            f'    "reason": {_json_str(reason)},\n    "nu": {"null" if nu is None else nu},\n'
-            f'    "witness": {w}\n  }}'
-        )
-
-    return _json_list(text(*row) for row in rows)
+def _verdicts_json(columns: Sequence[Sequence]) -> str:
+    """json.dumps([dict(zip(courant.VERDICT_FIELDS, row)) for row in
+    zip(*columns)], indent=2) + "\n", byte for byte, for columns from
+    _verdict_columns whose witness w is already written as
+    json.dumps(w, indent=2) writes it as the value of a row's field; each
+    column is encoded once."""
+    position, value, flt, multiplicity, parity, core, k, sharp, reason, nu, witness = columns
+    encoded = zip(position, map(_json_str, value), _json_floats(flt), multiplicity,
+                  map(_json_str, parity), map(_json_str, core), k,
+                  ["true" if s else "false" for s in sharp], map(_json_str, reason),
+                  ["null" if n is None else n for n in nu], witness)
+    return _json_list([
+        f'  {{\n    "position": {p},\n    "value": {v},\n    "float": {f},\n'
+        f'    "multiplicity": {d},\n    "parity": {a},\n    "core": {c},\n'
+        f'    "k": {i},\n    "sharp": {s},\n    "reason": {r},\n    "nu": {n},\n'
+        f'    "witness": {w}\n  }}'
+        for p, v, f, d, a, c, i, s, r, n, w in encoded
+    ])
 
 
 def _verdicts_table(rows: Iterable[tuple]) -> str:
@@ -228,17 +226,17 @@ def _level_columns(
     ]
 
 
-def _verdict_rows(t: courant.VerdictTable, compact: bool) -> Iterator[tuple]:
-    """Verdict.row of every level, from the columns, with the witness
+def _verdict_columns(t: courant.VerdictTable, compact: bool) -> list[list]:
+    """One column per field of Verdict.row, every level's, with the witness
     already written (see _witness_texts)."""
     r = t.region
-    return zip(
+    return [
         *_level_columns(r.domain.ring, t.position, r.coeffs, t.multiplicity, t.core, t.k),
         t.sharp.tolist(),
         t.reason.tolist(),
         [None if nu < 0 else nu for nu in t.nu.tolist()],
         _witness_texts(t, compact),
-    )
+    ]
 
 
 def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
@@ -298,13 +296,13 @@ def _cmd_verdicts(args: argparse.Namespace) -> int:
     if args.explain is not None:
         _emit(args, _json(courant.explain(table, args.explain).as_dict()))
         return 0
-    rows = _verdict_rows(table, compact=args.format == "csv")
+    columns = _verdict_columns(table, compact=args.format == "csv")
     if args.format == "csv":
-        _emit(args, _csv(courant.VERDICT_FIELDS, rows))
+        _emit(args, _csv(courant.VERDICT_FIELDS, zip(*columns)))
     elif args.format == "table":
-        _emit(args, _verdicts_table(rows))
+        _emit(args, _verdicts_table(zip(*columns)))
     else:
-        _emit(args, _verdicts_json(rows))
+        _emit(args, _verdicts_json(columns))
     return 0
 
 

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 from . import algebra
 from .algebra import AlgebraicValue
@@ -27,6 +27,21 @@ from .errors import DomainError, FoldParityError
 from .qlattice import QN
 
 FracPoint = tuple[Fraction, Fraction]
+
+
+def __getattr__(name: str):
+    """scipy.ndimage, imported on first access: only the labelling needs it."""
+    # bench/spans.py swaps folding.ndimage for a tracer, so it stays an attribute
+    if name == "ndimage":
+        global ndimage
+        from scipy import ndimage
+
+        return ndimage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the labelling reads _module.ndimage, which the first read imports
+_module = sys.modules[__name__]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +231,7 @@ def _triangle_partition_count(rows: np.ndarray, den: int) -> int:
     free = np.tri(size + 1, k=-1, dtype=bool)
     free[:, 0] = free[size] = False
     free[xs, ys] = False
-    _, count = ndimage.label(free)
+    _, count = _module.ndimage.label(free)
     return count
 
 

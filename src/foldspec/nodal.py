@@ -20,10 +20,10 @@ and whose odd pixels are the proven joins.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import algebra, folding
 from .algebra import AlgebraicValue
@@ -32,6 +32,21 @@ from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms
 from .errors import DomainError, GridInstabilityError
 from .qlattice import QN
 from .spectrum import SpectrumIndex, odd_core
+
+
+def __getattr__(name: str):
+    """scipy.ndimage, imported on first access: only the labelling needs it."""
+    # bench/spans.py swaps nodal.ndimage for a tracer, so it stays an attribute
+    if name == "ndimage":
+        global ndimage
+        from scipy import ndimage
+
+        return ndimage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# the labelling reads _module.ndimage, which the first read imports
+_module = sys.modules[__name__]
 
 _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 
@@ -230,7 +245,7 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     img[::2, ::2] = cells
     img[1::2, ::2], img[::2, 1::2] = joins
     del cells, joins  # the image alone is live while it is labelled
-    count = ndimage.label(img)[1]
+    count = _module.ndimage.label(img)[1]
     return 2 * count if halve else count
 
 

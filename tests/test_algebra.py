@@ -166,6 +166,14 @@ def test_iroot_is_the_floor_root_of_the_scaled_basis(p):
         _assert_floor_root(1 << (r - 1 + p * r), r)
 
 
+@pytest.mark.parametrize("r", [400, 800])
+def test_iroot_is_the_floor_root_of_every_scaled_basis_entry_at_p256(r):
+    # about 2 * 10^5 bits at r = 800; j = 0 is an exact power, 2^256, and
+    # j = r - 1 the largest entry
+    for j in (0, 1, r // 2, r - 1):
+        _assert_floor_root(1 << (j + 256 * r), r)
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.integers(1, 1 << 2000), y=st.integers(2, 1 << 100), r=st.integers(1, 100))
 def test_iroot_is_the_floor_root_of_random_integers(x, y, r):

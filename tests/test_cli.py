@@ -536,7 +536,7 @@ def assert_rows_are_the_verdict_rows(table):
     # (at a row field's indent for JSON, compact for CSV)
     verdicts = list(table)
     for compact, write in ((False, indented), (True, json.dumps)):
-        rows = list(cli._verdict_rows(table, compact))
+        rows = list(zip(*cli._verdict_columns(table, compact)))
         assert len(rows) == len(verdicts)
         for row, v in zip(rows, verdicts):
             want = v.row()
@@ -633,8 +633,19 @@ def test_member_texts_match_json_dumps(domain, cutoff):
     assert cli._member_texts(region, compact=False) == list(map(indented, members))
 
 
+@pytest.mark.parametrize("n", [0, 1, 9000])
+def test_float_texts_match_json_dumps(n):
+    # the writers encode a float column in one call; the empty column has
+    # its own case
+    specials = [-0.0, 1e-300, 1e22, 5e-324, math.inf, -math.inf, math.nan]
+    xs = [specials[i % 7] if i % 5 == 0 else i / 7 for i in range(n)]
+    assert list(cli._json_floats(xs)) == [json.dumps(x) for x in xs]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(VERDICT_ROW, max_size=4))
 def test_verdicts_writer_matches_json_dumps(rows):
+    # columns, as the spectrum writer takes them
     written = [row[:-1] + (indented(row[-1]),) for row in rows]
-    assert cli._verdicts_json(written) == dumped(courant.VERDICT_FIELDS, rows)
+    columns = [[row[j] for row in written] for j in range(len(courant.VERDICT_FIELDS))]
+    assert cli._verdicts_json(columns) == dumped(courant.VERDICT_FIELDS, rows)

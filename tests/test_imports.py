@@ -1,5 +1,6 @@
 """Every name a foldspec module imports is used in that module, and the
-package loads none of the test-side oracles."""
+package loads none of the test-side oracles, nor scipy before it labels an
+image."""
 
 from __future__ import annotations
 
@@ -50,13 +51,78 @@ def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """code run by a new interpreter that imports foldspec from SRC."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
 def test_cli_does_not_import_mpmath():
     # mpmath is a test and benchmark oracle only; the package's arithmetic
     # must stay independent of it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = "import sys, foldspec.cli; sys.exit('mpmath' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _run_fresh(code).returncode == 0
+
+
+def test_only_labelling_imports_scipy():
+    # scipy.ndimage labels triangle grids and triangle frames alone, so
+    # spectra and verdicts start and run without scipy; a triangle grid
+    # count loads it
+    code = """if True:
+        import sys
+        from foldspec import cli
+        assert "scipy" not in sys.modules
+        assert cli.main(["spectrum", "--domain", "box", "--dim", "2", "--cutoff", "30", "--points"]) == 0
+        assert cli.main(["verdicts", "--domain", "triangle", "--cutoff", "200"]) == 0
+        loaded = [m for m in ("scipy", "scipy.ndimage") if m in sys.modules]
+        assert not loaded, loaded
+        assert cli.main(["nodal", "--domain", "triangle", "--qn", "3,1"]) == 0
+        assert "scipy.ndimage" in sys.modules
+    """
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert '"nu": 6' in run.stdout
+
+
+def test_labelling_reads_the_module_attribute():
+    # the benchmark's tracer (bench/spans.py) checks that nodal.ndimage and
+    # folding.ndimage are scipy.ndimage, even before anything was labelled,
+    # and replaces them by stand-ins whose label must see every call
+    code = """if True:
+        import scipy.ndimage
+        from foldspec import eigenfn, folding, nodal, triangle
+        assert "ndimage" not in vars(nodal) and "ndimage" not in vars(folding)
+        assert nodal.ndimage is scipy.ndimage and folding.ndimage is scipy.ndimage
+        calls = []
+
+        class StandIn:
+            def __init__(self, owner):
+                self.owner = owner
+
+            def label(self, image, *args, **kwargs):
+                calls.append(self.owner)
+                return scipy.ndimage.label(image, *args, **kwargs)
+
+        f = eigenfn.basis_fn(triangle(), (3, 1))
+        try:
+            nodal.ndimage = StandIn("nodal")
+            folding.ndimage = StandIn("folding")
+            assert nodal.count_grid(f).count == 6
+            assert calls and set(calls) == {"nodal"}, calls
+            calls.clear()
+            folding.partition_count.cache_clear()
+            traced = folding.partition_count(triangle(), 5)
+            assert calls == ["folding"], calls
+        finally:
+            nodal.ndimage = folding.ndimage = scipy.ndimage
+        calls.clear()
+        folding.partition_count.cache_clear()
+        assert folding.partition_count(triangle(), 5) == traced
+        assert nodal.count_grid(f).count == 6 and calls == []
+    """
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
 
 
 def test_courant_imports_nothing_from_eigenfn():
