@@ -7,6 +7,7 @@ is either exact arithmetic or certified by an independent oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,12 +148,15 @@ def criterion_multiplicity_arithmetic() -> CriterionResult:
 
 
 def criterion_partitions_and_deficiency() -> CriterionResult:
-    for n in (2, 3):
-        for k in range(9):
-            counted = folding.partition_count(box(n), k)
-            formula = folding.box_partition_formula(n, k)
-            if counted != formula:
-                return _fail(f"M({k}, box{n}) counted {counted} != {formula}")
+    # the closed forms against the triangle's recursion and the box's cuts
+    counted = [(triangle(), k, m) for k, m in enumerate(folding.boundary_word_counts(30))]
+    for n, k in itertools.product((2, 3), range(9)):
+        facets = folding.build_frame(box(n), k).facets
+        cuts = [len({s.frac for s in facets if s.axis == a}) + 1 for a in range(n)]
+        counted.append((box(n), k, math.prod(cuts)))
+    for dom, k, m in counted:
+        if folding.partition_count(dom, k) != m:
+            return _fail(f"M({k}) of {dom.label()} is not the counted {m}")
     checked = 0
     for dom in (triangle(), box(2), box(3)):
         si = spectrum.build_index(dom, 200)
@@ -175,7 +179,10 @@ def criterion_partitions_and_deficiency() -> CriterionResult:
                     f"{report.bound_boundary} > delta {delta}"
                 )
             checked += 1
-    return _ok(f"box partition formula k<=8; bounds <= delta on {checked} simple levels")
+    return _ok(
+        f"M(k) counted for the triangle k<=30 (M(30) = {counted[30][2]}), box2 and "
+        f"box3 k<=8: {len(counted)} counts; bounds <= delta on {checked} simple levels"
+    )
 
 
 # -- 6: frame vanishing --------------------------------------------------------

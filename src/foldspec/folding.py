@@ -4,19 +4,19 @@ Triangle frames are built as int64 arrays of endpoint numerators over the
 common denominator 2^(k+1) (coordinates in units of pi); build_frame turns
 them into exact segments with Fraction endpoints.  Box frames are unions
 of hyperplanes perpendicular to a single axis; a facet is (axis, f) meaning
-{x_axis = f * l_axis} with f an exact fraction.  partition_count counts the
-frame's pieces exactly from these facets; nothing here is rasterised in
-floating point.
+{x_axis = f * l_axis} with f an exact fraction.  partition_count answers
+from the closed forms of M(k), which boundary_word_counts recounts on the
+triangle; nothing here is rasterised or labelled.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -30,18 +30,15 @@ FracPoint = tuple[Fraction, Fraction]
 
 
 def __getattr__(name: str):
-    """scipy.ndimage, imported on first access: only the labelling needs it."""
-    # bench/spans.py swaps folding.ndimage for a tracer, so it stays an attribute
+    """scipy.ndimage, imported on first access."""
+    # folding labels nothing, but bench/spans.py checks that folding.ndimage
+    # is scipy.ndimage before it swaps in a tracer, so it stays an attribute
     if name == "ndimage":
         global ndimage
         from scipy import ndimage
 
         return ndimage
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# the labelling reads _module.ndimage, which the first read imports
-_module = sys.modules[__name__]
 
 
 # ---------------------------------------------------------------------------
@@ -103,12 +100,7 @@ class KFrame:
 # Memory budget of one frame or partition count, checked before anything is
 # built: a facet costs about 1 KiB of Python objects in build_frame
 # (measured: 300 B per box slab, 470 B per triangle segment, with the frame
-# arrays still alive), a triangle lattice point 5 bytes (a flag and an int32
-# label).  partition_count's triangle path builds no objects: measured with
-# tracemalloc, its peak is 2.9 MiB at k = 13 and 47 MiB at k = 17 (2^17
-# facets, 2049^2 lattice points; the marked frame points take more than the
-# labelled lattice).  The check charges the build_frame cost for both, so it
-# admits triangle k <= 17 with a wide margin.
+# arrays still alive); a partition count costs three times its answer.
 FRAME_BUDGET = 256 << 20
 
 
@@ -122,19 +114,9 @@ def _frame_index(k) -> int:
     return int(k)
 
 
-def _check_budget(domain: Domain, k: int, lattice: bool) -> None:
-    """Raise DomainError when the k-frame, plus the triangle's counting
-    lattice if asked for, is over FRAME_BUDGET."""
-    if domain.kind == TRIANGLE:
-        # two frame steps map (x, y) to (+-x/2 + a/2, +-y/2 + b/2), a, b
-        # integers (U o U halves, R is integer affine), and S^(0), S^(1) have
-        # denominator 2: so the largest endpoint denominator is <= 2^(k//2 + 1)
-        facets = 2 ** min(k, 64)
-        points = (4 * 2 ** min(k // 2 + 1, 64) + 1) ** 2 if lattice else 0
-    else:
-        facets, points = 2 ** min(k // domain.n, 64), 0
-    if 1024 * facets + 5 * points > FRAME_BUDGET:
-        what = "partition count" if lattice else "frame"
+def _check_budget(domain: Domain, k: int, what: str, size: int) -> None:
+    """Raise DomainError when what, of size bytes, is over FRAME_BUDGET."""
+    if size > FRAME_BUDGET:
         raise DomainError(
             f"{what} of {domain.label()} k={k} is over the "
             f"{FRAME_BUDGET >> 20} MiB memory budget"
@@ -166,7 +148,8 @@ def _triangle_frame(k: int) -> np.ndarray:
 def build_frame(domain: Domain, k: int) -> KFrame:
     """S^(0) = L and S^(k) = U(S^(k-1)), stored exactly."""
     k = _frame_index(k)
-    _check_budget(domain, k, lattice=False)
+    facets = 2 ** min(k if domain.kind == TRIANGLE else k // domain.n, 64)
+    _check_budget(domain, k, "frame", 1024 * facets)
     if domain.kind == TRIANGLE:
         rows = _triangle_frame(k)
         den = 2 ** (k + 1)
@@ -195,65 +178,27 @@ def build_frame(domain: Domain, k: int) -> KFrame:
 # partition counting (exact)
 
 
-def _triangle_partition_count(rows: np.ndarray, den: int) -> int:
-    """Components of the open triangle minus the frame, on an exact lattice.
-
-    Let D be the largest denominator of the facet endpoints (in units of pi;
-    all are dyadic) and take the lattice of step pi/(4D).  Every facet and
-    every side of the triangle is horizontal, vertical or at 45 degrees and
-    lies on a line x, y or x +- y = c/D (c integer), so it passes through a
-    lattice point at every lattice step, its endpoints are lattice points,
-    and two of them cross only at lattice points.  These lines at spacing
-    1/D cut the plane into small triangles (a 1/D square split by both
-    diagonals, so their vertices are lattice points); each face of the
-    partition is a union of them.  Each small triangle holds a free interior
-    lattice point, and each of its edges that is not on the frame holds free
-    lattice points 4-adjacent to it, so the free points of one face are
-    4-connected.  Two 4-adjacent lattice points span an edge of length
-    pi/(4D) that no facet crosses, so free points of different faces are
-    never adjacent.  Hence the 4-connected components of the free lattice
-    points are the faces: no offsets, no resolution, no certificate.
-
-    rows holds the endpoint numerators over den (see _triangle_frame).
-    """
-    # every gcd is a power of two dividing den, so the smallest one belongs
-    # to the largest reduced denominator, and den // d divides every numerator
-    d = den // int(np.gcd(rows, den).min())
-    size = 4 * d
-    x0, y0, x1, y1 = (rows // (den // d) * 4).T
-    dx, dy = x1 - x0, y1 - y0
-    # one lattice point per step along each facet, endpoints included
-    points = np.maximum(np.abs(dx), np.abs(dy)) + 1
-    t = np.arange(points.sum()) - np.repeat(np.cumsum(points) - points, points)
-    xs = np.repeat(x0, points) + t * np.repeat(np.sign(dx), points)
-    ys = np.repeat(y0, points) + t * np.repeat(np.sign(dy), points)
-    # free[x, y]: the open triangle 0 < y < x < 1, in lattice units
-    free = np.tri(size + 1, k=-1, dtype=bool)
-    free[:, 0] = free[size] = False
-    free[xs, ys] = False
-    _, count = _module.ndimage.label(free)
-    return count
-
-
 @lru_cache(maxsize=None)
 def _partition_count(domain: Domain, k: int) -> int:
-    _check_budget(domain, k, lattice=True)
-    if domain.kind == TRIANGLE:
-        return _triangle_partition_count(_triangle_frame(k), 2 ** (k + 1))
-    cuts: list[set[Fraction]] = [set() for _ in range(domain.n)]
-    for slab in build_frame(domain, k).facets:
-        cuts[slab.axis].add(slab.frac)
-    return math.prod(len(c) + 1 for c in cuts)
+    # M(k) has about k bits (k/n on the box); building it holds three such
+    bits = k if domain.kind == TRIANGLE else k // domain.n
+    _check_budget(domain, k, "partition count", 3 * bits // 8)
+    if domain.kind != TRIANGLE:
+        return (1 << (k // domain.n)) + 1
+    if k < 2:
+        return k + 2  # M(0) = 2, M(1) = 3
+    # (2^(a-1) + 1)(2^(b-1) + 1) with a + b = k, expanded
+    return (1 << (k - 2)) + (1 << (k // 2 - 1)) + (1 << ((k + 1) // 2 - 1)) + 1
 
 
 def partition_count(domain: Domain, k: int) -> int:
     """M(k): connected components of the open domain minus the k-frame.
 
-    Exact.  Every box facet is a whole hyperplane, so the box count is the
-    product over the axes of (distinct cut positions + 1); the triangle is
-    counted on an exact lattice (see _triangle_partition_count).  k is
-    checked before the cache sees it, so an unhashable or non-integer k
-    (2.0, True, [3]) raises DomainError and never hits a cached entry.
+    Closed forms in Python ints: the box k-frame is 2^(k//n) hyperplanes at
+    distinct positions on the axis k mod n, so M(k) = 2^(k//n) + 1; the
+    triangle has M(0) = 2 and M(k) = (2^(floor(k/2)-1) + 1)(2^(ceil(k/2)-1)
+    + 1) (see boundary_word_counts).  k is checked before the cache sees it,
+    so an unhashable or non-integer k (2.0, True, [3]) raises DomainError.
     """
     return _partition_count(domain, _frame_index(k))
 
@@ -262,9 +207,57 @@ partition_count.cache_clear = _partition_count.cache_clear
 partition_count.cache_info = _partition_count.cache_info
 
 
-def box_partition_formula(n: int, k: int) -> int:
-    """Closed-form M(k) for the n-dimensional box."""
-    return 2 ** (k // n) + 1
+def boundary_word_counts(k: int) -> list[int]:
+    """M(0), ..., M(k) of the triangle, counted by its 2-rep-tile split.
+
+    In units of pi let A = (0, 0), B = (1, 0), C = (1, 1), M = (1/2, 1/2).
+    U maps (A, B, C) to (A, M, B) and RU maps them to (C, M, B), so T is
+    copy 1 = U(T) and copy 2 = RU(T) glued along L = MB, and S^(k+1) is
+    U(S^(k)) + RU(S^(k)).  No facet lies on a side of T (true of S^(0) = L,
+    kept by each step), so S^(k+1) meets L in finitely many points, and both
+    maps send the leg BC onto L as B -> M, C -> B.  The state is the side
+    words AB, BC, CA: the pieces meeting that side in order from its first
+    corner, one entry per interval, adjacent repeats merged; interior pieces
+    are only counted.  S^(0) leaves P = ABM and Q = BCM: AB = [P], BC = [Q],
+    CA = [Q, P].  A step unites (copy 1, r) with (copy 2, r) for each r in
+    BC_k, so M(k+1) = 2 M(k) - (unions that joined two classes), and sets
+        AB_(k+1) = reverse(CA_k) in copy 1,   BC_(k+1) = CA_k in copy 2,
+        CA_(k+1) = AB_k in copy 2, then reverse(AB_k) in copy 1,
+    relabelled by union-find roots.  By induction on the words, (i) each
+    piece meets each side in one interval at most, so the labels of BC_k
+    are distinct and every union joins, and (ii) the only identification
+    within CA_(k+1) is at M, where the piece at corner B of AB_k, which
+    also meets BC_k, is merged across the copies.  So M(k+1) = 2 M(k) -
+    |BC_k|, |BC_k| = 2^floor((k-1)/2) + 1 (k >= 1), and partition_count's
+    closed form follows.  This count trusts neither invariant, and its
+    union-find holds only the pieces on the boundary.
+    """
+    counts = [2]
+    ab, bc, ca = [0], [1], [1, 0]  # P = 0, Q = 1
+    n = 2  # boundary pieces, labelled 0 .. n-1
+    for _ in range(_frame_index(k)):
+        # node p is piece p in copy 1, node n + p the same piece in copy 2
+        parent = list(range(2 * n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        joined = 0
+        for r in bc:
+            a, b = find(r), find(n + r)
+            if a != b:
+                parent[b] = a
+                joined += 1
+        counts.append(2 * counts[-1] - joined)
+        labels: dict[int, int] = {}
+        ab, bc, ca = [
+            [r for r, _ in groupby(labels.setdefault(find(x), len(labels)) for x in nodes)]
+            for nodes in (ca[::-1], [n + p for p in ca], [n + p for p in ab] + ab[::-1])
+        ]
+        n = len(labels)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,14 @@ def test_deficiency_box6_counts_the_frame_exactly(capsys):
     assert json.loads(out)["partition_size"] == 2
 
 
+def test_deficiency_triangle_at_k_18(capsys):
+    # k = 18, past every frame the lattice oracle labels: M(18) = (2^8 + 1)^2
+    code, out = run_cli(capsys, ["deficiency", "--domain", "triangle", "--lambda", "262144"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["k"], report["partition_size"], report["bound"]) == (18, 66049, 0)
+
+
 def test_frame_beyond_the_budget_fails_fast(capsys):
     for argv in (
         ["frame", "--domain", "triangle", "--k", "40"],

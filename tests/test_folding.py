@@ -222,12 +222,17 @@ def test_partition_counts_triangle():
         assert folding.partition_count(triangle(), k) == m
 
 
+def cut_position_count(dom, k: int) -> int:
+    """Product over the axes of (distinct cut positions + 1): every box facet
+    is a whole hyperplane."""
+    facets = folding.build_frame(dom, k).facets
+    return math.prod(len({s.frac for s in facets if s.axis == a}) + 1 for a in range(dom.n))
+
+
 def test_partition_counts_box_formula():
     for n in range(2, 7):
         for k in range(13):
-            assert folding.partition_count(
-                box(n), k
-            ) == folding.box_partition_formula(n, k)
+            assert folding.partition_count(box(n), k) == cut_position_count(box(n), k), (n, k)
 
 
 # -- test-only oracle: pixel flood fill of the frame ---------------------------
@@ -361,8 +366,61 @@ def test_triangle_counts_match_the_fraction_lattice_oracle():
         assert folding.partition_count(triangle(), k) == want, k
 
 
+# -- test-only oracle: the frame's exact lattice, labelled --------------------
+
+
+def lattice_partition_count(k: int) -> int:
+    """Components of the open triangle minus the k-frame, on an exact lattice.
+
+    Let D be the largest denominator of the facet endpoints (in units of pi;
+    all are dyadic) and take the lattice of step pi/(4D).  Every facet and
+    every side of the triangle is horizontal, vertical or at 45 degrees and
+    lies on a line x, y or x +- y = c/D (c integer), so it passes through a
+    lattice point at every lattice step, its endpoints are lattice points,
+    and two of them cross only at lattice points.  These lines at spacing
+    1/D cut the plane into small triangles (a 1/D square split by both
+    diagonals, so their vertices are lattice points); each face of the
+    partition is a union of them.  Each small triangle holds a free interior
+    lattice point, and each of its edges that is not on the frame holds free
+    lattice points 4-adjacent to it, so the free points of one face are
+    4-connected.  Two 4-adjacent lattice points span an edge of length
+    pi/(4D) that no facet crosses, so free points of different faces are
+    never adjacent.  Hence the 4-connected components of the free lattice
+    points are the faces: no offsets, no resolution, no certificate.
+    """
+    rows, den = folding._triangle_frame(k), 2 ** (k + 1)
+    # every gcd is a power of two dividing den, so the smallest one belongs
+    # to the largest reduced denominator, and den // d divides every numerator
+    d = den // int(np.gcd(rows, den).min())
+    size = 4 * d
+    x0, y0, x1, y1 = (rows // (den // d) * 4).T
+    dx, dy = x1 - x0, y1 - y0
+    # one lattice point per step along each facet, endpoints included
+    points = np.maximum(np.abs(dx), np.abs(dy)) + 1
+    t = np.arange(points.sum()) - np.repeat(np.cumsum(points) - points, points)
+    xs = np.repeat(x0, points) + t * np.repeat(np.sign(dx), points)
+    ys = np.repeat(y0, points) + t * np.repeat(np.sign(dy), points)
+    # free[x, y]: the open triangle 0 < y < x < 1, in lattice units
+    free = np.tri(size + 1, k=-1, dtype=bool)
+    free[:, 0] = free[size] = False
+    free[xs, ys] = False
+    return ndimage.label(free)[1]
+
+
+def test_boundary_recursion_matches_the_lattice_oracle():
+    counts = folding.boundary_word_counts(17)
+    assert counts == [lattice_partition_count(k) for k in range(18)]
+    assert counts[17] == 33153
+
+
+def test_boundary_recursion_matches_the_closed_form():
+    counts = folding.boundary_word_counts(36)
+    assert counts == [folding.partition_count(triangle(), k) for k in range(37)]
+    assert counts[36] == (2**17 + 1) ** 2
+
+
 def test_triangle_denominator_bound_is_tight():
-    # the budget check predicts the lattice from this bound before building
+    # the lattice oracle's size follows from this bound
     for k in range(18):
         rows, den = folding._triangle_frame(k), 2 ** (k + 1)
         assert rows.shape == (2**k, 4)
@@ -389,25 +447,36 @@ def test_frame_index_must_be_an_integer():
     assert folding.build_frame(triangle(), np.uint8(3)).facets == fraction_frame(3)
     with pytest.raises(DomainError, match="budget"):
         folding.build_frame(triangle(), np.int64(63))
+    assert folding.boundary_word_counts(np.int64(4))[-1] == 9
+    for k in (2.0, True, -1):
+        with pytest.raises(DomainError):
+            folding.boundary_word_counts(k)
 
 
 def test_partition_count_peak_memory_is_within_the_budget():
-    # k = 17 is the largest triangle index the budget admits
-    with pytest.raises(DomainError, match="budget"):
-        folding.partition_count(triangle(), 18)
-    tracemalloc.start()
-    try:
-        assert folding._partition_count.__wrapped__(triangle(), 17) == 33153
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < folding.FRAME_BUDGET
+    # past k = 17, the largest frame the lattice oracle labels in tier-1 time
+    assert folding.partition_count(triangle(), 18) == 66049 == 257**2
+    # the budget charges three times the answer's bytes
+    for dom, k in ((triangle(), 2**20), (box(2), 2**21)):
+        tracemalloc.start()
+        try:
+            m = folding._partition_count.__wrapped__(dom, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert m.bit_length() in (2**20 - 1, 2**20 + 1)
+        assert peak <= 3 * m.bit_length() // 8, (dom.label(), peak)
 
 
 def test_partition_count_budget_fails_fast():
-    for dom, k in ((triangle(), 60), (triangle(), 10**9), (box(2), 120), (box(6), 10**9)):
-        with pytest.raises(DomainError, match="budget"):
+    # an answer over the budget raises before it is built; the frame itself
+    # stays bounded by the facet budget
+    for dom, k in ((triangle(), 10**9), (triangle(), 2**64), (box(2), 2**31), (box(6), 10**10)):
+        with pytest.raises(DomainError, match="partition count .* budget"):
             folding.partition_count(dom, k)
+    for dom, k in ((triangle(), 60), (box(2), 120)):
+        with pytest.raises(DomainError, match="frame .* budget"):
+            folding.build_frame(dom, k)
 
 
 def test_square_subdomain_values():

@@ -66,15 +66,17 @@ def test_cli_does_not_import_mpmath():
 
 
 def test_only_labelling_imports_scipy():
-    # scipy.ndimage labels triangle grids and triangle frames alone, so
-    # spectra and verdicts start and run without scipy; a triangle grid
-    # count loads it
+    # scipy.ndimage labels triangle grids alone, so spectra, verdicts,
+    # deficiency bounds and partition counts start and run without scipy; a
+    # triangle grid count loads it
     code = """if True:
         import sys
-        from foldspec import cli
+        from foldspec import cli, folding, triangle
         assert "scipy" not in sys.modules
         assert cli.main(["spectrum", "--domain", "box", "--dim", "2", "--cutoff", "30", "--points"]) == 0
         assert cli.main(["verdicts", "--domain", "triangle", "--cutoff", "200"]) == 0
+        assert cli.main(["deficiency", "--domain", "triangle", "--lambda", "4225"]) == 0
+        assert folding.partition_count(triangle(), 20) == 263169
         loaded = [m for m in ("scipy", "scipy.ndimage") if m in sys.modules]
         assert not loaded, loaded
         assert cli.main(["nodal", "--domain", "triangle", "--qn", "3,1"]) == 0
@@ -88,7 +90,8 @@ def test_only_labelling_imports_scipy():
 def test_labelling_reads_the_module_attribute():
     # the benchmark's tracer (bench/spans.py) checks that nodal.ndimage and
     # folding.ndimage are scipy.ndimage, even before anything was labelled,
-    # and replaces them by stand-ins whose label must see every call
+    # and replaces them by stand-ins whose label must see every call; folding
+    # labels nothing, so its stand-in sees none
     code = """if True:
         import scipy.ndimage
         from foldspec import eigenfn, folding, nodal, triangle
@@ -113,9 +116,10 @@ def test_labelling_reads_the_module_attribute():
             calls.clear()
             folding.partition_count.cache_clear()
             traced = folding.partition_count(triangle(), 5)
-            assert calls == ["folding"], calls
+            assert calls == [], calls
         finally:
             nodal.ndimage = folding.ndimage = scipy.ndimage
+        assert folding.ndimage is scipy.ndimage
         calls.clear()
         folding.partition_count.cache_clear()
         assert folding.partition_count(triangle(), 5) == traced
