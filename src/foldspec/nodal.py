@@ -13,8 +13,9 @@ by a bound on its second derivative along the segment, bisecting where that
 bound does not suffice.  So no join bridges two nodal domains; what the grid
 can still miss is a neck of one domain narrower than a cell, which splits it
 and over-counts, and the doubling check guards against that.  Each triangle
-grid is labelled once, as a doubled image whose even pixels are the cells
-and whose odd pixels are the proven joins.
+grid is labelled once, on two sign planes at cell resolution: the positive
+cells and the negative cells side by side, with a row (column) of join
+pixels only after a cell row (column) that holds a cut edge.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
 # triangle grid holds the live intervals of both axes together to the budget
 # too, counting _INTERVAL_POINTS points for each.  Peak memory, measured with
 # tracemalloc over the simple triangle levels below 403 at 1024 and 2048
-# cells: a triangle grid at most about 22.1 bytes per point of the n x n grid
-# with or without a cut edge (11.1 when halved), first in the float samples
-# and then in the int32 labels of the doubled image (16 of the 20 bytes
-# live while it is labelled), a live interval about 283 bytes and the axes
-# of a box basis function at most about 19 per sample, so the budget holds
-# peak memory near 0.7, 1.1 and 0.6 GiB.  In the test suite, the
+# cells: a triangle grid at most 16.2 bytes per point of the n x n grid with
+# or without a cut edge (9.1 when halved), while f is evaluated (the float
+# samples and one product term); its sign planes and their int32 labels,
+# which come after the samples are freed, hold about 10 (5 when halved).  A
+# live interval takes about 283 bytes and the axes of a box basis function
+# at most about 19 per sample, so the budget holds peak memory near 0.5, 1.1
+# and 0.6 GiB.  In the test suite, the
 # largest grid count_grid samples has 4.2e6 points (a triangle at 2048 cells)
 # and its largest set of axes 589 samples.
 GRID_BUDGET = 1 << 25
@@ -221,11 +223,6 @@ def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
     return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
 
 
-# grid edges along axis 0 join cells (i, j) and (i + 1, j), along axis 1
-# cells (i, j) and (i, j + 1): the lower and upper ends of each as slices
-_EDGE_ENDS = ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))
-
-
 def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     """Triangle count with proven joins, in one labelling.
 
@@ -236,23 +233,21 @@ def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
     (_cut_edges).  A nodal line between the centers always leaves a sample
     of the other sign or an unproven interval, so diagonal nodal lines and
     their crossings cannot silently bridge distinct domains.  The count is
-    the number of components of the doubled image whose even pixels are the
-    cells and whose odd pixels are the joins between them.
+    the number of components of the sign planes (_sign_planes) of the grid
+    and its cut edges.
     """
-    cells, joins = _cells_and_joins(f, cells0, halve)
-    n0, n1 = cells.shape
-    img = np.zeros((2 * n0 - 1, 2 * n1 - 1), dtype=bool)
-    img[::2, ::2] = cells
-    img[1::2, ::2], img[::2, 1::2] = joins
-    del cells, joins  # the image alone is live while it is labelled
+    sign, cuts = _signs_and_cuts(f, cells0, halve)
+    img = _sign_planes(sign, cuts)
+    del sign  # the image alone is live while it is labelled
     count = _module.ndimage.label(img)[1]
     return 2 * count if halve else count
 
 
-def _cells_and_joins(f: Combo, cells0: int, halve: bool):
-    """The cells inside the (half) triangle where f is nonzero and, per axis,
-    the joins: the same-sign edges between them that are not cut.  The float
-    samples live here alone, so they are freed before the labelling."""
+def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
+    """The sign of f at each cell of the (half) triangle, 0 outside, and per
+    axis the lower ends (i, j) of the cut edges: the same-sign edges whose
+    join is not proven.  The float samples live here alone, so they are
+    freed before the labelling."""
     n, _ = _grid_shape(f.domain, cells0)
     h = math.pi / n
     ax, ay = ((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
@@ -267,31 +262,97 @@ def _cells_and_joins(f: Combo, cells0: int, halve: bool):
         inside &= ax[:, None] + ay[None, :] < math.pi
     # np.sign of each inside value, and 0 outside
     sign = np.subtract(vals > 0, vals < 0, dtype=np.int8) * inside
-    mag = np.abs(vals)
 
     terms = product_terms(f)
     eps = _rounding_margin(terms)
-    joins, unsure, curvs = [], [], []
-    for k, (a, b) in enumerate(_EDGE_ENDS):
-        curv = sum(abs(c) * freqs[k] ** 2 for c, freqs in terms) / 8.0
-        join = (sign[a] == sign[b]) & (sign[a] != 0)
-        # min(|f0|, |f1|) <= bound, an end at a time
-        low = mag <= curv * step**2 + eps
-        unsure.append(np.nonzero(join & (low[a] | low[b])))
-        joins.append(join)
-        curvs.append(curv)
-    # both axes' edges in one bisection; edge e ends at (i1, j1)
-    i, j = (np.concatenate(e) for e in zip(*unsure))
-    axis = np.repeat((0, 1), [e.size for e, _ in unsure])
-    i1, j1 = i + (axis == 0), j + (axis == 1)
+    curv = np.array([sum(abs(c) * fr[k] ** 2 for c, fr in terms) / 8.0 for k in (0, 1)])
+    bound = curv * step**2 + eps
+    # an edge is unsure when its ends share a strict sign and one of them is
+    # at or below its axis's bound, min(|f0|, |f1|) <= bound; the cells at or
+    # below the larger bound are few, so the edges are found from them
+    flat_vals, flat_sign = vals.ravel(), sign.ravel()
+    low = np.flatnonzero((vals <= bound.max()) & (vals >= -bound.max()))
+    n1 = sign.shape[1]
+    ends = []
+    for k, stride in enumerate((n1, 1)):
+        # each low cell as the lower end of its edge, then as the upper end
+        # of the edge whose lower end is not low
+        lo = low[np.abs(flat_vals[low]) <= bound[k]]
+        up = lo[lo >= stride] - stride
+        lo = np.concatenate((lo, up[np.abs(flat_vals[up]) > bound[k]]))
+        lo = lo[lo + stride < flat_sign.size]
+        if k == 1:
+            lo = lo[lo % n1 < n1 - 1]  # no edge leaves the last column
+        same = (flat_sign[lo] == flat_sign[lo + stride]) & (flat_sign[lo] != 0)
+        ends.append(lo[same])
+    axis = np.repeat((0, 1), [e.size for e in ends])
+    lo = np.concatenate(ends)
+    hi = lo + np.where(axis == 0, n1, 1)
+    i, j = np.divmod(lo, n1)
+    i1, j1 = np.divmod(hi, n1)
     cut = _cut_edges(
         f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
-        vals[i, j], vals[i1, j1], np.array(curvs)[axis], eps, cells0,
+        flat_vals[lo], flat_vals[hi], curv[axis], eps, cells0,
     )
-    for k, join in enumerate(joins):
-        on = cut & (axis == k)
-        join[i[on], j[on]] = False
-    return sign != 0, joins
+    return sign, tuple((i[on], j[on]) for on in (cut & (axis == 0), cut & (axis == 1)))
+
+
+def _sign_planes(sign: np.ndarray, cuts) -> np.ndarray:
+    """The image whose 4-connected components are the grid's nodal domains.
+
+    sign is an int8 grid of -1, 0 and 1, and cuts[k] holds the lower ends
+    (i, j) of the cut edges along axis k, each between two cells of one
+    strict sign.  Every other edge between two cells of one strict sign is
+    a join.  The positive cells form one n0 x n1 plane and the negative
+    cells another, side by side with one empty column between them.  A row
+    of join pixels follows each cell row that holds a cut axis-0 edge, and a
+    column of join pixels each cell column that holds a cut axis-1 edge; a
+    join pixel is set in the plane of its sign, and a pixel where such a row
+    meets such a column is 0.
+
+    Why the components are the nodal domains.  Take the doubled image whose
+    even pixels are the cells, whose pixels between two cells are the joins
+    and whose pixels with two odd coordinates are 0: its components are the
+    nodal domains.  A join pixel joins only cells of its own sign, so the
+    image keeps its components when it is split into a positive and a
+    negative copy, each holding its sign's cells and joins, set side by side
+    with an empty column between.  In either copy, the join pixel of an
+    edge with no cut is set exactly when both its cells are set.  Deleting a
+    row of join pixels that holds no cut therefore neither joins nor splits
+    a component.  Each deleted set pixel had both its neighbours across the
+    row set, and these become adjacent.  Two cells that become adjacent are
+    set together exactly when their join was.  Two join pixels of a kept
+    column that become adjacent are set together only when the four cells
+    around them share the sign, and then those cells were already joined
+    across the deleted row.  The same holds for a column, and deleting
+    every such row and column leaves this image.  The split by sign is
+    needed: in one plane, the deletion would make opposite-sign cells
+    adjacent.
+    """
+    (i0, j0), (i1, j1) = cuts
+    rows, cols = np.unique(i0), np.unique(j1)
+    # where the join rows and columns go in the image
+    new_rows = rows + np.arange(1, rows.size + 1)
+    new_cols = cols + np.arange(1, cols.size + 1)
+    grid = sign
+    if rows.size:
+        # each cell row, then, where a join row follows, a copy of it that
+        # keeps the sign where the cell below has it and the edge is not cut
+        grid = sign.take(np.sort(np.concatenate((np.arange(sign.shape[0]), rows))), axis=0)
+        grid[new_rows] *= sign[rows] == sign[rows + 1]
+        grid[new_rows[np.searchsorted(rows, i0)], j0] = 0
+    if cols.size:
+        # the same along axis 1, over the rows above; where a join row
+        # crosses a join column the pixel is 0
+        grid = grid.take(np.sort(np.concatenate((np.arange(sign.shape[1]), cols))), axis=1)
+        grid[:, new_cols] *= grid[:, new_cols] == grid[:, new_cols + 1]
+        grid[i1 + np.searchsorted(rows, i1), new_cols[np.searchsorted(cols, j1)]] = 0
+        grid[np.ix_(new_rows, new_cols)] = 0
+    r, w = grid.shape
+    img = np.zeros((r, 2 * w + 1), dtype=bool)
+    np.greater(grid, 0, out=img[:, :w])
+    np.less(grid, 0, out=img[:, w + 1:])
+    return img
 
 
 def _box_axes(domain: Domain, cells: int) -> list[np.ndarray]:
@@ -348,8 +409,9 @@ def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
     function is counted as the product of its sign runs along each sampled
     axis, which equals the labelled count of the same samples on the full
     grid; box combos of several terms raise DomainError.  A triangle combo
-    is counted in one labelling of its cells and proven joins
-    (_triangle_grid_count): a join never crosses a nodal line, and the
+    is counted in one labelling of its sign planes, with join rows and
+    columns only where an edge is cut (_triangle_grid_count,
+    _sign_planes): a join never crosses a nodal line, and the
     doubling check guards against a domain pinched narrower than a cell,
     which the grid would split.  An edge that neither a proof nor a sample
     of the other sign decides raises GridInstabilityError.  A triangle combo

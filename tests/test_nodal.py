@@ -5,11 +5,13 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -214,15 +216,20 @@ def _signs_and_joins(f, cells0, halve, cut_signs):
     return sign, joins
 
 
+def _doubled_image_label_count(sign, joins):
+    """Components of the doubled-resolution image whose even pixels are the
+    nonzero cells of a sign grid and whose odd pixels carry the joins."""
+    n0, n1 = sign.shape
+    img = np.zeros((2 * n0 - 1, 2 * n1 - 1), dtype=bool)
+    img[::2, ::2] = sign != 0
+    img[1::2, ::2], img[::2, 1::2] = joins
+    return ndimage.label(img)[1]
+
+
 def _doubled_image_count(f, cells0, halve, cut_signs):
     """Oracle: the triangle count as one labelling of a doubled-resolution
     image of the full grid, whose odd pixels carry the joins."""
-    sign, joins = _signs_and_joins(f, cells0, halve, cut_signs)
-    n = len(sign)
-    img = np.zeros((2 * n - 1, 2 * n - 1), dtype=bool)
-    img[::2, ::2] = sign != 0
-    img[1::2, ::2], img[::2, 1::2] = joins
-    _, count = ndimage.label(img)
+    count = _doubled_image_label_count(*_signs_and_joins(f, cells0, halve, cut_signs))
     return 2 * count if halve else count
 
 
@@ -272,6 +279,58 @@ def test_grid_counts_lie_between_the_uncut_labelling_and_one_split_per_cut():
                     assert per_half == uncut, case
                     tight += 1
     assert tight > 0
+
+
+@st.composite
+def _sign_grids_and_cuts(draw):
+    """An int8 sign grid of -1, 0 and 1 in blocks of one to three cells a
+    side, and per axis a random set of its same-sign edges to cut, with
+    whole lines of cut edges among them."""
+    base = draw(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                           elements=st.integers(-1, 1)))
+    sign = base
+    for k in (0, 1):
+        reps = draw(st.lists(st.integers(1, 3), min_size=base.shape[k], max_size=base.shape[k]))
+        sign = np.repeat(sign, reps, axis=k)
+    cuts = []
+    for k, (a, b) in enumerate(((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))):
+        same = (sign[a] == sign[b]) & (sign[a] != 0)
+        cut = np.zeros(same.shape, dtype=bool)
+        if draw(st.booleans()):
+            cut = draw(hnp.arrays(bool, same.shape, elements=st.booleans()))
+        lines = draw(st.sets(st.integers(0, max(same.shape[k] - 1, 0))))
+        if same.size:
+            np.moveaxis(cut, k, 0)[sorted(lines)] = True
+        cuts.append(cut & same)
+    return sign, cuts
+
+
+def _both_signs_cut_on_adjacent_crossing_border_lines():
+    # positive left, negative right; every edge of the axis-0 rows 0, 1 and
+    # 3 (the first two adjacent, 0 and 3 on the border) and of the axis-1
+    # columns 0 and 2 (2 on the border) is cut, which leaves 16 domains
+    sign = np.array([[1, 1, -1, -1]] * 5, dtype=np.int8)
+    cut0 = np.zeros((4, 4), dtype=bool)
+    cut0[[0, 1, 3]] = True
+    cut1 = np.zeros((5, 3), dtype=bool)
+    cut1[:, [0, 2]] = True
+    return sign, [cut0, cut1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_sign_grids_and_cuts())
+@example(case=_both_signs_cut_on_adjacent_crossing_border_lines())
+def test_sign_planes_label_like_the_doubled_image(case):
+    sign, cut = case
+    joins = [
+        (sign[a] == sign[b]) & (sign[a] != 0) & ~c
+        for c, (a, b) in zip(cut, ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:])))
+    ]
+    img = nodal._sign_planes(sign, [np.nonzero(c) for c in cut])
+    rows, cols = (np.unique(np.nonzero(c)[k]).size for k, c in enumerate(cut))
+    # a join row per cut row of edges, a join column per cut column in each plane
+    assert img.shape == (len(sign) + rows, 2 * (sign.shape[1] + cols) + 1)
+    assert ndimage.label(img)[1] == _doubled_image_label_count(sign, joins)
 
 
 _MULTIPLE_LEVELS = {
@@ -456,6 +515,22 @@ def test_grid_budget_is_checked_before_evaluating():
     # ... and the total of those samples is held to the budget too
     with pytest.raises(DomainError, match="axes at .* over the budget"):
         nodal.count_grid(eigenfn.basis_fn(box(2), (1, 0)), resolution=nodal.GRID_BUDGET)
+
+
+def test_triangle_grid_peak_memory_per_point_is_as_stated():
+    # the figures of the GRID_BUDGET comment: at most 16.2 bytes per point of
+    # the n x n grid, 9.1 when halved, with and without cut edges
+    for qn in ((16, 6), (17, 4), (8, 2)):
+        f = eigenfn.basis_fn(triangle(), qn)
+        for cells in (1024, 2048):
+            for halve, stated in ((False, 16.2), (True, 9.1)):
+                tracemalloc.start()
+                try:
+                    nodal._grid_count_once(f, cells, halve)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= stated * cells**2, (qn, cells, halve, peak / cells**2)
 
 
 def test_box_combos_of_several_terms_are_refused():
