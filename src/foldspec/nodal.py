@@ -15,7 +15,8 @@ can still miss is a neck of one domain narrower than a cell, which splits it
 and over-counts, and the doubling check guards against that.  Each triangle
 grid is labelled once, on two sign planes at cell resolution: the positive
 cells and the negative cells side by side, with a row (column) of join
-pixels only after a cell row (column) that holds a cut edge.
+pixels only after a cell row (column) that holds a cut edge.  The two grids
+of a doubling pair are counted in one batch, with one edge bisection.
 """
 
 from __future__ import annotations
@@ -50,26 +51,33 @@ def __getattr__(name: str):
 _module = sys.modules[__name__]
 
 _GRID_OFFS = (0.4142135623730951, 0.7320508075688772, 0.23606797749978969)
+# 4-connectivity, scipy.ndimage.label's default, built once
+_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
-# Largest sampling grid, in points, that count_grid evaluates; each grid is
-# checked just before it is evaluated, so a count fails only when a grid it
-# needs is too large, and ends in DomainError instead of a numpy allocation
-# error.  A box basis function is counted on its axes alone, so for it the
-# budget bounds the total of the axis sample counts; only triangle combos are
-# sampled on the full grid; the budget counts the full n x n grid even for a
-# halved count, which samples half its columns.  The edge bisection of a
-# triangle grid holds the live intervals of both axes together to the budget
-# too, counting _INTERVAL_POINTS points for each.  Peak memory, measured with
-# tracemalloc over the simple triangle levels below 403 at 1024 and 2048
-# cells: a triangle grid at most 16.2 bytes per point of the n x n grid with
-# or without a cut edge (9.1 when halved), while f is evaluated (the float
-# samples and one product term); its sign planes and their int32 labels,
-# which come after the samples are freed, hold about 10 (5 when halved).  A
-# live interval takes about 283 bytes and the axes of a box basis function
-# at most about 19 per sample, so the budget holds peak memory near 0.5, 1.1
-# and 0.6 GiB.  In the test suite, the
-# largest grid count_grid samples has 4.2e6 points (a triangle at 2048 cells)
-# and its largest set of axes 589 samples.
+# Largest sampling grid, in points, that count_grid evaluates.  The grids of
+# one batch (_grid_counts: the doubling pair, or a later doubling alone) are
+# checked before any of them is evaluated, so a count fails only when a grid
+# it needs is too large, and ends in DomainError instead of a numpy
+# allocation error.  A box basis function is counted on its axes alone, so
+# for it the budget bounds the total of the axis sample counts of the batch;
+# only triangle combos are sampled on the full grid, each grid held to the
+# budget on its own; the budget counts the full n x n grid even for a halved
+# count, which samples half its columns.  The edge bisection of a triangle
+# batch holds the live intervals of both axes of all its grids together to
+# the budget too, counting _INTERVAL_POINTS points for each.  Peak memory,
+# measured with tracemalloc over the simple triangle levels below 403 at
+# 1024 and 2048 cells: a triangle grid at most 16.2 bytes per point of the
+# n x n grid with or without a cut edge (9.1 when halved), while f is
+# evaluated (the float samples and one product term); its sign planes and
+# their int32 labels, which come after the samples are freed, hold about 10
+# (5 when halved).  A doubling pair, at 512 and 1024 or 1024 and 2048 cells,
+# at most 16.5 (9.2) per point of its larger grid, whose samples are taken
+# while the signs of the smaller are live.  A live interval takes about 283
+# bytes and the axes of a box basis function at most about 19 per sample,
+# so the budget holds peak memory near 0.5, 1.1 and 0.6 GiB.  In the test
+# suite, the largest grid count_grid samples has 4.2e6 points (a triangle at
+# 2048 cells) and its largest batch of axes 885 samples (a box at 64 and
+# 128 cells).
 GRID_BUDGET = 1 << 25
 _INTERVAL_POINTS = 8
 
@@ -167,20 +175,23 @@ def _rounding_margin(terms) -> float:
 
 
 def _cut_edges(
-    f: Combo, lo, hi, f_lo, f_hi, curv: np.ndarray, eps: float, cells0: int
+    f: Combo, lo, hi, f_lo, f_hi, curv: np.ndarray, eps: float, cells: np.ndarray
 ) -> np.ndarray:
     """Bisect grid edges whose join is not yet proven; True where an edge is cut.
 
-    Edge e runs from the point lo[e] to hi[e] along one axis, and f takes the
-    values f_lo[e] and f_hi[e] of one strict sign at its ends.  On an interval
-    of length l, f stays at least min(f_lo, f_hi) - curv[e] * l^2 (curv[e] is
-    an eighth of a bound on |f''| along the edge's axis, so edges of both axes
-    go in one call), and an interval whose end values clear curv[e] * l^2 +
-    eps in their sign is proven.  Every live interval is halved through
+    Edge e runs from the point lo[e] to hi[e] along one axis of the grid with
+    cells[e] cells, and f takes the values f_lo[e] and f_hi[e] of one strict
+    sign at its ends.  On an interval of length l, f stays at least
+    min(f_lo, f_hi) - curv[e] * l^2 (curv[e] is an eighth of a bound on |f''|
+    along the edge's axis, so edges of both axes and of several grids go in
+    one call), and an interval whose end values clear curv[e] * l^2 + eps in
+    their sign is proven.  Every live interval is halved through
     eval_points, all edges at once; a midpoint of the other sign, or zero,
-    cuts its edge.  The live intervals of both axes together are held to the
-    budget.  An edge still undecided after _BISECT_DEPTH halvings raises
-    GridInstabilityError.
+    cuts its edge.  Each edge is decided by its own intervals alone, so the
+    grids of one call do not interact.  The live intervals of all edges
+    together are held to the budget.  An edge still undecided after
+    _BISECT_DEPTH halvings raises GridInstabilityError, which names the grid
+    of the first such edge.
     """
     sign = np.sign(f_lo)
     cut = np.zeros(len(sign), dtype=bool)
@@ -188,7 +199,7 @@ def _cut_edges(
     for _ in range(_BISECT_DEPTH):
         if not edge.size:
             return cut
-        _check_budget(_INTERVAL_POINTS * edge.size, cells0, "edge bisection")
+        _check_budget(_INTERVAL_POINTS * edge.size, cells, "edge bisection")
         mid = 0.5 * (lo + hi)
         f_mid = eval_points(f, mid)
         cut[edge[np.sign(f_mid) != sign[edge]]] = True
@@ -206,10 +217,11 @@ def _cut_edges(
         live = np.minimum(s * f_lo, s * f_hi) <= curv[edge] * length**2 + eps
         edge, lo, hi, f_lo, f_hi = (a[live] for a in (edge, lo, hi, f_lo, f_hi))
     if edge.size:
+        at = cells[edge.min()]
         raise GridInstabilityError(
-            f"nodal count undecided at {cells0} cells: {np.unique(edge).size} grid "
-            f"edges keep their sign at every sample but are not proven after "
-            f"{_BISECT_DEPTH} bisections"
+            f"nodal count undecided at {at} cells: "
+            f"{np.unique(edge[cells[edge] == at]).size} grid edges keep their "
+            f"sign at every sample but are not proven after {_BISECT_DEPTH} bisections"
         )
     return cut
 
@@ -223,31 +235,40 @@ def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
     return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
 
 
-def _triangle_grid_count(f: Combo, cells0: int, halve: bool) -> int:
-    """Triangle count with proven joins, in one labelling.
+def _triangle_grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -> list[int]:
+    """Triangle counts with proven joins, one labelling per grid.
 
     Two orthogonal same-sign neighbors are joined only when f is proven to
     keep that strict sign on the segment between their centers: at once when
     min(|f0|, |f1|) > M2 h^2 / 8 + eps, with M2 = sum |c| w^2 over the terms
     and w their frequency along the segment, and otherwise by bisection
-    (_cut_edges).  A nodal line between the centers always leaves a sample
-    of the other sign or an unproven interval, so diagonal nodal lines and
-    their crossings cannot silently bridge distinct domains.  The count is
-    the number of components of the sign planes (_sign_planes) of the grid
-    and its cut edges.
+    (_cut_edges, one call for the unsure edges of every grid).  A nodal line
+    between the centers always leaves a sample of the other sign or an
+    unproven interval, so diagonal nodal lines and their crossings cannot
+    silently bridge distinct domains.  Each count is the number of
+    components of the sign planes (_sign_planes) of its grid and cut edges.
     """
-    sign, cuts = _signs_and_cuts(f, cells0, halve)
-    img = _sign_planes(sign, cuts)
-    del sign  # the image alone is live while it is labelled
-    count = _module.ndimage.label(img)[1]
-    return 2 * count if halve else count
+    terms = product_terms(f)
+    eps = _rounding_margin(terms)
+    curv = np.array([sum(abs(c) * fr[k] ** 2 for c, fr in terms) / 8.0 for k in (0, 1)])
+    signs, edges = zip(*(_signs_and_edges(f, cells0, halve, curv, eps) for cells0 in resolutions))
+    grid = np.repeat(np.arange(len(signs)), [len(e[0]) for e in edges])
+    i, j, axis, lo, hi, f_lo, f_hi = map(np.concatenate, zip(*edges))
+    cut = _cut_edges(f, lo, hi, f_lo, f_hi, curv[axis], eps, np.asarray(resolutions)[grid])
+    counts = []
+    for k, sign in enumerate(signs):
+        on = [cut & (grid == k) & (axis == a) for a in (0, 1)]
+        count = _module.ndimage.label(_sign_planes(sign, [(i[e], j[e]) for e in on]), _CROSS)[1]
+        counts.append(2 * count if halve else count)
+    return counts
 
 
-def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
-    """The sign of f at each cell of the (half) triangle, 0 outside, and per
-    axis the lower ends (i, j) of the cut edges: the same-sign edges whose
-    join is not proven.  The float samples live here alone, so they are
-    freed before the labelling."""
+def _signs_and_edges(f: Combo, cells0: int, halve: bool, curv: np.ndarray, eps: float):
+    """The sign of f at each cell of the (half) triangle, 0 outside, and its
+    unsure edges: the same-sign edges whose join is not proven at once, each
+    as the cell (i, j) of its lower end, its axis, its end points and the
+    values of f there.  The float samples live here alone, so they are
+    freed before the bisection."""
     n, _ = _grid_shape(f.domain, cells0)
     h = math.pi / n
     ax, ay = ((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
@@ -263,9 +284,6 @@ def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
     # np.sign of each inside value, and 0 outside
     sign = np.subtract(vals > 0, vals < 0, dtype=np.int8) * inside
 
-    terms = product_terms(f)
-    eps = _rounding_margin(terms)
-    curv = np.array([sum(abs(c) * fr[k] ** 2 for c, fr in terms) / 8.0 for k in (0, 1)])
     bound = curv * step**2 + eps
     # an edge is unsure when its ends share a strict sign and one of them is
     # at or below its axis's bound, min(|f0|, |f1|) <= bound; the cells at or
@@ -290,11 +308,10 @@ def _signs_and_cuts(f: Combo, cells0: int, halve: bool):
     hi = lo + np.where(axis == 0, n1, 1)
     i, j = np.divmod(lo, n1)
     i1, j1 = np.divmod(hi, n1)
-    cut = _cut_edges(
-        f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
-        flat_vals[lo], flat_vals[hi], curv[axis], eps, cells0,
+    return sign, (
+        i, j, axis, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
+        flat_vals[lo], flat_vals[hi],
     )
-    return sign, tuple((i[on], j[on]) for on in (cut & (axis == 0), cut & (axis == 1)))
 
 
 def _sign_planes(sign: np.ndarray, cuts) -> np.ndarray:
@@ -363,27 +380,34 @@ def _box_axes(domain: Domain, cells: int) -> list[np.ndarray]:
     ]
 
 
-def _sign_runs(vals: np.ndarray) -> int:
-    """Maximal runs of one nonzero sign along a sampled axis; a zero splits a run."""
-    s = np.sign(vals)
-    starts = np.concatenate(([True], s[1:] != s[:-1])) & (s != 0)
-    return int(np.count_nonzero(starts))
+def _sign_runs(s: np.ndarray, starts) -> np.ndarray:
+    """Maximal runs of one nonzero sign on each sampled axis, where axis k
+    holds the signs s[starts[k]:starts[k + 1]]; a zero splits a run."""
+    first = np.ones(s.size, dtype=bool)
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    first[starts] = True
+    return np.add.reduceat(first & (s != 0), starts, dtype=np.intp)
 
 
-def _check_budget(points: int, cells0: int, what: str) -> None:
+def _check_budget(points: int, cells, what: str) -> None:
+    """Refuse `points` over GRID_BUDGET; cells are the resolutions they serve."""
     if points > GRID_BUDGET:
+        at = " and ".join(map(str, np.unique(cells)))
         raise DomainError(
-            f"the nodal {what} at {cells0} cells: {points:.3g} points, "
+            f"the nodal {what} at {at} cells: {points:.3g} points, "
             f"over the budget of {GRID_BUDGET}"
         )
 
 
-def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
+def _grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -> list[int]:
+    """The grid count of f at each resolution, in one batch: the triangle
+    grids share one edge bisection, and every axis of a box basis function
+    at every resolution is evaluated at once."""
     dom = f.domain
-    shape = _grid_shape(dom, cells0)
     if dom.kind == TRIANGLE:
-        _check_budget(math.prod(shape), cells0, "grid")
-        return _triangle_grid_count(f, cells0, halve)
+        for cells0 in resolutions:
+            _check_budget(math.prod(_grid_shape(dom, cells0)), [cells0], "grid")
+        return _triangle_grid_counts(f, resolutions, halve)
     terms = product_terms(f)
     if len(terms) != 1:
         raise DomainError(
@@ -392,31 +416,35 @@ def _grid_count_once(f: Combo, cells0: int, halve: bool) -> int:
     # one product of a factor per axis: two same-sign neighbours of the grid
     # differ in one factor only, so the components of {f > 0} and {f < 0} are
     # the products of the sign runs on each axis
-    _check_budget(sum(shape), cells0, "axes")
+    sizes = [nj for cells in resolutions for nj in _grid_shape(dom, cells)]
+    _check_budget(sum(sizes), resolutions, "axes")
     trig = np.cos if dom.bc == NEUMANN else np.sin
     [(_, freqs)] = terms
-    count = 1
-    for w, ax in zip(freqs, _box_axes(dom, cells0)):
-        count *= _sign_runs(trig(w * ax))
-    return count
+    x = np.concatenate([ax for cells in resolutions for ax in _box_axes(dom, cells)])
+    x *= np.repeat(freqs * len(resolutions), sizes)  # the tuple freqs once per resolution
+    s = np.sign(trig(x, out=x), out=x)
+    runs = _sign_runs(s, np.cumsum([0] + sizes[:-1])).reshape(len(resolutions), -1)
+    return [math.prod(r) for r in runs.tolist()]
 
 
 def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
     """Grid nodal count with a stability certificate.
 
     resolution is the cell count along the first axis; the default gives at
-    least 8 cells per sign half-period of the fastest term.  A box basis
-    function is counted as the product of its sign runs along each sampled
-    axis, which equals the labelled count of the same samples on the full
-    grid; box combos of several terms raise DomainError.  A triangle combo
-    is counted in one labelling of its sign planes, with join rows and
-    columns only where an edge is cut (_triangle_grid_count,
-    _sign_planes): a join never crosses a nodal line, and the
-    doubling check guards against a domain pinched narrower than a cell,
-    which the grid would split.  An edge that neither a proof nor a sample
-    of the other sign decides raises GridInstabilityError.  A triangle combo
-    that is antisymmetric across the cut L is always counted on the open
-    half domain and doubled (it vanishes on L, so its nodal domains come in
+    least 8 cells per sign half-period of the fastest term.  The grids at
+    resolution and twice it are counted in one batch (_grid_counts), each
+    later doubling alone.  A box basis function is counted as the product
+    of its sign runs along each sampled axis, which equals the labelled
+    count of the same samples on the full grid; box combos of several terms
+    raise DomainError.  A triangle combo is counted in one labelling of its
+    sign planes per grid, with join rows and columns only where an edge is
+    cut (_triangle_grid_counts, _sign_planes), the unproven edges of a batch
+    bisected together: a join never crosses a nodal line, and the doubling
+    check guards against a domain pinched narrower than a cell, which the
+    grid would split.  An edge that neither a proof nor a sample of the
+    other sign decides raises GridInstabilityError.  A triangle combo that
+    is antisymmetric across the cut L is always counted on the open half
+    domain and doubled (it vanishes on L, so its nodal domains come in
     mirror pairs); this keeps the diagonal cut off the sampling grid.
     """
     if resolution is None:
@@ -425,16 +453,15 @@ def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
         raise DomainError("resolution must be >= 16 cells along the first axis")
     halve = f.domain.kind == TRIANGLE and _antisymmetric_wrt_cut(f)
     cells = resolution
-    c2 = _grid_count_once(f, cells, halve)
-    for _ in range(3):
-        # each round doubles the grid the round before counted last
-        c1, c2 = c2, _grid_count_once(f, cells * 2, halve)
-        if c1 == c2:
-            return NodalCount(c1, "grid", resolution=cells, stable=True)
+    c1, c2 = _grid_counts(f, (cells, 2 * cells), halve)
+    while c1 != c2:
+        if cells == 4 * resolution:
+            raise GridInstabilityError(
+                f"nodal count unstable after 3 doublings (last {c1} vs {c2})"
+            )
         cells *= 2
-    raise GridInstabilityError(
-        f"nodal count unstable after 3 doublings (last {c1} vs {c2})"
-    )
+        c1, (c2,) = c2, _grid_counts(f, (2 * cells,), halve)
+    return NodalCount(c1, "grid", resolution=cells, stable=True)
 
 
 def count_auto(domain: Domain, m: QN, resolution: int | None = None) -> NodalCount:

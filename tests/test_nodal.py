@@ -54,14 +54,21 @@ def test_grid_resolution_floor():
         nodal.count_grid(eigenfn.basis_fn(triangle(), (1, 0)), resolution=8)
 
 
+def _count_once(f, cells, halve):
+    return nodal._grid_counts(f, (cells,), halve)[0]
+
+
 def test_grid_instability_is_reported(monkeypatch):
     # counts that never agree under a doubling: the oracle must refuse
     # rather than guess
     f = eigenfn.basis_fn(triangle(), (3, 1))
     cells = []
-    monkeypatch.setattr(
-        nodal, "_grid_count_once", lambda f, c, halve: cells.append(c) or len(cells) % 2
-    )
+
+    def alternating(f, resolutions, halve):
+        cells.extend(resolutions)
+        return [k % 2 for k in range(len(cells) - len(resolutions), len(cells))]
+
+    monkeypatch.setattr(nodal, "_grid_counts", alternating)
     with pytest.raises(GridInstabilityError, match="after 3 doublings"):
         nodal.count_grid(f, resolution=64)
     assert cells == [64, 128, 256, 512]  # each grid is counted once
@@ -75,6 +82,17 @@ def test_undecided_edge_is_refused(monkeypatch):
     f = eigenfn.basis_fn(triangle(), (4, 2))
     with pytest.raises(GridInstabilityError, match="not proven after 3 bisections"):
         nodal.count_grid(f, resolution=64)
+
+
+def test_undecided_edge_names_its_grid(monkeypatch):
+    # both grids of a batch hold undecided edges; the error names the grid
+    # of the first one, whichever resolution comes first
+    monkeypatch.setattr(nodal, "_rounding_margin", lambda terms: 4.0)
+    monkeypatch.setattr(nodal, "_BISECT_DEPTH", 3)
+    f = eigenfn.basis_fn(triangle(), (4, 2))
+    for resolutions in ((64, 128), (128, 64), (128,)):
+        with pytest.raises(GridInstabilityError, match=f"undecided at {resolutions[0]} cells"):
+            nodal._grid_counts(f, resolutions, False)
 
 
 def test_edge_bisection_budget_fails_fast(monkeypatch):
@@ -208,7 +226,7 @@ def _signs_and_joins(f, cells0, halve, cut_signs):
         i1, j1 = i + (k == 0), j + (k == 1)
         cut = nodal._cut_edges(
             f, np.stack((ax[i], ay[j]), axis=1), np.stack((ax[i1], ay[j1]), axis=1),
-            vals[i, j], vals[i1, j1], np.full(i.size, curv), eps, cells0,
+            vals[i, j], vals[i1, j1], np.full(i.size, curv), eps, np.full(i.size, cells0),
         )
         cut_signs.extend(sign[i[cut], j[cut]].tolist())
         join[i[cut], j[cut]] = False
@@ -236,7 +254,7 @@ def _doubled_image_count(f, cells0, halve, cut_signs):
 def _assert_grid_counts_match_the_doubled_image(f, cells, cut_signs):
     for halve in (False, True):
         want = _doubled_image_count(f, cells, halve, cut_signs)
-        assert nodal._grid_count_once(f, cells, halve) == want, (f.terms, cells, halve)
+        assert _count_once(f, cells, halve) == want, (f.terms, cells, halve)
 
 
 def test_grid_counts_match_the_doubled_image_on_the_deficiency_band():
@@ -258,6 +276,23 @@ def test_grid_counts_match_the_doubled_image_on_the_deficiency_band():
             _assert_grid_counts_match_the_doubled_image(f, default, [])
 
 
+def test_a_batch_counts_each_grid_as_alone():
+    # one bisection for both grids of a doubling pair couples nothing: the
+    # pair's counts are those of the two grids counted one at a time
+    _, levels = _simple_triangle_levels(403)
+    fns = [eigenfn.basis_fn(triangle(), lv.members[0]) for lv in levels] + [
+        eigenfn.basis_fn(triangle("dirichlet"), m)
+        for lv in spectrum.build_index(triangle("dirichlet"), 200).levels
+        for m in lv.members
+    ]
+    for f in fns:
+        default = max(16, 8 * nodal._max_halfperiods(f))
+        for halve in (False, True):
+            pair = nodal._grid_counts(f, (default, 2 * default), halve)
+            alone = [_count_once(f, cells, halve) for cells in (default, 2 * default)]
+            assert pair == alone, (f.terms, halve)
+
+
 def test_grid_counts_lie_between_the_uncut_labelling_and_one_split_per_cut():
     # a check that labels no doubled image: S counts the 4-connected
     # components of each sign with every same-sign edge kept, and each of
@@ -272,7 +307,7 @@ def test_grid_counts_lie_between_the_uncut_labelling_and_one_split_per_cut():
                 cut_signs = []
                 sign, _ = _signs_and_joins(f, cells, halve, cut_signs)
                 uncut = ndimage.label(sign > 0)[1] + ndimage.label(sign < 0)[1]
-                per_half = nodal._grid_count_once(f, cells, halve) // (2 if halve else 1)
+                per_half = _count_once(f, cells, halve) // (2 if halve else 1)
                 case = (lv.members[0], cells, halve)
                 assert uncut <= per_half <= uncut + len(cut_signs), case
                 if not cut_signs:
@@ -373,7 +408,7 @@ def test_antisymmetric_counts_double_the_half_domain():
             # certified at, and at the doubling that certified it
             cells = certified.resolution
             for res in (cells, 2 * cells):
-                full = nodal._grid_count_once(f, res, halve=False)
+                full = _count_once(f, res, halve=False)
                 assert halved == full, (lv.members[0], res)
 
 
@@ -519,18 +554,23 @@ def test_grid_budget_is_checked_before_evaluating():
 
 def test_triangle_grid_peak_memory_per_point_is_as_stated():
     # the figures of the GRID_BUDGET comment: at most 16.2 bytes per point of
-    # the n x n grid, 9.1 when halved, with and without cut edges
+    # the n x n grid, 9.1 when halved, with and without cut edges; a doubling
+    # pair at most 16.5 (9.2) per point of its larger grid
     for qn in ((16, 6), (17, 4), (8, 2)):
         f = eigenfn.basis_fn(triangle(), qn)
-        for cells in (1024, 2048):
-            for halve, stated in ((False, 16.2), (True, 9.1)):
+        for resolutions, full, halved in (
+            ((1024,), 16.2, 9.1), ((2048,), 16.2, 9.1),
+            ((512, 1024), 16.5, 9.2), ((1024, 2048), 16.5, 9.2),
+        ):
+            for halve, stated in ((False, full), (True, halved)):
                 tracemalloc.start()
                 try:
-                    nodal._grid_count_once(f, cells, halve)
+                    nodal._grid_counts(f, resolutions, halve)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert peak <= stated * cells**2, (qn, cells, halve, peak / cells**2)
+                per_point = peak / max(resolutions) ** 2
+                assert per_point <= stated, (qn, resolutions, halve, per_point)
 
 
 def test_box_combos_of_several_terms_are_refused():
@@ -540,9 +580,17 @@ def test_box_combos_of_several_terms_are_refused():
 
 
 def test_sign_runs_are_split_by_sign_changes_and_zeros():
-    assert nodal._sign_runs(np.array([1.0, 0.0, 1.0, -1.0, -3.0, 0.0, 0.0, 2.0])) == 4
-    assert nodal._sign_runs(np.array([0.0, -1.0, -2.0])) == 1
-    assert nodal._sign_runs(np.zeros(5)) == 0
+    def runs(vals, starts=(0,)):
+        return nodal._sign_runs(np.sign(np.array(vals)), np.array(starts)).tolist()
+
+    assert runs([1.0, 0.0, 1.0, -1.0, -3.0, 0.0, 0.0, 2.0]) == [4]
+    assert runs([0.0, -1.0, -2.0]) == [1]
+    assert runs(np.zeros(5)) == [0]
+    # axes side by side: an all-zero axis has no run, a run of one sign
+    # going on across an axis boundary is split there, and a sign change
+    # at a boundary starts one run, not two
+    vals = [1.0, 1.0, 0.0, 0.0, 0.0, 1.0, -1.0, -1.0, -2.0, 3.0, 0.0, 1.0]
+    assert runs(vals, (0, 2, 5, 7, 9)) == [1, 0, 2, 1, 2]
 
 
 def _label_count(f, cells):
@@ -573,7 +621,7 @@ def test_axis_runs_match_the_labelled_grid():
                     if math.prod(nodal._grid_shape(dom, cells)) > _ORACLE_POINTS:
                         skipped += 1
                         continue
-                    got = nodal._grid_count_once(f, cells, False)
+                    got = _count_once(f, cells, False)
                     assert got == _label_count(f, cells), (dom.label(), m, cells)
                     compared += 1
     assert (compared, skipped) == (1648, 454)
@@ -593,7 +641,7 @@ def test_axis_runs_match_the_labelled_grid_on_random_qn(n, dirichlet, coeff, dat
     top = {2: 512, 3: 64, 4: 24, 5: 14, 6: 8}[n]
     cells = data.draw(st.integers(8, top))
     f = eigenfn.combo(dom, [(coeff, m)])
-    assert nodal._grid_count_once(f, cells, False) == _label_count(f, cells)
+    assert _count_once(f, cells, False) == _label_count(f, cells)
 
 
 def test_axis_count_comes_from_the_samples(monkeypatch):
