@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import algebra, courant, eigenfn, folding, nodal, qlattice, spectrum
-from .domains import DIRICHLET, TRIANGLE, Domain, box, eigenvalue, qn_parity, triangle
+from .domains import DIRICHLET, TRIANGLE, Domain, box, qn_parity, triangle
+from .errors import FoldParityError
 
 
 @dataclass
@@ -195,20 +196,17 @@ def criterion_frame_vanishing() -> CriterionResult:
     members = 0
     for dom in (triangle(), box(2), box(3)):
         si = spectrum.build_index(dom, 120)
-        odd_levels = [lv for lv in si.levels if algebra.parity(lv.value) == "odd"]
+        levels = [np.array(lv.members) for lv in si.levels if algebra.parity(lv.value) == "odd"]
         for k in range(5):
             frame = folding.build_frame(dom, k)
-            for lv in odd_levels:
-                unfolded = []
-                for m in lv.members:
-                    for _ in range(k):
-                        m = folding.unfold_qn(dom, m)
-                    unfolded.append((1.0, m))
+            for rows in levels:
+                unfolded = [(1.0, tuple(m)) for m in rows.tolist()]
                 failing = eigenfn.frame_vanishing(eigenfn.combo(dom, unfolded), frame)
                 if failing is not None:
                     m, facet = failing
                     return _fail(f"{dom.label()} {m} k={k}: does not vanish on {facet}")
                 members += len(unfolded)
+            levels = [folding.unfold_rows(dom, rows) for rows in levels]
     return _ok(
         f"{members} unfolded members of the odd levels below 120, k=0..4, "
         f"vanish exactly on their k-frames, and so every combo of them"
@@ -216,6 +214,10 @@ def criterion_frame_vanishing() -> CriterionResult:
 
 
 # -- 7: folding algebra ---------------------------------------------------------
+#
+# The quantum-number maps are checked on whole matrices, each coefficient row
+# computed once.  A value v != 0 is gamma^(2k) times a unique odd core, so
+# v' = gamma^2 v exactly when v and v' share an odd core and k' = k + 1.
 #
 # Points are in normalised coordinates: units of pi on the triangle, and
 # t_j = x_j / l_j on the box, where a basis function is prod cos(pi m_j t_j)
@@ -264,46 +266,52 @@ def cosine_terms(f: eigenfn.Combo, matrix=None) -> dict[tuple[Fraction, ...], Fr
     return {l: w for l, w in out.items() if w}
 
 
-def _check_fold_pair(dom: Domain, m: tuple[int, ...]) -> str | None:
-    value = eigenvalue(dom, m)
-    up = folding.unfold_qn(dom, m)
-    if folding.fold_qn(dom, up) != m:
-        return f"fold(unfold({m})) != {m}"
-    if eigenvalue(dom, up).coeffs != algebra.scale_gamma2(value, 1).coeffs:
-        return f"value(unfold({m})) is not gamma^2 * value"
-    if qn_parity(dom, m) == "even":
-        down = folding.fold_qn(dom, m)
-        if folding.unfold_qn(dom, down) != m:
-            return f"unfold(fold({m})) != {m}"
-        if eigenvalue(dom, down).coeffs != algebra.scale_gamma2(value, -1).coeffs:
-            return f"value(fold({m})) is not gamma^-2 * value"
+def _fold_pair_failure(dom: Domain, m: np.ndarray) -> str | None:
+    """The first row of m that breaks the folding algebra, or None.  U(m)
+    must be a quantum number with value gamma^2 value(m) and F(U(m)) = m;
+    so must F(m), with gamma^-2 and U(F(m)) = m, on the rows of even value
+    (c_0 even), where fold_rows also checks that the lattice parity agrees."""
+    ring, maps = dom.ring, {"unfold": folding.unfold_rows, "fold": folding.fold_rows}
+    value = algebra.coefficient_rows(ring, m)
+    core, k = spectrum.odd_core_columns(ring, value)
+    even, zero = value[:, 0] % 2 == 0, ~value.any(axis=1)
+    for go, back, sel, step in (("unfold", "fold", slice(None), 1), ("fold", "unfold", even, -1)):
+        src = m[sel]
+        try:
+            moved = maps[go](dom, src)
+            valid = (moved >= 0).all(axis=1)
+            if dom.kind == TRIANGLE:
+                valid &= moved[:, 0] >= moved[:, 1]
+            moved_value = algebra.coefficient_rows(ring, moved)
+            moved_core, moved_k = spectrum.odd_core_columns(ring, moved_value)
+            # v' = gamma^(2 step) v: the same odd core, and k' = k + step unless v = 0
+            scaled = (moved_core == core[sel]).all(axis=1) & ((moved_k == k[sel] + step) | zero[sel])
+            ok = valid & scaled
+            ok[ok] = (maps[back](dom, moved[ok]) == src[ok]).all(axis=1)
+        except FoldParityError as err:
+            return str(err)
+        for i in np.flatnonzero(~ok)[:1]:
+            row, out = tuple(src[i].tolist()), tuple(moved[i].tolist())
+            if not valid[i]:
+                return f"{go}({row}) = {out} is not a quantum number"
+            if not scaled[i]:
+                return f"value({go}({row})) is not gamma^{2 * step} * value"
+            return f"{back}({go}({row})) != {row}"
     return None
 
 
 def criterion_folding_algebra() -> CriterionResult:
-    checked = 0
-    dom = triangle()
-    for a in range(21):
-        for b in range(a + 1):
-            err = _check_fold_pair(dom, (a, b))
-            if err:
-                return _fail(f"triangle: {err}")
-            checked += 1
-    for n in (2, 3, 4):
-        dom = box(n)
-        for m in itertools.product(range(21), repeat=n):
-            err = _check_fold_pair(dom, m)
-            if err:
-                return _fail(f"box n={n}: {err}")
-            checked += 1
     rng = np.random.default_rng(7)
-    for n in (5, 6):
-        dom = box(n)
-        for m in rng.integers(0, 21, size=(50_000, n)):
-            err = _check_fold_pair(dom, tuple(int(e) for e in m))
-            if err:
-                return _fail(f"box n={n}: {err}")
-            checked += 1
+    checked = 0
+    for name, dom, qns in (
+        ("triangle", triangle(), [(a, b) for a in range(21) for b in range(a + 1)]),
+        *((f"box n={n}", box(n), list(itertools.product(range(21), repeat=n))) for n in (2, 3, 4)),
+        *((f"box n={n}", box(n), rng.integers(0, 21, size=(50_000, n))) for n in (5, 6)),
+    ):
+        err = _fold_pair_failure(dom, np.array(qns, dtype=np.int64))
+        if err:
+            return _fail(f"{name}: {err}")
+        checked += len(qns)
 
     # the pointwise folding laws, as identities of trig polynomials:
     # unfold_fn(phi) o U = phi, i.e. (U phi)(q) = phi(F(q)) on the half
@@ -377,19 +385,12 @@ def criterion_dirichlet_identities() -> CriterionResult:
 
 
 def criterion_dnn_counting() -> CriterionResult:
-    dom = triangle()
     dnn = spectrum.build_dnn_index(2001)
-    region = qlattice.enumerate_below(dom, 2001)
-    odd_values = sorted(
-        eigenvalue(dom, m).coeffs[0]
-        for m in region.points
-        if qn_parity(dom, m) == "odd"
-    )
-    import bisect
-
+    # |O(lambda)| from the lattice side: points with m - n odd, each value once
+    pts = qlattice.enumerate_below(triangle(), 2001).members
+    odd_values = np.sort(algebra.coefficient_rows(1, pts[(pts[:, 0] - pts[:, 1]) % 2 == 1])[:, 0])
     last = -1
-    for lam in range(2001):
-        want = bisect.bisect_left(odd_values, lam)
+    for lam, want in enumerate(np.searchsorted(odd_values, np.arange(2001)).tolist()):
         got = dnn.counting(algebra.integer_value(1, lam)).below
         if got != want:
             return _fail(f"DNN lower count at {lam}: {got} != |O({lam})| = {want}")

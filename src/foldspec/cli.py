@@ -360,57 +360,38 @@ def _cmd_frame(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    domain = _parse_domain(args)
-    f = eigenfn.basis_fn(domain, _parse_qn(args.qn))
+    domain, qn = _parse_domain(args), _parse_qn(args.qn)
+    f = eigenfn.basis_fn(domain, qn)
     p = _parse_point(args.at)
-    _emit(
-        args,
-        _json(
-            {
-                "qn": list(_parse_qn(args.qn)),
-                "at": list(p),
-                "value": eigenfn.eval_at(f, p),
-                "eigenvalue": f.value.text(),
-            }
-        ),
-    )
+    result = {
+        "qn": list(qn), "at": list(p), "value": eigenfn.eval_at(f, p),
+        "eigenvalue": f.value.text(),
+    }
+    _emit(args, _json(result))
     return 0
 
 
 def _cmd_checksym(args: argparse.Namespace) -> int:
-    domain = _parse_domain(args)
-    f = eigenfn.basis_fn(domain, _parse_qn(args.qn))
-    _emit(
-        args,
-        _json(
-            {
-                "qn": list(_parse_qn(args.qn)),
-                "eigenvalue": f.value.text(),
-                "eigenvalue_parity": algebra.parity(f.value),
-                "symmetry": eigenfn.symmetry_check(f),
-            }
-        ),
-    )
+    domain, qn = _parse_domain(args), _parse_qn(args.qn)
+    f = eigenfn.basis_fn(domain, qn)
+    result = {
+        "qn": list(qn), "eigenvalue": f.value.text(),
+        "eigenvalue_parity": algebra.parity(f.value), "symmetry": eigenfn.symmetry_check(f),
+    }
+    _emit(args, _json(result))
     return 0
 
 
 def _cmd_checkframe(args: argparse.Namespace) -> int:
-    domain = _parse_domain(args)
-    f = eigenfn.basis_fn(domain, _parse_qn(args.qn))
+    domain, qn = _parse_domain(args), _parse_qn(args.qn)
+    f = eigenfn.basis_fn(domain, qn)
     oc = spectrum.odd_core(f.value)
     failing = eigenfn.frame_vanishing(f, folding.build_frame(domain, oc.k))
-    _emit(
-        args,
-        _json(
-            {
-                "qn": list(_parse_qn(args.qn)),
-                "eigenvalue": f.value.text(),
-                "k": oc.k,
-                "vanishes": failing is None,
-                "failing_facet": None if failing is None else _facet_json(failing[1]),
-            }
-        ),
-    )
+    result = {
+        "qn": list(qn), "eigenvalue": f.value.text(), "k": oc.k, "vanishes": failing is None,
+        "failing_facet": None if failing is None else _facet_json(failing[1]),
+    }
+    _emit(args, _json(result))
     return 0
 
 

@@ -45,23 +45,34 @@ def __getattr__(name: str):
 # quantum-number maps
 
 
-def unfold_qn(domain: Domain, m: QN) -> QN:
+def unfold_rows(domain: Domain, m: np.ndarray) -> np.ndarray:
+    """U on each row of a 2-d matrix of quantum numbers: (a, b) -> (a + b,
+    a - b) on the triangle, (m_1, ..., m_n) -> (2 m_n, m_1, ..., m_(n-1))
+    on the box.  Object rows are exact; int64 entries must stay below 2^62."""
     if domain.kind == TRIANGLE:
-        k, l = m
-        return (k + l, k - l)
-    return (2 * m[-1],) + m[:-1]
+        return np.stack([m[:, 0] + m[:, 1], m[:, 0] - m[:, 1]], axis=1)
+    return np.concatenate([2 * m[:, -1:], m[:, :-1]], axis=1)
+
+
+def fold_rows(domain: Domain, m: np.ndarray) -> np.ndarray:
+    """Inverse of unfold_rows, U/2 on the triangle; FoldParityError names the
+    first odd row (a - b odd on the triangle, m_1 odd on the box)."""
+    tri = domain.kind == TRIANGLE
+    odd = np.flatnonzero((m[:, 0] - m[:, 1] if tri else m[:, 0]) % 2 == 1)
+    if len(odd):
+        what = "odd parity" if tri else "odd first entry"
+        raise FoldParityError(f"{tuple(m[odd[0]].tolist())} has {what} and cannot be folded")
+    if tri:
+        return unfold_rows(domain, m) // 2
+    return np.concatenate([m[:, 1:], m[:, :1] // 2], axis=1)
+
+
+def unfold_qn(domain: Domain, m: QN) -> QN:
+    return tuple(unfold_rows(domain, np.array([m], dtype=object))[0].tolist())
 
 
 def fold_qn(domain: Domain, m: QN) -> QN:
-    """Inverse of unfold_qn; requires the even-parity condition."""
-    if domain.kind == TRIANGLE:
-        k, l = m
-        if (k - l) % 2:
-            raise FoldParityError(f"{m} has odd parity and cannot be folded")
-        return ((k + l) // 2, (k - l) // 2)
-    if m[0] % 2:
-        raise FoldParityError(f"{m} has odd first entry and cannot be folded")
-    return m[1:] + (m[0] // 2,)
+    return tuple(fold_rows(domain, np.array([m], dtype=object))[0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,10 @@ def count_formula(domain: Domain, m: QN) -> NodalCount:
 
 
 def _max_halfperiods(f: Combo) -> int:
-    """Max number of sign half-periods along any axis, rescaled to axis 0."""
-    worst = 1.0
-    lengths = f.domain.edge_lengths()
-    for _, freqs in product_terms(f):
-        for w, lj in zip(freqs, lengths):
-            # half-period count along the axis is w * l_j / pi; requiring the
-            # same physical cell size everywhere rescales by l_0 / l_j
-            worst = max(worst, w * lengths[0] / math.pi)
-    return int(math.ceil(worst))
+    """Max number of sign half-periods along any axis, rescaled to axis 0:
+    w l_j / pi along axis j, times l_0 / l_j for one cell size everywhere."""
+    l0 = f.domain.edge_lengths()[0]
+    return math.ceil(max([1.0] + [w * l0 / math.pi for _, freqs in product_terms(f) for w in freqs]))
 
 
 def _antisymmetric_wrt_cut(f: Combo) -> bool:
@@ -372,11 +367,12 @@ def _sign_planes(sign: np.ndarray, cuts) -> np.ndarray:
     return img
 
 
-def _box_axes(domain: Domain, cells: int) -> list[np.ndarray]:
-    """Sample coordinates per axis of the box grid with `cells` cells along axis 0."""
+def _box_axes(shape: tuple[int, ...], lengths: tuple[float, ...]) -> list[np.ndarray]:
+    """Sample coordinates per axis of the box grid of that shape (_grid_shape)
+    over those edge lengths."""
     return [
         (np.arange(nj) + _GRID_OFFS[j % 3]) * (lj / nj)
-        for j, (nj, lj) in enumerate(zip(_grid_shape(domain, cells), domain.edge_lengths()))
+        for j, (nj, lj) in enumerate(zip(shape, lengths))
     ]
 
 
@@ -416,11 +412,13 @@ def _grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -> list[in
     # one product of a factor per axis: two same-sign neighbours of the grid
     # differ in one factor only, so the components of {f > 0} and {f < 0} are
     # the products of the sign runs on each axis
-    sizes = [nj for cells in resolutions for nj in _grid_shape(dom, cells)]
+    shapes = [_grid_shape(dom, cells) for cells in resolutions]
+    sizes = [nj for shape in shapes for nj in shape]
     _check_budget(sum(sizes), resolutions, "axes")
     trig = np.cos if dom.bc == NEUMANN else np.sin
     [(_, freqs)] = terms
-    x = np.concatenate([ax for cells in resolutions for ax in _box_axes(dom, cells)])
+    lengths = dom.edge_lengths()
+    x = np.concatenate([ax for shape in shapes for ax in _box_axes(shape, lengths)])
     x *= np.repeat(freqs * len(resolutions), sizes)  # the tuple freqs once per resolution
     s = np.sign(trig(x, out=x), out=x)
     runs = _sign_runs(s, np.cumsum([0] + sizes[:-1])).reshape(len(resolutions), -1)

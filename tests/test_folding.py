@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -110,6 +111,96 @@ def test_fold_qn_parity_error():
         folding.fold_qn(triangle(), (2, 1))
     with pytest.raises(FoldParityError):
         folding.fold_qn(box(2), (1, 4))
+
+
+# the scalar maps as they were written before the row maps: the oracle
+def scalar_unfold(domain: Domain, m: tuple[int, ...]) -> tuple[int, ...]:
+    if domain.kind == TRIANGLE:
+        k, l = m
+        return (k + l, k - l)
+    return (2 * m[-1],) + m[:-1]
+
+
+def scalar_fold(domain: Domain, m: tuple[int, ...]) -> tuple[int, ...]:
+    if domain.kind == TRIANGLE:
+        k, l = m
+        if (k - l) % 2:
+            raise FoldParityError(f"{m} has odd parity and cannot be folded")
+        return ((k + l) // 2, (k - l) // 2)
+    if m[0] % 2:
+        raise FoldParityError(f"{m} has odd first entry and cannot be folded")
+    return m[1:] + (m[0] // 2,)
+
+
+@st.composite
+def domain_and_rows(draw):
+    """A Neumann domain, the triangle or box2..box6, and an int64 matrix of
+    up to 30 of its quantum numbers."""
+    dom = draw(st.sampled_from([triangle()] + [box(n) for n in range(2, 7)]))
+    entries = st.integers(0, 2**40)
+    rows = draw(st.lists(st.tuples(*[entries] * dom.n), max_size=30))
+    if dom.kind == TRIANGLE:
+        rows = [(max(r), min(r)) for r in rows]
+    return dom, np.array(rows, dtype=np.int64).reshape(len(rows), dom.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain_and_rows())
+def test_row_maps_match_the_scalar_maps(case):
+    dom, m = case
+    rows = [tuple(r) for r in m.tolist()]
+    up = folding.unfold_rows(dom, m)
+    assert up.dtype == np.int64
+    assert up.tolist() == [list(scalar_unfold(dom, r)) for r in rows]
+    assert folding.fold_rows(dom, up).tolist() == m.tolist()
+    # fold_rows folds the even rows as the scalar map does, and on a matrix
+    # with an odd row raises the scalar map's error for the first one
+    even = []
+    for r in rows:
+        try:
+            even.append(list(scalar_fold(dom, r)))
+        except FoldParityError as err:
+            with pytest.raises(FoldParityError, match=rf"^{re.escape(str(err))}$"):
+                folding.fold_rows(dom, m)
+            break
+    else:
+        assert folding.fold_rows(dom, m).tolist() == even
+    is_even = np.array([qn_parity(dom, r) == "even" for r in rows], dtype=bool)
+    down = folding.fold_rows(dom, m[is_even])
+    assert down.tolist() == [list(scalar_fold(dom, r)) for r, e in zip(rows, is_even) if e]
+    assert folding.unfold_rows(dom, down).tolist() == m[is_even].tolist()
+
+
+def test_row_maps_stay_exact_on_object_rows():
+    big = 2**100
+    tri = np.array([[big + 3, big + 1], [big, 0]], dtype=object)
+    up = folding.unfold_rows(triangle(), tri)
+    assert up.tolist() == [[2 * big + 4, 2], [big, big]]
+    assert folding.fold_rows(triangle(), up).tolist() == tri.tolist()
+    m = np.array([[big, 1, big + 1]], dtype=object)
+    assert folding.unfold_rows(box(3), m).tolist() == [[2 * big + 2, big, 1]]
+    assert folding.fold_rows(box(3), m).tolist() == [[1, big + 1, big // 2]]
+    assert folding.unfold_qn(triangle(), (big + 1, big - 1)) == (2 * big, 2)
+    assert folding.fold_qn(box(2), (2 * big, 5)) == (5, big)
+    for dom, qn in ((triangle(), (big + 1, 1)), (box(4), (3, big, big + 1, 2**200))):
+        assert folding.fold_qn(dom, folding.unfold_qn(dom, qn)) == qn
+        assert folding.unfold_qn(dom, qn) == scalar_unfold(dom, qn)
+        assert all(type(e) is int for e in folding.unfold_qn(dom, qn))
+
+
+def test_fold_rows_names_the_first_odd_row():
+    tri = np.array([[4, 2], [6, 6], [5, 2], [3, 0]], dtype=np.int64)
+    with pytest.raises(FoldParityError, match=r"^\(5, 2\) has odd parity and cannot be folded$"):
+        folding.fold_rows(triangle(), tri)
+    m = np.array([[2, 1, 1], [4, 0, 3], [7, 0, 0], [1, 1, 1]], dtype=np.int64)
+    with pytest.raises(FoldParityError, match=r"^\(7, 0, 0\) has odd first entry and cannot be folded$"):
+        folding.fold_rows(box(3), m)
+    big = 2**100
+    with pytest.raises(FoldParityError, match=rf"^\({big + 1}, 0\) has odd parity"):
+        folding.fold_rows(triangle(), np.array([[big, big], [big + 1, 0]], dtype=object))
+    # empty matrices map to empty matrices of the same width
+    assert folding.unfold_rows(box(5), np.zeros((0, 5), dtype=np.int64)).shape == (0, 5)
+    assert folding.fold_rows(triangle(), np.zeros((0, 2), dtype=np.int64)).shape == (0, 2)
 
 
 def test_unfold_scales_eigenvalue():

@@ -596,7 +596,8 @@ def test_sign_runs_are_split_by_sign_changes_and_zeros():
 def _label_count(f, cells):
     """n-D oracle: components of {f > 0} plus those of {f < 0} on the full
     sampling grid, 4-connected (2n-connected in n dimensions)."""
-    vals = eigenfn.eval_on_axes(f, tuple(nodal._box_axes(f.domain, cells)))
+    shape, lengths = nodal._grid_shape(f.domain, cells), f.domain.edge_lengths()
+    vals = eigenfn.eval_on_axes(f, tuple(nodal._box_axes(shape, lengths)))
     return ndimage.label(vals > 0.0)[1] + ndimage.label(vals < 0.0)[1]
 
 
