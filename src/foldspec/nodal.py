@@ -9,14 +9,16 @@ strict sign on each sampled axis and multiplies them; it never reads the
 quantum number.  Box combos of several terms are refused.  A triangle combo
 is sampled on the full grid, and two same-sign orthogonal neighbors are
 joined only where f is proven to keep that sign on the segment between them:
-by a bound on its second derivative along the segment, bisecting where that
-bound does not suffice.  So no join bridges two nodal domains; what the grid
-can still miss is a neck of one domain narrower than a cell, which splits it
-and over-counts, and the doubling check guards against that.  Each triangle
-grid is labelled once, on two sign planes at cell resolution: the positive
-cells and the negative cells side by side, with a row (column) of join
-pixels only after a cell row (column) that holds a cut edge.  The two grids
-of a doubling pair are counted in one batch, with one edge bisection.
+by the interpolation-error bound of its second derivative along the
+segment, bisecting where that bound does not suffice.  So no join bridges
+two nodal domains; what the grid can still miss is a neck of one domain
+narrower than a cell, which splits it and over-counts, and the doubling
+check guards against that.  Each triangle grid is labelled once, on one
+sign plane at cell resolution: the positive cells in place and the negative
+cells turned by 180 degrees across its empty diagonal, with a row
+(column) of join pixels only after a plane row (column) that holds a cut
+edge.  The two grids of a doubling pair are counted in one batch, with one
+edge bisection.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # measured with tracemalloc over the simple triangle levels below 403 at
 # 1024 and 2048 cells: a triangle grid at most 16.2 bytes per point of the
 # n x n grid with or without a cut edge (9.1 when halved), while f is
-# evaluated (the float samples and one product term); its sign planes and
-# their int32 labels, which come after the samples are freed, hold about 10
-# (5 when halved).  A doubling pair, at 512 and 1024 or 1024 and 2048 cells,
+# evaluated (the float samples and one product term); its sign plane and
+# the plane's int32 labels, which come after the samples are freed, hold
+# about 5.1, halved or not (the negative cells turned into the empty upper
+# half of the n x n plane).  A doubling pair, at 512 and 1024 or 1024 and 2048 cells,
 # at most 16.5 (9.2) per point of its larger grid, whose samples are taken
 # while the signs of the smaller are live.  A live interval takes about 283
 # bytes and the axes of a box basis function at most about 19 per sample,
@@ -169,6 +172,22 @@ def _rounding_margin(terms) -> float:
     return 2.0**-46 * sum(abs(c) * (4.0 + math.pi * sum(freqs)) for c, freqs in terms)
 
 
+def _interval_floor(a, b, k):
+    """A lower bound on g over an interval where g has the end values a and b
+    and |g''| <= M2, with k = M2 l^2 / 2 for its length l, at once for arrays.
+
+    Linear interpolation between the ends is within M2 t (l - t) / 2 of g at
+    distance t from an end, so with s = t / l, g >= a + (b - a) s - k s (1 - s).
+    Over s in [0, 1] that is smallest at an end when |b - a| >= k, and else at
+    s = (k - (b - a)) / 2k, where it is (a + b)/2 - k/4 - (b - a)^2 / 4k.  Both
+    are min(a, b) - max(k - |b - a|, 0)^2 / 4k, which is never below
+    min(a, b) - k/4, the bound of the interval's smaller end alone.
+    """
+    e = np.maximum(k - np.abs(b - a), 0.0)
+    # e > 0 only where k > 0
+    return np.minimum(a, b) - np.divide(e * e, 4.0 * k, out=np.zeros_like(e), where=e > 0)
+
+
 def _cut_edges(
     f: Combo, lo, hi, f_lo, f_hi, curv: np.ndarray, eps: float, cells: np.ndarray
 ) -> np.ndarray:
@@ -176,24 +195,33 @@ def _cut_edges(
 
     Edge e runs from the point lo[e] to hi[e] along one axis of the grid with
     cells[e] cells, and f takes the values f_lo[e] and f_hi[e] of one strict
-    sign at its ends.  On an interval of length l, f stays at least
-    min(f_lo, f_hi) - curv[e] * l^2 (curv[e] is an eighth of a bound on |f''|
-    along the edge's axis, so edges of both axes and of several grids go in
-    one call), and an interval whose end values clear curv[e] * l^2 + eps in
-    their sign is proven.  Every live interval is halved through
-    eval_points, all edges at once; a midpoint of the other sign, or zero,
-    cuts its edge.  Each edge is decided by its own intervals alone, so the
-    grids of one call do not interact.  The live intervals of all edges
-    together are held to the budget.  An edge still undecided after
-    _BISECT_DEPTH halvings raises GridInstabilityError, which names the grid
-    of the first such edge.
+    sign at its ends.  curv[e] is an eighth of a bound M2 on |f''| along the
+    edge's axis, so edges of both axes and of several grids go in one call.
+    An interval of length l is proven when its end values, taken in their
+    sign, give _interval_floor with k = 4 curv[e] l^2 = M2 l^2 / 2 above eps;
+    the live intervals are the others.  Before each round, the first
+    included, the proven intervals are dropped; then every live interval is
+    halved through eval_points, all edges at once, and a midpoint of the
+    other sign, or zero, cuts its edge.  Each edge is decided by its own
+    intervals alone, so the grids of one call do not interact.  The live
+    intervals of all edges together are held to the budget.  An edge still
+    undecided after _BISECT_DEPTH halvings raises GridInstabilityError,
+    which names the grid of the first such edge.
     """
     sign = np.sign(f_lo)
     cut = np.zeros(len(sign), dtype=bool)
     edge = np.arange(len(sign))
-    for _ in range(_BISECT_DEPTH):
+    for depth in range(_BISECT_DEPTH + 1):
+        # an edge moves along one axis only, so its length is the sum of its
+        # coordinate differences
+        length = (hi - lo).sum(axis=1)
+        s = sign[edge]
+        live = _interval_floor(s * f_lo, s * f_hi, 4.0 * curv[edge] * length**2) <= eps
+        edge, lo, hi, f_lo, f_hi = (a[live] for a in (edge, lo, hi, f_lo, f_hi))
         if not edge.size:
             return cut
+        if depth == _BISECT_DEPTH:
+            break
         _check_budget(_INTERVAL_POINTS * edge.size, cells, "edge bisection")
         mid = 0.5 * (lo + hi)
         f_mid = eval_points(f, mid)
@@ -205,20 +233,12 @@ def _cut_edges(
         edge = np.concatenate((edge, edge))
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
         f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
-        # an edge moves along one axis only, so its length is the sum of its
-        # coordinate differences
-        length = (hi - lo).sum(axis=1)
-        s = sign[edge]
-        live = np.minimum(s * f_lo, s * f_hi) <= curv[edge] * length**2 + eps
-        edge, lo, hi, f_lo, f_hi = (a[live] for a in (edge, lo, hi, f_lo, f_hi))
-    if edge.size:
-        at = cells[edge.min()]
-        raise GridInstabilityError(
-            f"nodal count undecided at {at} cells: "
-            f"{np.unique(edge[cells[edge] == at]).size} grid edges keep their "
-            f"sign at every sample but are not proven after {_BISECT_DEPTH} bisections"
-        )
-    return cut
+    at = cells[edge.min()]
+    raise GridInstabilityError(
+        f"nodal count undecided at {at} cells: "
+        f"{np.unique(edge[cells[edge] == at]).size} grid edges keep their "
+        f"sign at every sample but are not proven after {_BISECT_DEPTH} bisections"
+    )
 
 
 def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
@@ -236,12 +256,16 @@ def _triangle_grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -
     Two orthogonal same-sign neighbors are joined only when f is proven to
     keep that strict sign on the segment between their centers: at once when
     min(|f0|, |f1|) > M2 h^2 / 8 + eps, with M2 = sum |c| w^2 over the terms
-    and w their frequency along the segment, and otherwise by bisection
-    (_cut_edges, one call for the unsure edges of every grid).  A nodal line
-    between the centers always leaves a sample of the other sign or an
-    unproven interval, so diagonal nodal lines and their crossings cannot
-    silently bridge distinct domains.  Each count is the number of
-    components of the sign planes (_sign_planes) of its grid and cut edges.
+    and w their frequency along the segment, and otherwise by the sharper
+    interpolation bound and bisection (_cut_edges, one call for the unsure
+    edges of every grid).  A nodal line between the centers always leaves a
+    sample of the other sign or an unproven interval, so diagonal nodal
+    lines and their crossings cannot silently bridge distinct domains.
+    Each count is the number of components of the sign plane (_sign_plane)
+    of its grid and cut edges.  On the full and the half grid, ay[j] < ax[i]
+    exactly when j <= i - 1: the offsets put ay[j] 0.318 h above ax[j], far
+    over any rounding.  So every inside cell lies strictly below the
+    diagonal, and the plane is n x n.
     """
     terms = product_terms(f)
     eps = _rounding_margin(terms)
@@ -253,7 +277,8 @@ def _triangle_grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -
     counts = []
     for k, sign in enumerate(signs):
         on = [cut & (grid == k) & (axis == a) for a in (0, 1)]
-        count = _module.ndimage.label(_sign_planes(sign, [(i[e], j[e]) for e in on]), _CROSS)[1]
+        plane = _sign_plane(sign, [(i[e], j[e]) for e in on])
+        count = _module.ndimage.label(plane, _CROSS)[1]
         counts.append(2 * count if halve else count)
     return counts
 
@@ -309,61 +334,76 @@ def _signs_and_edges(f: Combo, cells0: int, halve: bool, curv: np.ndarray, eps: 
     )
 
 
-def _sign_planes(sign: np.ndarray, cuts) -> np.ndarray:
+def _sign_plane(sign: np.ndarray, cuts) -> np.ndarray:
     """The image whose 4-connected components are the grid's nodal domains.
 
-    sign is an int8 grid of -1, 0 and 1, and cuts[k] holds the lower ends
-    (i, j) of the cut edges along axis k, each between two cells of one
-    strict sign.  Every other edge between two cells of one strict sign is
-    a join.  The positive cells form one n0 x n1 plane and the negative
-    cells another, side by side with one empty column between them.  A row
-    of join pixels follows each cell row that holds a cut axis-0 edge, and a
-    column of join pixels each cell column that holds a cut axis-1 edge; a
-    join pixel is set in the plane of its sign, and a pixel where such a row
-    meets such a column is 0.
+    sign is an int8 n0 x n1 grid of -1, 0 and 1 with n1 <= n0 and every
+    nonzero cell strictly below the diagonal (j < i), as on the full and the
+    half triangle, and cuts[k] holds the lower ends (i, j) of the cut edges
+    along axis k, each between two cells of one strict sign.  Every other
+    edge between two cells of one strict sign is a join.  The plane is
+    n0 x n0: the positive cells keep their place, and the negative cells are
+    turned into it by 180 degrees, cell (i, j) to (n0 - 1 - i, n0 - 1 - j),
+    strictly above the diagonal; so a negative cut edge's lower end goes to
+    the turned upper end.  A row of join pixels follows each plane row that
+    holds a cut axis-0 edge of either sign, and a column of join pixels each
+    plane column that holds a cut axis-1 edge; a join pixel is set where the
+    pixels on both sides of it are and its edge is not cut, and a pixel
+    where such a row meets such a column is 0.
 
-    Why the components are the nodal domains.  Take the doubled image whose
-    even pixels are the cells, whose pixels between two cells are the joins
-    and whose pixels with two odd coordinates are 0: its components are the
-    nodal domains.  A join pixel joins only cells of its own sign, so the
-    image keeps its components when it is split into a positive and a
-    negative copy, each holding its sign's cells and joins, set side by side
-    with an empty column between.  In either copy, the join pixel of an
-    edge with no cut is set exactly when both its cells are set.  Deleting a
-    row of join pixels that holds no cut therefore neither joins nor splits
-    a component.  Each deleted set pixel had both its neighbours across the
-    row set, and these become adjacent.  Two cells that become adjacent are
-    set together exactly when their join was.  Two join pixels of a kept
-    column that become adjacent are set together only when the four cells
-    around them share the sign, and then those cells were already joined
-    across the deleted row.  The same holds for a column, and deleting
-    every such row and column leaves this image.  The split by sign is
-    needed: in one plane, the deletion would make opposite-sign cells
-    adjacent.
+    Why the components are the nodal domains.  No positive cell is
+    4-adjacent to a turned negative one: the empty diagonal keeps them
+    apart.  A positive cell (r, c) has c < r and a turned one c > r, so in
+    one row they are two columns apart or more, and below a positive
+    (turned) cell (r, c) the cell (r + 1, c) has c < r + 1 (c >= r + 1) and
+    can only be positive (turned) too.  So two set pixels on either side of
+    a join pixel share their sign, and the join pixel of an edge with no cut
+    is set exactly when its edge is a join.  Take the doubled image whose
+    even pixels are the plane's cells, whose pixels between two cells are
+    the joins and whose pixels with two odd coordinates are 0: its
+    components are the nodal domains of both signs, the turned ones turned,
+    which changes no adjacency.  Deleting a row of join pixels that holds no
+    cut neither joins nor splits a component.  Each deleted set pixel had
+    both its neighbours across the row set, and these become adjacent.  Two
+    cells that become adjacent are set together exactly when their join
+    was.  Two join pixels of a kept column that become adjacent are set
+    together only when the four cells around them are set, so of one sign,
+    and then those cells were already joined across the deleted row.  The
+    same holds for a column, and deleting every such row and column leaves
+    this image.
     """
-    (i0, j0), (i1, j1) = cuts
+    n0, n1 = sign.shape
+    plane = np.zeros((n0, n0), dtype=bool)
+    np.greater(sign, 0, out=plane[:, :n1])
+    plane[::-1, ::-1][:, :n1] |= sign < 0
+    ends = []
+    for k, (i, j) in enumerate(cuts):
+        # a negative edge's lower end in the plane is its turned upper end
+        turned = sign[i, j] < 0
+        ends.append((
+            np.where(turned, n0 - 1 - (i + (k == 0)), i),
+            np.where(turned, n0 - 1 - (j + (k == 1)), j),
+        ))
+    (i0, j0), (i1, j1) = ends
     rows, cols = np.unique(i0), np.unique(j1)
     # where the join rows and columns go in the image
     new_rows = rows + np.arange(1, rows.size + 1)
     new_cols = cols + np.arange(1, cols.size + 1)
-    grid = sign
+    img = plane
     if rows.size:
-        # each cell row, then, where a join row follows, a copy of it that
-        # keeps the sign where the cell below has it and the edge is not cut
-        grid = sign.take(np.sort(np.concatenate((np.arange(sign.shape[0]), rows))), axis=0)
-        grid[new_rows] *= sign[rows] == sign[rows + 1]
-        grid[new_rows[np.searchsorted(rows, i0)], j0] = 0
+        # each plane row, then, where a join row follows, a copy of it that
+        # keeps the pixels whose neighbour below is set and whose edge is
+        # not cut
+        img = plane.take(np.sort(np.concatenate((np.arange(n0), rows))), axis=0)
+        img[new_rows] &= plane[rows + 1]
+        img[new_rows[np.searchsorted(rows, i0)], j0] = False
     if cols.size:
         # the same along axis 1, over the rows above; where a join row
         # crosses a join column the pixel is 0
-        grid = grid.take(np.sort(np.concatenate((np.arange(sign.shape[1]), cols))), axis=1)
-        grid[:, new_cols] *= grid[:, new_cols] == grid[:, new_cols + 1]
-        grid[i1 + np.searchsorted(rows, i1), new_cols[np.searchsorted(cols, j1)]] = 0
-        grid[np.ix_(new_rows, new_cols)] = 0
-    r, w = grid.shape
-    img = np.zeros((r, 2 * w + 1), dtype=bool)
-    np.greater(grid, 0, out=img[:, :w])
-    np.less(grid, 0, out=img[:, w + 1:])
+        img = img.take(np.sort(np.concatenate((np.arange(n0), cols))), axis=1)
+        img[:, new_cols] &= img[:, new_cols + 1]
+        img[i1 + np.searchsorted(rows, i1), new_cols[np.searchsorted(cols, j1)]] = False
+        img[np.ix_(new_rows, new_cols)] = False
     return img
 
 
@@ -435,8 +475,9 @@ def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
     of its sign runs along each sampled axis, which equals the labelled
     count of the same samples on the full grid; box combos of several terms
     raise DomainError.  A triangle combo is counted in one labelling of its
-    sign planes per grid, with join rows and columns only where an edge is
-    cut (_triangle_grid_counts, _sign_planes), the unproven edges of a batch
+    sign plane per grid, the negative cells turned by 180 degrees across the
+    empty diagonal, with join rows and columns only where an edge is cut
+    (_triangle_grid_counts, _sign_plane), the unproven edges of a batch
     bisected together: a join never crosses a nodal line, and the doubling
     check guards against a domain pinched narrower than a cell, which the
     grid would split.  An edge that neither a proof nor a sample of the

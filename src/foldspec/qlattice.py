@@ -3,7 +3,8 @@
 enumerate_below lists the lattice points with eigenvalue strictly below a
 cutoff.  It grows the lattice one axis at a time inside the ellipsoid
 sum_j w_j m_j^2 < cutoff (w_j = gamma^(2j) for the box, 1 for the
-triangle), holding quantum numbers as int64 numpy columns: each axis's
+triangle), holding each axis's quantum numbers and the points they extend
+as int64 numpy columns, composed into rows once at the end: each axis's
 range comes from the budget the earlier axes leave, with one step of slack.
 A point is accepted or rejected by its double value when that value lies
 farther from the cutoff than a rigorous bound on the rounding error; the
@@ -160,6 +161,48 @@ def _cutoff_text(cutoff: Cutoff, c: float) -> str:
         return "(too long to print)"
 
 
+def _candidates(domain: Domain, weights: list[float], top: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quantum numbers whose double value is at most top, as an int64
+    matrix, with those values.
+
+    Axis j extends each point of the axes before it by every m_j its budget
+    admits.  Each axis keeps its own column of m_j and of the point it
+    extends, filtered by the points that survive; the rows are composed once
+    at the end, by following the columns of parents back from the last axis.
+    """
+    lo = 0 if domain.bc == NEUMANN else 1
+    # rest[j]: the smallest contribution of the axes after j (each m >= lo)
+    rest = [lo * sum(weights[j + 1:]) for j in range(len(weights))]
+    ms: list[np.ndarray] = []
+    parents: list[np.ndarray] = []
+    acc = np.zeros(1)  # double value of each partial point
+    for j, w in enumerate(weights):
+        room = np.maximum(top - rest[j] - acc, 0.0)
+        hi = np.floor(np.sqrt(room / w)).astype(np.int64) + 1
+        if domain.kind == TRIANGLE and j == 1:
+            hi = np.minimum(hi, ms[0] - lo)  # n <= m, n < m for Dirichlet
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > POINT_BUDGET:
+            raise DomainError(
+                f"the {domain.label()} lattice below the cutoff needs {total} "
+                f"candidates on axis {j}, over the budget of {POINT_BUDGET}"
+            )
+        parent = np.repeat(np.arange(len(acc)), counts)
+        m = lo + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        acc = acc[parent] + w * (m * m)
+        keep = acc + rest[j] <= top
+        acc = acc[keep]
+        ms.append(m[keep])
+        parents.append(parent[keep])
+    qn = np.empty((len(acc), len(weights)), dtype=np.int64)
+    row = np.arange(len(acc))
+    for j in reversed(range(len(weights))):
+        qn[:, j] = ms[j][row]
+        row = parents[j][row]
+    return qn, acc
+
+
 def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
     """All quantum numbers with eigenvalue strictly below cutoff, as levels
     in exact increasing order, each level's members sorted by quantum
@@ -172,29 +215,7 @@ def enumerate_below(domain: Domain, cutoff: Cutoff) -> LatticeRegion:
             f"the cutoff {_cutoff_text(cutoff, c)} is over the {domain.label()} lattice "
             f"budget of {POINT_BUDGET} points"
         )
-    lo = 0 if domain.bc == NEUMANN else 1
-    # rest[j]: the smallest contribution of the axes after j (each m >= lo)
-    rest = [lo * sum(weights[j + 1:]) for j in range(len(weights))]
-    qn = np.zeros((1, 0), dtype=np.int64)
-    acc = np.zeros(1)  # double value of each partial point
-    for j, w in enumerate(weights):
-        room = np.maximum(top - rest[j] - acc, 0.0)
-        hi = np.floor(np.sqrt(room / w)).astype(np.int64) + 1
-        if domain.kind == TRIANGLE and j == 1:
-            hi = np.minimum(hi, qn[:, 0] - lo)  # n <= m, n < m for Dirichlet
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if total > POINT_BUDGET:
-            raise DomainError(
-                f"the {domain.label()} lattice below the cutoff needs {total} "
-                f"candidates on axis {j}, over the budget of {POINT_BUDGET}"
-            )
-        parent = np.repeat(np.arange(len(acc)), counts)
-        m = lo + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
-        acc = acc[parent] + w * (m * m)
-        qn = np.column_stack([qn[parent], m])
-        keep = acc + rest[j] <= top
-        acc, qn = acc[keep], qn[keep]
+    qn, acc = _candidates(domain, weights, top)
     below = acc < c - tol
     near = np.flatnonzero(~below)  # every point left is within tol of c
     ring = domain.ring

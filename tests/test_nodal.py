@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -318,15 +318,17 @@ def test_grid_counts_lie_between_the_uncut_labelling_and_one_split_per_cut():
 
 @st.composite
 def _sign_grids_and_cuts(draw):
-    """An int8 sign grid of -1, 0 and 1 in blocks of one to three cells a
-    side, and per axis a random set of its same-sign edges to cut, with
-    whole lines of cut edges among them."""
+    """An int8 n0 x n1 sign grid of -1, 0 and 1 with n1 <= n0 and every
+    nonzero cell strictly below its diagonal, as on the full and the half
+    triangle, in blocks of one to three cells a side (the same blocks along
+    both axes), and per axis a random set of its same-sign edges to cut,
+    with whole lines of cut edges among them."""
     base = draw(hnp.arrays(np.int8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
                            elements=st.integers(-1, 1)))
-    sign = base
-    for k in (0, 1):
-        reps = draw(st.lists(st.integers(1, 3), min_size=base.shape[k], max_size=base.shape[k]))
-        sign = np.repeat(sign, reps, axis=k)
+    base = base[:, : len(base)]
+    side = draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
+    sign = np.repeat(np.repeat(base, side, axis=0), side[: base.shape[1]], axis=1)
+    sign = np.tril(sign, -1)
     cuts = []
     for k, (a, b) in enumerate(((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:]))):
         same = (sign[a] == sign[b]) & (sign[a] != 0)
@@ -341,15 +343,17 @@ def _sign_grids_and_cuts(draw):
 
 
 def _both_signs_cut_on_adjacent_crossing_border_lines():
-    # positive left, negative right; every edge of the axis-0 rows 0, 1 and
-    # 3 (the first two adjacent, 0 and 3 on the border) and of the axis-1
-    # columns 0 and 2 (2 on the border) is cut, which leaves 16 domains
-    sign = np.array([[1, 1, -1, -1]] * 5, dtype=np.int8)
-    cut0 = np.zeros((4, 4), dtype=bool)
-    cut0[[0, 1, 3]] = True
-    cut1 = np.zeros((5, 3), dtype=bool)
+    # positive left, negative right, below the diagonal; every edge of the
+    # axis-0 rows 1, 2 and 4 (the first two adjacent, 4 on the border) and
+    # of the axis-1 columns 0 and 2 (2 on the border) is cut, which leaves
+    # 11 domains
+    sign = np.tril(np.array([[1, 1, -1, -1]] * 6, dtype=np.int8), -1)
+    cut0 = np.zeros((5, 4), dtype=bool)
+    cut0[[1, 2, 4]] = True
+    cut1 = np.zeros((6, 3), dtype=bool)
     cut1[:, [0, 2]] = True
-    return sign, [cut0, cut1]
+    same = [(sign[:-1] == sign[1:]) & (sign[:-1] != 0), (sign[:, :-1] == sign[:, 1:]) & (sign[:, :-1] != 0)]
+    return sign, [cut0 & same[0], cut1 & same[1]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -361,11 +365,131 @@ def test_sign_planes_label_like_the_doubled_image(case):
         (sign[a] == sign[b]) & (sign[a] != 0) & ~c
         for c, (a, b) in zip(cut, ((np.s_[:-1], np.s_[1:]), (np.s_[:, :-1], np.s_[:, 1:])))
     ]
-    img = nodal._sign_planes(sign, [np.nonzero(c) for c in cut])
-    rows, cols = (np.unique(np.nonzero(c)[k]).size for k, c in enumerate(cut))
-    # a join row per cut row of edges, a join column per cut column in each plane
-    assert img.shape == (len(sign) + rows, 2 * (sign.shape[1] + cols) + 1)
+    img = nodal._sign_plane(sign, [np.nonzero(c) for c in cut])
+    # a join row (column) per plane row (column) that holds the lower end of
+    # a cut edge of either sign; a negative cell (i, j) sits at
+    # (n0 - 1 - i, n0 - 1 - j), so its edge's lower end is the turned upper end
+    n0 = len(sign)
+    (i0, j0), (i1, j1) = (np.nonzero(c) for c in cut)
+    rows = np.unique(np.where(sign[i0, j0] < 0, n0 - 2 - i0, i0)).size
+    cols = np.unique(np.where(sign[i1, j1] < 0, n0 - 2 - j1, j1)).size
+    assert img.shape == (n0 + rows, n0 + cols)
     assert ndimage.label(img)[1] == _doubled_image_label_count(sign, joins)
+
+
+def _cut_edges_by_min(f, lo, hi, f_lo, f_hi, curv, eps, cells):
+    """Oracle: the edge bisection that proves an interval of length l by
+    its smaller end alone, min(f_lo, f_hi) > curv * l^2 + eps in their sign,
+    and halves every edge passed in before it tests any."""
+    sign = np.sign(f_lo)
+    cut = np.zeros(len(sign), dtype=bool)
+    edge = np.arange(len(sign))
+    for _ in range(nodal._BISECT_DEPTH):
+        if not edge.size:
+            return cut
+        mid = 0.5 * (lo + hi)
+        f_mid = eigenfn.eval_points(f, mid)
+        cut[edge[np.sign(f_mid) != sign[edge]]] = True
+        keep = ~cut[edge]
+        edge, lo, hi, f_lo, f_hi, mid, f_mid = (
+            a[keep] for a in (edge, lo, hi, f_lo, f_hi, mid, f_mid)
+        )
+        edge = np.concatenate((edge, edge))
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        f_lo, f_hi = np.concatenate((f_lo, f_mid)), np.concatenate((f_mid, f_hi))
+        length = (hi - lo).sum(axis=1)
+        s = sign[edge]
+        live = np.minimum(s * f_lo, s * f_hi) <= curv[edge] * length**2 + eps
+        edge, lo, hi, f_lo, f_hi = (a[live] for a in (edge, lo, hi, f_lo, f_hi))
+    assert not edge.size, "an edge the min rule leaves undecided"
+    return cut
+
+
+def _margin_and_curv(f):
+    """The rounding margin and the per-axis curv of _triangle_grid_counts."""
+    terms = product_terms(f)
+    curv = np.array([sum(abs(c) * fr[k] ** 2 for c, fr in terms) / 8.0 for k in (0, 1)])
+    return nodal._rounding_margin(terms), curv
+
+
+def test_interpolation_bound_cuts_the_edges_the_min_rule_cuts(monkeypatch):
+    # the simple levels of the deficiency band and the Dirichlet triangle
+    # below 200, at the two resolutions count_grid starts from, full and
+    # halved: the same cut flags as the min rule, from fewer midpoints
+    _, levels = _simple_triangle_levels(403)
+    fns = [eigenfn.basis_fn(triangle(), lv.members[0]) for lv in levels] + [
+        eigenfn.basis_fn(triangle("dirichlet"), m)
+        for lv in spectrum.build_index(triangle("dirichlet"), 200).levels
+        for m in lv.members
+    ]
+    midpoints = []
+
+    def counted(f, pts):
+        midpoints.append(len(pts))
+        return eigenfn.eval_points(f, pts)
+
+    monkeypatch.setattr(nodal, "eval_points", counted)
+    cuts = by_min = 0
+    for f in fns:
+        eps, curv = _margin_and_curv(f)
+        default = max(16, 8 * nodal._max_halfperiods(f))
+        for cells in (default, 2 * default):
+            for halve in (False, True):
+                _, (i, _, axis, lo, hi, f_lo, f_hi) = nodal._signs_and_edges(
+                    f, cells, halve, curv, eps
+                )
+                args = (f, lo, hi, f_lo, f_hi, curv[axis], eps, np.full(i.size, cells))
+                cut = nodal._cut_edges(*args)
+                assert (cut == _cut_edges_by_min(*args)).all(), (f.terms, cells, halve)
+                cuts += int(cut.sum())
+                by_min += i.size
+    assert cuts > 0
+    # the min rule halves every unsure edge at least once
+    assert sum(midpoints) < by_min
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (0.5, 2.0), (2.0, 0.25), (1.0, 1.4), (3.0, 0.1)])
+@pytest.mark.parametrize("k", [0.0, 0.3, 1.0, 4.0])
+def test_interval_floor_is_the_least_value_of_the_extreme_parabola(a, b, k):
+    # g(s) = a + (b - a) s - k s (1 - s) has the end values a and b and
+    # |g''| = 2k / l^2 = M2 on an interval of length l with k = M2 l^2 / 2;
+    # the floor is its least value over [0, 1], in either of its two forms
+    s = np.linspace(0.0, 1.0, 200001)
+    least = (a + (b - a) * s - k * s * (1 - s)).min()
+    got = nodal._interval_floor(np.array([a]), np.array([b]), np.array([k]))[0]
+    d = abs(b - a)
+    cases = min(a, b) if d >= k else (a + b) / 2 - k / 4 - d * d / (4 * k)
+    assert got == pytest.approx(cases, abs=1e-12)
+    assert least - 1e-9 <= got <= least + 1e-12
+    assert got >= min(a, b) - k / 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    bc=st.sampled_from(["neumann", "dirichlet"]),
+    a=st.integers(2, 40),
+    axis=st.integers(0, 1),
+    data=st.data(),
+)
+def test_interpolation_bound_proves_only_intervals_that_keep_their_sign(bc, a, axis, data):
+    b = data.draw(st.integers(0 if bc == "neumann" else 1, a - 1))
+    coeff = data.draw(st.sampled_from([1.0, -0.5, 3.0]))
+    f = eigenfn.combo(triangle(bc), [(coeff, (a, b))])
+    eps, curv = _margin_and_curv(f)
+    start = np.array([data.draw(st.floats(0.0, math.pi)) for _ in range(2)])
+    # up to a quarter period of the fastest term: some intervals the bound
+    # proves and some it leaves to the bisection
+    length = data.draw(st.floats(1e-6, 1.0)) * math.pi / (2 * a)
+    end = start.copy()
+    end[axis] += length
+    f_lo, f_hi = eigenfn.eval_points(f, np.stack((start, end)))
+    s = np.sign(f_lo)
+    assume(s != 0 and np.sign(f_hi) == s)
+    k = np.array([4.0 * curv[axis] * (end[axis] - start[axis]) ** 2])
+    if nodal._interval_floor(np.array([s * f_lo]), np.array([s * f_hi]), k)[0] > eps:
+        t = np.linspace(0.0, 1.0, 257)[:, None]
+        inside = eigenfn.eval_points(f, start + t * (end - start))
+        assert (np.sign(inside) == s).all(), (f.terms, start, end)
 
 
 _MULTIPLE_LEVELS = {

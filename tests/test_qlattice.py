@@ -536,6 +536,45 @@ def test_counting_matches_brute_counts(case, data):
         assert si.right_boundary_parity(q) == parity_split(dom, q_points), q
 
 
+def _candidates_by_column_stack(domain, weights, top):
+    """Oracle: qlattice._candidates as one growing matrix, a column stacked
+    on per axis."""
+    lo = 0 if domain.bc == NEUMANN else 1
+    rest = [lo * sum(weights[j + 1:]) for j in range(len(weights))]
+    qn = np.zeros((1, 0), dtype=np.int64)
+    acc = np.zeros(1)
+    for j, w in enumerate(weights):
+        room = np.maximum(top - rest[j] - acc, 0.0)
+        hi = np.floor(np.sqrt(room / w)).astype(np.int64) + 1
+        if domain.kind == TRIANGLE and j == 1:
+            hi = np.minimum(hi, qn[:, 0] - lo)
+        counts = np.maximum(hi - lo + 1, 0)
+        parent = np.repeat(np.arange(len(acc)), counts)
+        m = lo + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        acc = acc[parent] + w * (m * m)
+        qn = np.column_stack([qn[parent], m])
+        keep = acc + rest[j] <= top
+        acc, qn = acc[keep], qn[keep]
+    return qn, acc
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize(
+    "kind,cutoffs",
+    [("triangle", (0.5, 1, 2, 51, 400, 2000))]
+    + [(n, (0.5, 1, 2, 9, 25, 60)) for n in range(2, 9)],
+)
+def test_candidates_match_the_column_stack(kind, cutoffs, bc):
+    dom = triangle(bc) if kind == "triangle" else box(kind, bc)
+    weights = qlattice._weights(dom)
+    for cutoff in cutoffs:
+        c, tol = qlattice._float_cutoff(dom, cutoff)
+        qn, acc = qlattice._candidates(dom, weights, c + tol)
+        want_qn, want_acc = _candidates_by_column_stack(dom, weights, c + tol)
+        assert qn.dtype == want_qn.dtype and qn.shape == want_qn.shape, (cutoff, qn.shape)
+        assert (qn == want_qn).all() and (acc == want_acc).all(), cutoff
+
+
 def test_over_budget_cutoffs_fail_fast():
     huge = AlgebraicValue(4, (10**400, 0))
     cases = [
