@@ -404,8 +404,11 @@ def _index_through(domain: Domain, value: AlgebraicValue) -> spectrum.SpectrumIn
 def _cmd_deficiency(args: argparse.Namespace) -> int:
     domain = _parse_domain(args)
     value = _parse_value(domain, args.lam)
-    si = _index_through(domain, value)
-    report = nodal.deficiency_bound(si, value)
+    try:  # deficiency_bound reads the index at the odd core alone
+        core = spectrum.odd_core(value).core
+    except FoldspecError:  # zero, or not divisible: refused before any read
+        core = value
+    report = nodal.deficiency_bound(_index_through(domain, core), value)
     _emit(args, _json(report.as_dict()))
     return 0
 

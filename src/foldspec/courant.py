@@ -27,10 +27,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import algebra, nodal, qlattice
+from . import algebra, folding, nodal, qlattice
 from .algebra import AlgebraicValue
-from .domains import NEUMANN, TRIANGLE, Domain
-from .errors import ConsistencyError, DomainError, FoldParityError
+from .domains import NEUMANN, TRIANGLE, Domain, triangle
+from .errors import ConsistencyError, DomainError
 from .qlattice import QN, Cutoff, LatticeRegion
 from .spectrum import SpectrumIndex, build_index, odd_core_columns
 
@@ -268,21 +268,11 @@ def _boundary_witnesses(z: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _fold(m: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Each row of triangle quantum numbers folded k times, as
-    folding.fold_qn folds one: (a, b) -> ((a + b)/2, (a - b)/2).  A row
-    met with a - b odd raises FoldParityError, as fold_qn does; the first
-    such row is named."""
+    """Each row of triangle quantum numbers folded k times by fold_rows,
+    which refuses the first row met with a - b odd."""
     m = m.copy()
-    bad = np.zeros(len(m), dtype=bool)
     for step in range(int(k.max(initial=0))):
-        live = (k > step) & ~bad
-        bad |= live & ((m[:, 0] - m[:, 1]) % 2 == 1)
-        live &= ~bad
-        a, b = m[live, 0], m[live, 1]
-        m[live] = np.column_stack([(a + b) // 2, (a - b) // 2])
-    if bad.any():
-        row = tuple(m[np.flatnonzero(bad)[0]].tolist())
-        raise FoldParityError(f"{row} has odd parity and cannot be folded")
+        m[k > step] = folding.fold_rows(triangle(), m[k > step])
     return m
 
 

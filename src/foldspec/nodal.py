@@ -1,7 +1,7 @@
 """Nodal-domain counting and nodal-deficiency bounds.
 
-The closed-form counts cover box basis functions and the two triangle shapes
-with straight nodal lines, (a, a) and every (a, 0); the grid oracle counts
+The closed-form counts cover box basis functions and the two Neumann triangle
+shapes with straight nodal lines, (a, a) and every (a, 0); the grid oracle counts
 everything from samples on an irrationally offset grid and certifies the
 count by agreement under one resolution doubling.  A box basis function is
 a product of one factor per axis, so the oracle counts the runs of one
@@ -33,7 +33,7 @@ from . import algebra, folding
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn
 from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms
-from .errors import DomainError, GridInstabilityError
+from .errors import DivisibilityError, DomainError, GridInstabilityError
 from .qlattice import QN
 from .spectrum import SpectrumIndex, odd_core
 
@@ -97,9 +97,10 @@ def formula_counts(domain: Domain, m: np.ndarray) -> np.ndarray:
     """The closed-form nodal count of each row of a quantum-number matrix m;
     raises DomainError where none is available, naming the first such row.
 
-    A box basis function is a product of one cosine per axis, so its nodal
-    domains are the prod(m_j + 1) cells of a grid of planes.  On the triangle
-    two shapes have straight nodal lines:
+    A box basis function is a product of one cosine per axis, or one sine
+    (Dirichlet, m_j >= 1), so its nodal domains are the prod(m_j + 1), or
+    prod(m_j), cells of a grid of planes.  On the Neumann triangle two
+    shapes have straight nodal lines:
 
       * (a, a): 2 cos ax cos ay vanishes on x, y = (2i+1) pi / (2a), and the
         triangle 0 <= y <= x <= pi keeps i + 1 cells of column i, i = 0..a,
@@ -118,14 +119,14 @@ def formula_counts(domain: Domain, m: np.ndarray) -> np.ndarray:
     2^22, and a box count is the number of lattice points in the nodal box,
     each at or below the member, so inside the region and its POINT_BUDGET.
     """
-    if domain.bc != NEUMANN:
-        raise DomainError("closed-form nodal counts cover the Neumann basis only")
-    triangle = domain.kind == TRIANGLE
-    valid = (m >= 0).all(axis=1) & (m[:, 0] >= m[:, 1] if triangle else True)
+    triangle, neumann = domain.kind == TRIANGLE, domain.bc == NEUMANN
+    if triangle and not neumann:
+        raise DomainError("closed-form nodal counts cover the Neumann triangle and the box only")
+    valid = (m >= 1 - neumann).all(axis=1) & (m[:, 0] >= m[:, 1] if triangle else True)
     for row in m[~valid][:1].tolist():
         check_qn(domain, tuple(row))  # refuses the first invalid row with its message
     if not triangle:
-        return np.prod(m + 1, axis=1)
+        return np.prod(m + neumann, axis=1)
     a, b = m.T
     for row in m[(a != b) & (b != 0)][:1].tolist():
         raise DomainError(f"no closed-form nodal count for triangle {tuple(row)}; use count_grid")
@@ -347,9 +348,9 @@ def _sign_plane(sign: np.ndarray, cuts) -> np.ndarray:
     strictly above the diagonal; so a negative cut edge's lower end goes to
     the turned upper end.  A row of join pixels follows each plane row that
     holds a cut axis-0 edge of either sign, and a column of join pixels each
-    plane column that holds a cut axis-1 edge; a join pixel is set where the
-    pixels on both sides of it are and its edge is not cut, and a pixel
-    where such a row meets such a column is 0.
+    plane column that holds a cut axis-1 edge; a join pixel copies the pixel
+    above (left of) it and is 0 where its edge is cut, and a pixel where
+    such a row meets such a column is 0.
 
     Why the components are the nodal domains.  No positive cell is
     4-adjacent to a turned negative one: the empty diagonal keeps them
@@ -357,20 +358,22 @@ def _sign_plane(sign: np.ndarray, cuts) -> np.ndarray:
     one row they are two columns apart or more, and below a positive
     (turned) cell (r, c) the cell (r + 1, c) has c < r + 1 (c >= r + 1) and
     can only be positive (turned) too.  So two set pixels on either side of
-    a join pixel share their sign, and the join pixel of an edge with no cut
-    is set exactly when its edge is a join.  Take the doubled image whose
-    even pixels are the plane's cells, whose pixels between two cells are
-    the joins and whose pixels with two odd coordinates are 0: its
-    components are the nodal domains of both signs, the turned ones turned,
-    which changes no adjacency.  Deleting a row of join pixels that holds no
-    cut neither joins nor splits a component.  Each deleted set pixel had
-    both its neighbours across the row set, and these become adjacent.  Two
-    cells that become adjacent are set together exactly when their join
-    was.  Two join pixels of a kept column that become adjacent are set
-    together only when the four cells around them are set, so of one sign,
-    and then those cells were already joined across the deleted row.  The
-    same holds for a column, and deleting every such row and column leaves
-    this image.
+    a join pixel share their sign, and a set join pixel lies on a join
+    unless the pixel after it is unset; then it hangs from the one before,
+    and touches no other set pixel but copies of that one's neighbours, so
+    it changes no component.  Take the doubled image whose even pixels are
+    the plane's cells, whose pixels between two cells are the joins and
+    whose pixels with two odd coordinates are 0: its components are the
+    nodal domains of both signs, the turned ones turned, which changes no
+    adjacency.  Deleting a row of join pixels that holds no cut neither
+    joins nor splits a component.  Each deleted set pixel had both its
+    neighbours across the row set, and these become adjacent.  Two cells
+    that become adjacent are set together exactly when their join was.  Two
+    join pixels of a kept column that become adjacent are set together only
+    when the four cells around them are set, so of one sign, and then those
+    cells were already joined across the deleted row.  The same holds for a
+    column, and deleting every such row and column leaves this image
+    without its hanging pixels.
     """
     n0, n1 = sign.shape
     plane = np.zeros((n0, n0), dtype=bool)
@@ -391,17 +394,13 @@ def _sign_plane(sign: np.ndarray, cuts) -> np.ndarray:
     new_cols = cols + np.arange(1, cols.size + 1)
     img = plane
     if rows.size:
-        # each plane row, then, where a join row follows, a copy of it that
-        # keeps the pixels whose neighbour below is set and whose edge is
-        # not cut
+        # each plane row, and where a join row follows, a copy with the cut edges cleared
         img = plane.take(np.sort(np.concatenate((np.arange(n0), rows))), axis=0)
-        img[new_rows] &= plane[rows + 1]
         img[new_rows[np.searchsorted(rows, i0)], j0] = False
     if cols.size:
         # the same along axis 1, over the rows above; where a join row
         # crosses a join column the pixel is 0
         img = img.take(np.sort(np.concatenate((np.arange(n0), cols))), axis=1)
-        img[:, new_cols] &= img[:, new_cols + 1]
         img[i1 + np.searchsorted(rows, i1), new_cols[np.searchsorted(cols, j1)]] = False
         img[np.ix_(new_rows, new_cols)] = False
     return img
@@ -548,16 +547,26 @@ class DeficiencyReport:
 
 
 def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyReport:
-    """Lower bounds for the nodal deficiency of a Neumann eigenvalue."""
+    """Lower bounds for the nodal deficiency of a Neumann eigenvalue below
+    2^1023.  Every lattice point of an even value folds (a = b mod 2 on the
+    triangle, c_0 = m_1^2 mod 2 on the box), so d(gamma^(2k) core) = d(core),
+    value is an eigenvalue exactly when d(core) > 0, and si need only reach
+    the core."""
     dom = si.domain
     if dom.bc != NEUMANN:
         raise DomainError("deficiency bounds are for the Neumann problem")
     if value.is_zero():
         raise DomainError("the ground state has no deficiency bound")
-    if not si.multiplicity_of(value):
+    try:
+        oc = odd_core(value)
+        d = si.multiplicity_of(oc.core)
+    except DivisibilityError:  # an even value with no point to fold
+        d = 0
+    if not d:
         raise DomainError(f"{value.text()} is not in the spectrum below the cutoff")
-    oc = odd_core(value)
-    d = si.multiplicity_of(oc.core)
+    # so that its double is finite; value < 2 sum(coeffs) settles most at once
+    if sum(value.coeffs) >> 1022 and not algebra.is_below(value, 2.0**1023):
+        raise DomainError(f"{value.text()} is too large: deficiency bounds take values below 2^1023")
     mk = folding.partition_count(dom, oc.k)
     boundary_even, _ = si.right_boundary_parity(oc.core)
     b1 = (d - 1) * (mk - 1)
@@ -590,11 +599,8 @@ class DirichletDeficiencyCheck:
 def _simple_deficiency(si: SpectrumIndex, value: AlgebraicValue) -> int:
     level = si.level_of(value)
     if level is None or level.multiplicity != 1:
-        raise DomainError(
-            f"{value.text()} must be a simple eigenvalue below the cutoff"
-        )
-    nu = count_grid(basis_fn(si.domain, level.members[0])).count
-    return si.position_of(value) - nu
+        raise DomainError(f"{value.text()} must be a simple eigenvalue below the cutoff")
+    return si.position_of(value) - count_auto(si.domain, level.members[0]).count
 
 
 def dirichlet_deficiency_check(
@@ -603,7 +609,7 @@ def dirichlet_deficiency_check(
     """Both sides of the deficiency identity for an even Dirichlet eigenvalue.
 
     Requires the eigenvalue and its folding to be simple, so that the
-    deficiency is computable from a single eigenfunction's grid count.
+    deficiency is computable from a single eigenfunction's closed-form count.
     """
     if si.domain.bc != DIRICHLET:
         raise DomainError("this identity concerns the Dirichlet problem")

@@ -281,7 +281,8 @@ def test_triangle_refuses_a_dimension_other_than_two(capsys):
 
 
 def test_huge_lambda_exits_cleanly(capsys):
-    # the index cutoff is lambda + 1 in the ring, which the lattice budget refuses
+    # the index reaches the odd core + 1 (5^400 + 1 and the box3 value
+    # itself, which is odd) or lambda + 1, which the lattice budget refuses
     huge = str(10**400)
     for argv in (
         ["deficiency", "--domain", "triangle", "--lambda", huge],
@@ -356,6 +357,32 @@ def test_deficiency_triangle_at_k_18(capsys):
     assert code == 0
     report = json.loads(out)
     assert (report["k"], report["partition_size"], report["bound"]) == (18, 66049, 0)
+
+
+def test_deficiency_refuses_a_value_past_2_to_1023(capsys):
+    # cores 1 and 5 need a tiny index, but the report prints the value's
+    # double, so values from 2^1023 on are refused
+    code, out = run_cli(capsys, ["deficiency", "--domain", "triangle", "--lambda", str(2**1022)])
+    assert code == 0 and json.loads(out)["k"] == 1022
+    for lam in (2**1023, 2**1100, 5 * 2**1100):
+        assert main(["deficiency", "--domain", "triangle", "--lambda", str(lam)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {lam} is too large: deficiency bounds take values below 2^1023\n"
+        )
+
+
+def test_deficiency_refusals_keep_their_messages(capsys):
+    # zero, a value with no lattice point, an even value whose core (3) has
+    # none, and an even box3 value that gamma^2 does not divide
+    for argv, message in (
+        (["--domain", "triangle", "--lambda", "0"], "the ground state has no deficiency bound"),
+        (["--domain", "triangle", "--lambda", "3"], "3 is not in the spectrum below the cutoff"),
+        (["--domain", "triangle", "--lambda", "6"], "6 is not in the spectrum below the cutoff"),
+        (["--domain", "box", "--dim", "3", "--lambda", "2,1,0"],
+         "2 + 1*g^1 is not in the spectrum below the cutoff"),
+    ):
+        assert main(["deficiency", *argv]) == 1, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
 
 
 def test_frame_beyond_the_budget_fails_fast(capsys):
@@ -498,6 +525,12 @@ PINNED_ROW_OUTPUTS = [
      "8bf4868b4aa7a0b8008c65003676388eff71640075e1e4a9f16bd279ea487c22"),
     (["dirichlet-check", "--dim", "4", "--lambda", "12,6"],  # boundary_odd 5
      "763dc7994a06d48a876c156bb4bcd9f46ffc5b644ed8b5171f6c4f99e4f27d06"),
+    # odd core 1 at k = 22 and 30, read from an index through 2: the index
+    # through lambda + 1 was over the lattice budget
+    (["deficiency", "--domain", "triangle", "--lambda", "4194304"],  # M 1050625, bound 0
+     "cb76df424565e9523c426d48c348707baa7f140c6bb35947364a5ab3969a0dff"),
+    (["deficiency", "--domain", "box", "--dim", "2", "--lambda", "1073741824"],  # M 32769, bound 0
+     "eaca9fab1f104bc1e4163255e7804b89998430773b397c6ee3a930fa08cb5309"),
 ]
 
 

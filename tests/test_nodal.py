@@ -809,6 +809,34 @@ def test_deficiency_reports_are_pinned():
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == DEFICIENCY_PIN
 
 
+def test_deficiency_needs_the_index_through_the_odd_core_only():
+    # every report of DEFICIENCY_PIN's band is the same on the index through
+    # its odd core + 1 as on the index through lambda + 1
+    reports = 0
+    for dom, cutoff in ((triangle(), 400), (box(2), 400), (box(3), 60)):
+        for lv in spectrum.build_index(dom, cutoff).levels:
+            if lv.value.is_zero():
+                continue
+            core = spectrum.odd_core(lv.value).core
+            assert (
+                nodal.deficiency_bound(cli._index_through(dom, core), lv.value).as_dict()
+                == nodal.deficiency_bound(cli._index_through(dom, lv.value), lv.value).as_dict()
+            ), lv.value.text()
+            reports += 1
+    assert reports == 476
+
+
+@pytest.mark.parametrize("n,cutoff,simple", [(2, 400, 98), (3, 60, 79), (4, 30, 37)])
+def test_dirichlet_box_formula_is_the_grid_count(n, cutoff, simple):
+    # prod(m_j) on every simple Dirichlet level, against the sampled sines
+    dom = box(n, DIRICHLET)
+    si = spectrum.build_index(dom, cutoff)
+    members = si.region.members[si.starts[si.multiplicities == 1]]
+    assert len(members) == simple
+    grid = [nodal.count_grid(eigenfn.basis_fn(dom, tuple(m))).count for m in members.tolist()]
+    assert nodal.formula_counts(dom, members).tolist() == grid
+
+
 @pytest.mark.parametrize("n,cutoff", [(2, 400), (3, 60), (6, 80)])
 def test_formula_counts_are_the_box_products(n, cutoff):
     members = spectrum.build_index(box(n), cutoff).region.members
@@ -831,7 +859,7 @@ def test_formula_counts_are_the_triangle_closed_forms():
         (triangle(), [(4, 0), (3, 1), (5, 2)], 1,
          r"^no closed-form nodal count for triangle \(3, 1\); use count_grid$"),
         (triangle("dirichlet"), [(2, 1)], 0,
-         r"^closed-form nodal counts cover the Neumann basis only$"),
+         r"^closed-form nodal counts cover the Neumann triangle and the box only$"),
         (triangle(), [(2, 2), (5, 1), (1, -1), (-1, -1)], 2,
          r"^\(1, -1\) is not a triangle-neumann quantum number$"),
         (box(3), [(0, 0, 0), (2, -1, 0)], 1,

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from foldspec import algebra, cli, courant, nodal, qlattice, spectrum
@@ -89,6 +90,47 @@ def test_multiplicity_equals_core_multiplicity():
                 continue
             oc = spectrum.odd_core(lv.value)
             assert lv.multiplicity == si.multiplicity_of(oc.core), lv.value.text()
+
+
+_LEMMA_INDEXES = {
+    "triangle@20000": (triangle(), 20000),
+    "box2@4000": (box(2), 4000),
+    "box3@300": (box(3), 300),
+    "box4@150": (box(4), 150),
+    "box5@100": (box(5), 100),
+    "box6@60": (box(6), 60),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _lemma_index(name):
+    """The index and the values of its odd levels whose gamma^2 multiple
+    lies below the cutoff."""
+    si = spectrum.build_index(*_LEMMA_INDEXES[name])
+    values = map(si.region.value, range(len(si)))
+    return si, [
+        v for v in values
+        if v.coeffs[0] % 2 and algebra.is_below(algebra.scale_gamma2(v, 1), si.cutoff)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_LEMMA_INDEXES)), st.booleans(), st.data())
+def test_an_even_value_has_the_multiplicity_of_its_odd_core(name, level, data):
+    # the folding lemma deficiency_bound rests on: every lattice point of an
+    # even value folds, so d(gamma^(2k) c) = d(c) for an odd c and k >= 1,
+    # c an odd level's value or an odd value that may lie in no level
+    si, odd = _lemma_index(name)
+    if level:
+        c = data.draw(st.sampled_from(odd))
+    else:
+        r = algebra.basis_len(si.domain.ring)
+        coeffs = data.draw(st.lists(st.integers(0, 9), min_size=r, max_size=r))
+        c = AlgebraicValue(si.domain.ring, (2 * coeffs[0] + 1,) + tuple(coeffs[1:]))
+    below = [k for k in range(1, 40) if algebra.is_below(algebra.scale_gamma2(c, k), si.cutoff)]
+    assume(below)
+    v = algebra.scale_gamma2(c, data.draw(st.sampled_from(below)))
+    assert si.multiplicity_of(v) == si.multiplicity_of(c), (v.text(), c.text())
 
 
 def test_r2_values():
