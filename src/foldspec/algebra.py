@@ -285,8 +285,8 @@ def compare(a: AlgebraicValue, b: AlgebraicValue) -> int:
     return _sign_of_combination(diff, len(diff))
 
 
-def compare_with_rational(v: AlgebraicValue, q: Fraction | int) -> int:
-    """Exact sign of v - q for rational q."""
+def compare_with_rational(v: AlgebraicValue, q: Fraction | int | float) -> int:
+    """Exact sign of v - q for rational q (a finite float at its exact value)."""
     q = Fraction(q)
     den, num = q.denominator, q.numerator
     diff = tuple(c * den for c in v.coeffs)
@@ -297,11 +297,21 @@ def compare_with_rational(v: AlgebraicValue, q: Fraction | int) -> int:
 
 
 def is_below(v: AlgebraicValue, cutoff: "AlgebraicValue | Fraction | int | float") -> bool:
-    """v < cutoff, exactly (float cutoffs are taken at their exact binary value)."""
+    """v < cutoff, exactly (float cutoffs are taken at their exact binary value).
+
+    With coefficients c_j >= 0, every basis element t^j lies in [1, 2), so
+    s <= v < 2s for s = sum(c_j) > 0 (v = 0 for s = 0); a rational cutoff at
+    or below s, or at or above 2s, is decided by that bound alone (Python
+    compares ints with floats and Fractions exactly).
+    """
     if isinstance(cutoff, AlgebraicValue):
         return compare(v, cutoff) == LESS
-    if isinstance(cutoff, float):
-        if not math.isfinite(cutoff):
-            raise DomainError("cutoff must be finite")
-        cutoff = Fraction(cutoff)
+    if isinstance(cutoff, float) and not math.isfinite(cutoff):
+        raise DomainError("cutoff must be finite")
+    if min(v.coeffs) >= 0:
+        s = sum(v.coeffs)
+        if cutoff <= s:
+            return False
+        if cutoff >= 2 * s:
+            return True
     return compare_with_rational(v, cutoff) == LESS

@@ -12,7 +12,10 @@ witness filled into one %-template per reason and member count.  Their CSV
 header comes from the row schema, so an empty result prints the header
 alone.  Other JSON goes through json.dumps.  checksym and checkframe decide
 exactly from the quantum number, in any box dimension; checkframe names the
-first facet where the function does not vanish, if there is one.
+first facet where the function does not vanish, if there is one.  Start-up
+loads only what argument parsing and spectrum need; every other subcommand
+imports the modules it runs (courant, nodal, eigenfn, folding, and svgout
+under --svg) when it starts, so no command pays for another's.
 """
 
 from __future__ import annotations
@@ -26,13 +29,17 @@ import re
 import sys
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import algebra, courant, eigenfn, folding, nodal, qlattice, spectrum, svgout
+from . import algebra, qlattice, spectrum
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, Domain, box, triangle
 from .errors import ConsistencyError, DomainError, FoldspecError
+
+if TYPE_CHECKING:  # annotations only; the commands import these as they run
+    from . import courant, folding
 
 
 def _parse_domain(args: argparse.Namespace) -> Domain:
@@ -183,6 +190,8 @@ def _witness_texts(t: courant.VerdictTable, compact: bool) -> list[str]:
     2 as the value of a row's field.  The rows of one reason and member
     count share a %-template: courant.witness over placeholders, written by
     json.dumps, filled from courant.witness over the rows' columns."""
+    from . import courant
+
     r = t.region
     texts = ["{}"] * len(t)
     place = ["%d"] * t.points.shape[2]
@@ -292,6 +301,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verdicts(args: argparse.Namespace) -> int:
+    from . import courant
+
     table = courant.classify(_parse_domain(args), _parse_cutoff(args.cutoff))
     if args.explain is not None:
         _emit(args, _json(courant.explain(table, args.explain).as_dict()))
@@ -307,6 +318,8 @@ def _cmd_verdicts(args: argparse.Namespace) -> int:
 
 
 def _cmd_nodal(args: argparse.Namespace) -> int:
+    from . import eigenfn, nodal
+
     domain = _parse_domain(args)
     qn = _parse_qn(args.qn)
     f = eigenfn.basis_fn(domain, qn)
@@ -321,6 +334,8 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
         }
     )
     if args.svg:
+        from . import svgout
+
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svgout.nodal_svg(f))
         result["svg"] = args.svg
@@ -329,6 +344,8 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
 
 
 def _facet_json(facet: folding.Segment | folding.Slab) -> dict:
+    from . import folding
+
     if isinstance(facet, folding.Segment):
         return {
             "a": [str(facet.a[0]), str(facet.a[1])],
@@ -338,9 +355,13 @@ def _facet_json(facet: folding.Segment | folding.Slab) -> dict:
 
 
 def _cmd_frame(args: argparse.Namespace) -> int:
+    from . import folding
+
     domain = _parse_domain(args)
     frame = folding.build_frame(domain, args.k)
     if args.svg:
+        from . import svgout
+
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svgout.frame_svg(frame))
     if args.json or not args.svg:
@@ -360,6 +381,8 @@ def _cmd_frame(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import eigenfn
+
     domain, qn = _parse_domain(args), _parse_qn(args.qn)
     f = eigenfn.basis_fn(domain, qn)
     p = _parse_point(args.at)
@@ -372,6 +395,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_checksym(args: argparse.Namespace) -> int:
+    from . import eigenfn
+
     domain, qn = _parse_domain(args), _parse_qn(args.qn)
     f = eigenfn.basis_fn(domain, qn)
     result = {
@@ -383,6 +408,8 @@ def _cmd_checksym(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkframe(args: argparse.Namespace) -> int:
+    from . import eigenfn, folding
+
     domain, qn = _parse_domain(args), _parse_qn(args.qn)
     f = eigenfn.basis_fn(domain, qn)
     oc = spectrum.odd_core(f.value)
@@ -402,6 +429,8 @@ def _index_through(domain: Domain, value: AlgebraicValue) -> spectrum.SpectrumIn
 
 
 def _cmd_deficiency(args: argparse.Namespace) -> int:
+    from . import nodal
+
     domain = _parse_domain(args)
     value = _parse_value(domain, args.lam)
     try:  # deficiency_bound reads the index at the odd core alone
@@ -414,6 +443,8 @@ def _cmd_deficiency(args: argparse.Namespace) -> int:
 
 
 def _cmd_dirichlet_check(args: argparse.Namespace) -> int:
+    from . import nodal
+
     domain = box(args.dim, DIRICHLET)
     value = _parse_value(domain, args.lam)
     si = _index_through(domain, value)

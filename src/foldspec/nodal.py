@@ -555,6 +555,7 @@ def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyRepo
     dom = si.domain
     if dom.bc != NEUMANN:
         raise DomainError("deficiency bounds are for the Neumann problem")
+    si.check_ring(value)  # before odd_core, so that an error names value
     if value.is_zero():
         raise DomainError("the ground state has no deficiency bound")
     try:
@@ -564,8 +565,7 @@ def deficiency_bound(si: SpectrumIndex, value: AlgebraicValue) -> DeficiencyRepo
         d = 0
     if not d:
         raise DomainError(f"{value.text()} is not in the spectrum below the cutoff")
-    # so that its double is finite; value < 2 sum(coeffs) settles most at once
-    if sum(value.coeffs) >> 1022 and not algebra.is_below(value, 2.0**1023):
+    if not algebra.is_below(value, 2.0**1023):  # so that its double is finite
         raise DomainError(f"{value.text()} is too large: deficiency bounds take values below 2^1023")
     mk = folding.partition_count(dom, oc.k)
     boundary_even, _ = si.right_boundary_parity(oc.core)

@@ -58,14 +58,19 @@ class SpectrumIndex:
     def _by_coeffs(self) -> dict[tuple[int, ...], int]:
         return {c: i for i, c in enumerate(tuples(self.region.coeffs))}
 
-    def _find(self, value: AlgebraicValue) -> int | None:
-        """Index of the level whose value is value, or None.  Coefficients
-        are canonical within a ring, so (ring, coefficients) is the key."""
+    def check_ring(self, value: AlgebraicValue) -> None:
+        """Raise DomainError, naming value, unless value lives in the
+        spectrum's ring."""
         if value.n != self._ring:
             raise DomainError(
                 f"{value.text()} lives in ring n={value.n}, the "
                 f"{self.domain.label()} spectrum in n={self._ring}"
             )
+
+    def _find(self, value: AlgebraicValue) -> int | None:
+        """Index of the level whose value is value, or None.  Coefficients
+        are canonical within a ring, so (ring, coefficients) is the key."""
+        self.check_ring(value)
         return self._by_coeffs.get(value.coeffs)
 
     @functools.cached_property

@@ -124,6 +124,53 @@ def test_is_below_with_rational_and_float_cutoffs():
     assert not algebra.is_below(algebra.integer_value(1, 9), 9)
 
 
+def _is_below_exactly(v, cutoff):
+    return algebra.compare_with_rational(v, Fraction(cutoff)) == algebra.LESS
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 4, 5, 6, 7]),
+    data=st.data(),
+    edge=st.sampled_from([1, 2]),
+    shift=st.integers(-2, 2),
+    den=st.integers(1, 9),
+    kind=st.sampled_from(["int", "fraction", "float"]),
+)
+def test_is_below_integer_bounds_agree_with_the_exact_path(n, data, edge, shift, den, kind):
+    # s = sum(c) <= v < 2s for coefficients c >= 0 decides a cutoff at or
+    # beyond either bound without the exact sign; cutoffs at s and 2s and a
+    # few steps either side, as ints, Fractions and floats
+    r = algebra.basis_len(n)
+    c = st.integers(0, 50) | st.integers(0, 2**80)
+    v = AlgebraicValue(n, tuple(data.draw(st.lists(c, min_size=r, max_size=r))))
+    at = edge * sum(v.coeffs)
+    if kind == "int":
+        cutoff = at + shift
+    elif kind == "fraction":
+        cutoff = Fraction(at * den + shift, den)
+    else:
+        cutoff = float(at)
+        for _ in range(abs(shift)):
+            cutoff = math.nextafter(cutoff, math.copysign(math.inf, shift))
+    assert algebra.is_below(v, cutoff) == _is_below_exactly(v, cutoff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 4, 6]),
+    data=st.data(),
+    cutoff=st.integers(-(2**70), 2**70)
+    | st.fractions(max_denominator=1000)
+    | st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_is_below_agrees_with_the_exact_path(n, data, cutoff):
+    # signed coefficients too, which skip the integer bounds
+    r = algebra.basis_len(n)
+    v = AlgebraicValue(n, tuple(data.draw(st.lists(st.integers(-(2**40), 2**40), min_size=r, max_size=r))))
+    assert algebra.is_below(v, cutoff) == _is_below_exactly(v, cutoff)
+
+
 def test_text_form():
     assert algebra.from_quantum_number(4, (1, 1, 1, 1)).text() == "3 + 3*g^2"
     assert AlgebraicValue(3, (1, 2, 1)).text() == "1 + 2*g^1 + 1*g^2"

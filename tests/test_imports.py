@@ -1,6 +1,6 @@
-"""Every name a foldspec module imports is used in that module, and the
+"""Every name a foldspec module imports is used in that module, the
 package loads none of the test-side oracles, nor scipy before it labels an
-image."""
+image, and each CLI command loads only the foldspec modules it runs."""
 
 from __future__ import annotations
 
@@ -144,3 +144,62 @@ def test_courant_imports_nothing_from_eigenfn():
         if any(n.split(".")[-1] == "eigenfn" for n in names):
             found.append(node.lineno)
     assert found == []
+
+
+DEFERRED = ("courant", "nodal", "eigenfn", "folding", "svgout")
+
+# each subcommand in a fresh interpreter, with the deferred modules it loads
+# (import foldspec.cli loads none of them, and spectrum none either):
+# in-process CLI tests cannot see a missing local import, because earlier
+# tests have loaded every module
+COMMANDS = {
+    "spectrum": (["spectrum", "--domain", "box", "--dim", "3", "--cutoff", "20", "--points"], ()),
+    "verdicts": (
+        ["verdicts", "--domain", "triangle", "--cutoff", "200", "--format", "json"],
+        ("courant", "eigenfn", "folding", "nodal"),
+    ),
+    "verdicts-explain": (
+        ["verdicts", "--domain", "box", "--dim", "3", "--cutoff", "40", "--explain", "5"],
+        ("courant", "eigenfn", "folding", "nodal"),
+    ),
+    "nodal-svg": (
+        ["nodal", "--domain", "triangle", "--qn", "2,1", "--svg", "{tmp}/nodal.svg"],
+        ("eigenfn", "folding", "nodal", "svgout"),
+    ),
+    "frame-svg-json": (
+        ["frame", "--domain", "triangle", "--k", "4", "--svg", "{tmp}/frame.svg", "--json"],
+        ("eigenfn", "folding", "svgout"),
+    ),
+    "frame": (["frame", "--domain", "box", "--dim", "3", "--k", "2"], ("folding",)),
+    "eval": (
+        ["eval", "--domain", "triangle", "--qn", "2,1", "--at", "pi/2,pi/2"],
+        ("eigenfn", "folding"),
+    ),
+    "checksym": (["checksym", "--domain", "box", "--dim", "3", "--qn", "2,1,1"], ("eigenfn", "folding")),
+    "checkframe": (["checkframe", "--domain", "triangle", "--qn", "4,2"], ("eigenfn", "folding")),
+    "deficiency": (
+        ["deficiency", "--domain", "triangle", "--lambda", "50"],
+        ("eigenfn", "folding", "nodal"),
+    ),
+    "dirichlet-check": (
+        ["dirichlet-check", "--dim", "2", "--lambda", "12"],
+        ("eigenfn", "folding", "nodal"),
+    ),
+    "selftest": (["selftest", "--only", "9"], ("courant", "eigenfn", "folding", "nodal")),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_each_command_runs_in_a_fresh_interpreter(name, tmp_path):
+    argv, loads = COMMANDS[name]
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    code = f"""if True:
+        import sys
+        from foldspec import cli
+        rc = cli.main({argv!r})
+        print(sorted(m for m in {DEFERRED!r} if f"foldspec.{{m}}" in sys.modules), file=sys.stderr)
+        sys.exit(rc)
+    """
+    run = _run_fresh(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == repr(sorted(loads))

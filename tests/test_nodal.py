@@ -609,6 +609,16 @@ def test_deficiency_rejects_bad_inputs():
         nodal.deficiency_bound(si, algebra.integer_value(1, 3))
 
 
+def test_deficiency_ring_error_names_the_value_given():
+    # the ring is checked before the odd core is taken: the message names
+    # 4 and 2 + 1*g^2, not their cores 1 and 1 + 1*g^4
+    si = spectrum.build_index(box(3), 60)
+    for coeffs, text in (((4, 0, 0), "4"), ((2, 1, 0), "2 + 1*g^2")):
+        with pytest.raises(DomainError) as err:
+            nodal.deficiency_bound(si, algebra.AlgebraicValue(6, coeffs))
+        assert str(err.value) == f"{text} lives in ring n=6, the box3-neumann spectrum in n=3"
+
+
 def test_dirichlet_identity_hand_cases():
     si = spectrum.build_index(box(2, "dirichlet"), 40)
     chk = nodal.dirichlet_deficiency_check(si, algebra.integer_value(2, 6))
