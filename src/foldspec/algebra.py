@@ -155,10 +155,6 @@ def integer_value(n: int, z: int) -> AlgebraicValue:
     return AlgebraicValue(n, (z,) + (0,) * (r - 1))
 
 
-def zero(n: int) -> AlgebraicValue:
-    return integer_value(n, 0)
-
-
 def from_quantum_number(n: int, m: tuple[int, ...]) -> AlgebraicValue:
     """Eigenvalue sum((gamma^(j-1) m_j)^2) in canonical form.
 

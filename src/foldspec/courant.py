@@ -283,8 +283,7 @@ def _subdomain_pairs(
     of the values z = 2^k (cm^2 + cn^2): two distinct quantum numbers of the
     k-frame subdomain with eigenvalue z, the square's (2p+1)^2 + (2q+1)^2 at
     k = 1 (p, q >= 0) or the rectangle's 2^(k-1) (p^2 + q^2) at k >= 2
-    (p >= 1, q odd >= 1), as folding.square_subdomain_value and
-    rect_subdomain_value state them."""
+    (p >= 1, q odd >= 1)."""
     square = k == 1
     p = np.where(square, (cm + cn - 1) // 2, cm + cn)
     q = np.where(square, (cm - cn - 1) // 2, cm - cn)

@@ -97,21 +97,18 @@ def qn_parity(domain: Domain, m: tuple[int, ...]) -> str:
     return "odd" if m[0] % 2 else "even"
 
 
-def contains_point(domain: Domain, p: tuple[float, ...]) -> bool:
-    if len(p) != domain.coords:
-        return False
-    tol = 1e-9
-    if domain.kind == TRIANGLE:
-        x, y = p
-        return -tol <= y <= x + tol and x <= math.pi + tol
-    return all(-tol <= xj <= lj + tol for xj, lj in zip(p, domain.edge_lengths()))
-
-
 def check_point(domain: Domain, p: tuple[float, ...]) -> None:
+    """Refuse a point of the wrong arity or outside the closed domain (to 1e-9)."""
     if len(p) != domain.coords:
         raise DomainError(
             f"point {p} has {len(p)} coordinates; the {domain.label()} domain "
             f"takes {domain.coords}"
         )
-    if not contains_point(domain, p):
+    tol = 1e-9
+    if domain.kind == TRIANGLE:
+        x, y = p
+        inside = -tol <= y <= x + tol and x <= math.pi + tol
+    else:
+        inside = all(-tol <= xj <= lj + tol for xj, lj in zip(p, domain.edge_lengths()))
+    if not inside:
         raise DomainError(f"point {p} outside the {domain.label()} domain")

@@ -16,7 +16,6 @@ and by a rational test per frame facet.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,14 +78,7 @@ def _trig(f: Combo):
 def eval_at(f: Combo, p: tuple[float, ...]) -> float:
     """Pointwise value; p must lie in the closed domain."""
     check_point(f.domain, p)
-    trig = math.cos if f.domain.bc == NEUMANN else math.sin
-    total = 0.0
-    for c, freqs in product_terms(f):
-        prod = c
-        for w, x in zip(freqs, p):
-            prod *= trig(w * x)
-        total += prod
-    return total
+    return float(eval_points(f, np.array([p]))[0])
 
 
 def eval_points(f: Combo, pts: np.ndarray) -> np.ndarray:

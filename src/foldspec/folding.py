@@ -1,4 +1,4 @@
-"""Folding of quantum numbers, k-frames, frame partitions and subdomain spectra.
+"""Folding of quantum numbers, k-frames and frame partitions.
 
 Triangle frames are built as int64 arrays of endpoint numerators over the
 common denominator 2^(k+1) (coordinates in units of pi); build_frame turns
@@ -20,8 +20,6 @@ from itertools import groupby
 
 import numpy as np
 
-from . import algebra
-from .algebra import AlgebraicValue
 from .domains import TRIANGLE, Domain
 from .errors import DomainError, FoldParityError
 from .qlattice import QN
@@ -270,24 +268,3 @@ def boundary_word_counts(k: int) -> list[int]:
         n = len(labels)
     return counts
 
-
-# ---------------------------------------------------------------------------
-# explicit subdomain spectra used by the degeneracy rule-out
-
-
-def square_subdomain_value(p: int, q: int) -> AlgebraicValue:
-    """Eigenvalue (2p+1)^2 + (2q+1)^2 of the square piece of the 1-frame
-    partition (Dirichlet on the two frame edges, Neumann elsewhere)."""
-    if p < 0 or q < 0:
-        raise DomainError("square subdomain needs p, q >= 0")
-    return algebra.integer_value(1, (2 * p + 1) ** 2 + (2 * q + 1) ** 2)
-
-
-def rect_subdomain_value(k: int, p: int, q: int) -> AlgebraicValue:
-    """Eigenvalue 2^(k-1) (p^2 + q^2) of the rectangular piece of the k-frame
-    partition (k >= 2), with p >= 1 and q odd >= 1."""
-    if k < 2:
-        raise DomainError("rectangular subdomains exist for k >= 2")
-    if p < 1 or q < 1 or q % 2 == 0:
-        raise DomainError("rect subdomain needs p >= 1 and odd q >= 1")
-    return algebra.integer_value(1, 2 ** (k - 1) * (p * p + q * q))

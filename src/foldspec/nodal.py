@@ -18,7 +18,8 @@ sign plane at cell resolution: the positive cells in place and the negative
 cells turned by 180 degrees across its empty diagonal, with a row
 (column) of join pixels only after a plane row (column) that holds a cut
 edge.  The two grids of a doubling pair are counted in one batch, with one
-edge bisection.
+edge bisection.  A triangle combo that eigenfn.symmetry_check finds odd
+across the cut L is counted on the half triangle and doubled.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import algebra, folding
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn
-from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms
+from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms, symmetry_check
 from .errors import DivisibilityError, DomainError, GridInstabilityError
 from .qlattice import QN
 from .spectrum import SpectrumIndex, odd_core
@@ -144,16 +145,6 @@ def _max_halfperiods(f: Combo) -> int:
     w l_j / pi along axis j, times l_0 / l_j for one cell size everywhere."""
     l0 = f.domain.edge_lengths()[0]
     return math.ceil(max([1.0] + [w * l0 / math.pi for _, freqs in product_terms(f) for w in freqs]))
-
-
-def _antisymmetric_wrt_cut(f: Combo) -> bool:
-    """True when every eigenfunction of f's eigenvalue is odd across the cut L.
-
-    Neumann functions are odd exactly for odd eigenvalues, Dirichlet functions
-    exactly for even ones (the parity correspondence flips).
-    """
-    p = algebra.parity(f.value)
-    return p == ("odd" if f.domain.bc == NEUMANN else "even")
 
 
 # bisections of a grid edge before its join is refused as undecided: an
@@ -481,15 +472,15 @@ def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
     check guards against a domain pinched narrower than a cell, which the
     grid would split.  An edge that neither a proof nor a sample of the
     other sign decides raises GridInstabilityError.  A triangle combo that
-    is antisymmetric across the cut L is always counted on the open half
-    domain and doubled (it vanishes on L, so its nodal domains come in
+    eigenfn.symmetry_check finds odd across the cut L is counted on the open
+    half domain and doubled (it vanishes on L, so its nodal domains come in
     mirror pairs); this keeps the diagonal cut off the sampling grid.
     """
     if resolution is None:
         resolution = max(16, 8 * _max_halfperiods(f))
     if resolution < 16:
         raise DomainError("resolution must be >= 16 cells along the first axis")
-    halve = f.domain.kind == TRIANGLE and _antisymmetric_wrt_cut(f)
+    halve = f.domain.kind == TRIANGLE and symmetry_check(f) == "odd"
     cells = resolution
     c1, c2 = _grid_counts(f, (cells, 2 * cells), halve)
     while c1 != c2:

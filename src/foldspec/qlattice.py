@@ -43,14 +43,22 @@ QN = tuple[int, ...]
 # Largest number of candidates one axis of the expansion may hold, checked
 # before that axis's columns are allocated.  The last axis holds the most,
 # a little over the final region (box6 at 200: 241,798 candidates for
-# 198,085 points; triangle at 10^6: 393,841 for 393,544).  The region, its
-# levels and the columns cost a few hundred bytes per point, so this is a
-# few hundred MiB.
+# 198,085 points; triangle at 10^6: 393,841 for 393,544), and a point of
+# such a region and its level cost a few hundred bytes.  A point of a wide
+# box costs more: 8 (n + r) bytes in its rows of quantum numbers and of
+# coefficients, and at cutoff 2, where the region has n/2 + 1 points, the
+# kept columns of m_j and of parent links hold about 3 n^2 / 8 entries each.
+# COLUMN_BUDGET bounds those int64 entries, in bytes, before each axis's
+# columns and before the two matrices are allocated.  tracemalloc measured
+# a peak of at most 16.5 bytes per entry so counted (box6 at 200, triangle
+# at 10^6, box8 at 40, box2 Dirichlet at 10^5; 9.4 for box1600 at 2), so
+# this is about 0.27 GiB.
 # Cutoffs of 2^44 and more are refused before the first axis, which alone
 # would hold over 2^22 candidates, so coefficients (at most the value, see
 # algebra.coefficient_rows) and squared quantum numbers stay far below 2^53:
 # exact in int64 and in doubles.
 POINT_BUDGET = 1 << 20
+COLUMN_BUDGET = 128 << 20
 
 
 @dataclass(frozen=True)
@@ -161,6 +169,15 @@ def _cutoff_text(cutoff: Cutoff, c: float) -> str:
         return "(too long to print)"
 
 
+def _check_entries(domain: Domain, entries: int, where: str) -> None:
+    """Refuse `entries` int64 entries over COLUMN_BUDGET before they are allocated."""
+    if 8 * entries > COLUMN_BUDGET:
+        raise DomainError(
+            f"the {domain.label()} lattice below the cutoff needs {entries} int64 "
+            f"entries {where}, over the budget of {COLUMN_BUDGET >> 20} MiB"
+        )
+
+
 def _candidates(domain: Domain, weights: list[float], top: float) -> tuple[np.ndarray, np.ndarray]:
     """The quantum numbers whose double value is at most top, as an int64
     matrix, with those values.
@@ -171,10 +188,12 @@ def _candidates(domain: Domain, weights: list[float], top: float) -> tuple[np.nd
     at the end, by following the columns of parents back from the last axis.
     """
     lo = 0 if domain.bc == NEUMANN else 1
-    # rest[j]: the smallest contribution of the axes after j (each m >= lo)
-    rest = [lo * sum(weights[j + 1:]) for j in range(len(weights))]
+    # rest[j]: the smallest contribution of the axes after j (each m >= lo),
+    # summed from the last axis
+    rest = lo * np.cumsum([0.0, *weights[:0:-1]])[::-1]
     ms: list[np.ndarray] = []
     parents: list[np.ndarray] = []
+    held = 0  # entries of ms and parents
     acc = np.zeros(1)  # double value of each partial point
     for j, w in enumerate(weights):
         room = np.maximum(top - rest[j] - acc, 0.0)
@@ -188,6 +207,7 @@ def _candidates(domain: Domain, weights: list[float], top: float) -> tuple[np.nd
                 f"the {domain.label()} lattice below the cutoff needs {total} "
                 f"candidates on axis {j}, over the budget of {POINT_BUDGET}"
             )
+        _check_entries(domain, held + 2 * total, f"on axis {j}")
         parent = np.repeat(np.arange(len(acc)), counts)
         m = lo + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
         acc = acc[parent] + w * (m * m)
@@ -195,6 +215,10 @@ def _candidates(domain: Domain, weights: list[float], top: float) -> tuple[np.nd
         acc = acc[keep]
         ms.append(m[keep])
         parents.append(parent[keep])
+        held += 2 * len(acc)
+    # the quantum numbers and, in enumerate_below, the coefficient rows
+    r = algebra.basis_len(domain.ring)
+    _check_entries(domain, held + len(acc) * (len(weights) + r), "for its points")
     qn = np.empty((len(acc), len(weights)), dtype=np.int64)
     row = np.arange(len(acc))
     for j in reversed(range(len(weights))):

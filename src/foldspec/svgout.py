@@ -91,23 +91,22 @@ def nodal_svg(f: Combo, resolution: int = 200) -> str:
     vals = eval_on_axes(f, (ax, ay))
     if domain.kind == TRIANGLE:
         vals = np.where(ay[None, :] < ax[:, None], vals, 0.0)
-    body = []
-    for j in range(ny):
-        i = 0
-        while i < nx:
-            s = np.sign(vals[i, j])
-            if s == 0:
-                i += 1
-                continue
-            run = i
-            while run < nx and np.sign(vals[run, j]) == s:
-                run += 1
-            fill = _POS_FILL if s > 0 else _NEG_FILL
-            body.append(
-                f'<rect x="{i * hx:.6f}" y="{j * hy:.6f}" '
-                f'width="{(run - i) * hx:.6f}" height="{hy:.6f}" '
-                f'fill="{fill}" stroke="none"/>'
-            )
-            i = run
+    # one rect per maximal run of one nonzero sign along each row j: a run
+    # starts at each sign change and at each row start, and lasts to the next
+    sign = np.sign(vals.T).ravel()
+    new = np.ones(sign.size, dtype=bool)
+    np.not_equal(sign[1:], sign[:-1], out=new[1:])
+    new[::nx] = True
+    start = np.flatnonzero(new)
+    width = np.diff(start, append=sign.size)
+    run = sign[start] != 0
+    row, col = divmod(start[run], nx)
+    body = [
+        f'<rect x="{i * hx:.6f}" y="{j * hy:.6f}" '
+        f'width="{w * hx:.6f}" height="{hy:.6f}" '
+        f'fill="{_POS_FILL if s > 0 else _NEG_FILL}" stroke="none"/>'
+        for j, i, w, s in zip(row.tolist(), col.tolist(), width[run].tolist(),
+                              sign[start[run]].tolist())
+    ]
     body.append(_outline(domain))
     return _svg(lengths[0], lengths[1], body)

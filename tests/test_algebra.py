@@ -174,7 +174,7 @@ def test_is_below_agrees_with_the_exact_path(n, data, cutoff):
 def test_text_form():
     assert algebra.from_quantum_number(4, (1, 1, 1, 1)).text() == "3 + 3*g^2"
     assert AlgebraicValue(3, (1, 2, 1)).text() == "1 + 2*g^1 + 1*g^2"
-    assert algebra.zero(2).text() == "0"
+    assert algebra.integer_value(2, 0).text() == "0"
 
 
 def test_ordering_operators():
@@ -193,7 +193,7 @@ def test_huge_coefficients_fall_back_to_intervals():
     assert not algebra.is_below(AlgebraicValue(1, (big,)), 5)
     assert algebra.is_below(AlgebraicValue(1, (5,)), Fraction(big))
     # ring 4 (t = sqrt 2): big - big*sqrt 2 nearly cancels its own terms
-    zero4 = algebra.zero(4)
+    zero4 = algebra.integer_value(4, 0)
     assert algebra.compare(AlgebraicValue(4, (big, -big)), zero4) == algebra.LESS
     assert algebra.compare(AlgebraicValue(4, (-big, big)), zero4) == algebra.GREATER
 
@@ -245,7 +245,7 @@ def test_huge_pell_near_tie():
     while p < 10**400:
         p, q = 3 * p + 4 * q, 2 * p + 3 * q
     assert p * p - 2 * q * q == 1
-    zero4 = algebra.zero(4)
+    zero4 = algebra.integer_value(4, 0)
     assert algebra.compare(AlgebraicValue(4, (-p, q)), zero4) == algebra.LESS
     assert algebra.compare(AlgebraicValue(4, (p, -q)), zero4) == algebra.GREATER
 
@@ -315,7 +315,7 @@ def test_compare_matches_mpmath_on_near_ties(case):
     assume(any(diff))
     n = r if r % 2 else 2 * r  # a ring whose basis has r elements
     want = _mp_sign(diff, r)
-    assert algebra.compare(AlgebraicValue(n, diff), algebra.zero(n)) == want
+    assert algebra.compare(AlgebraicValue(n, diff), algebra.integer_value(n, 0)) == want
     # the same sign as value - rational: (0, diff[1:]) against -diff[0]
     v = AlgebraicValue(n, (0,) + diff[1:])
     assert algebra.compare_with_rational(v, -diff[0]) == want

@@ -543,6 +543,26 @@ def test_csv_and_table_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# sha256 of the SVG file, recorded before nodal_svg found each row's sign
+# runs with numpy instead of one pixel at a time
+PINNED_SVGS = [
+    (["--domain", "triangle", "--qn", "5,2"],
+     "10bdf2a4d3ce83038419292c0e288023d5baee6773b0ca519a0f4f1b43274b42"),
+    (["--domain", "triangle", "--bc", "dirichlet", "--qn", "5,2"],
+     "4735cd9f1b50b5666ea24426e44d93b5f697239cd1bfe52e38bac61b5a5481e9"),
+    (["--domain", "box", "--dim", "2", "--qn", "3,1"],
+     "c8a5ad18a3b9832bba50e01986b41de7575009f8402e26507bd3e7014b13cbf2"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_SVGS, ids=[" ".join(a) for a, _ in PINNED_SVGS])
+def test_nodal_svg_bytes_are_pinned(tmp_path: Path, capsys, argv, digest):
+    svg = tmp_path / "nodal.svg"
+    code, _ = run_cli(capsys, ["nodal", *argv, "--svg", str(svg)])
+    assert code == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
+
+
 SPECTRUM_HEADER = "position,value,float,multiplicity,parity,odd_core,k"
 VERDICT_HEADER = "position,value,float,multiplicity,parity,core,k,sharp,reason,nu,witness"
 

@@ -36,6 +36,34 @@ def test_eval_outside_domain():
         eigenfn.eval_at(f, (0.2, 0.9))
 
 
+def _eval_at_by_math(f: eigenfn.Combo, p: tuple[float, ...]) -> float:
+    """Oracle: the value at p, each product term summed with the math module."""
+    trig = math.cos if f.domain.bc == NEUMANN else math.sin
+    total = 0.0
+    for c, freqs in eigenfn.product_terms(f):
+        prod = c
+        for w, x in zip(freqs, p):
+            prod *= trig(w * x)
+        total += prod
+    return total
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("kind,cutoff", [("triangle", 2000), (2, 400), (3, 100)])
+def test_eval_at_matches_the_math_module(kind, cutoff, bc):
+    # 1,000 interior points, each with a basis function drawn from the levels
+    # below cutoff; within 2 ulps of the sup bound sum |c| of the terms
+    dom = triangle(bc) if kind == "triangle" else box(kind, bc)
+    members = spectrum.build_index(dom, cutoff).region.members
+    rng = np.random.default_rng(7)
+    pts = sample_interior(dom, 1000, seed=3)
+    for p, m in zip(pts.tolist(), members[rng.integers(len(members), size=len(pts))].tolist()):
+        f = eigenfn.basis_fn(dom, tuple(m))
+        scale = sum(abs(c) for c, _ in eigenfn.product_terms(f))
+        got = eigenfn.eval_at(f, tuple(p))
+        assert abs(got - _eval_at_by_math(f, p)) <= 2 * math.ulp(scale), (m, p)
+
+
 def test_combo_requires_shared_eigenvalue():
     with pytest.raises(DomainError):
         eigenfn.combo(triangle(), [(1.0, (1, 0)), (1.0, (1, 1))])

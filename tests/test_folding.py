@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sampled_oracle import sample_interior, sup_estimate
 from scipy import ndimage
+from triangle_oracle import rect_subdomain_value, square_subdomain_value
 
 from foldspec import acceptance, algebra, eigenfn, folding
 from foldspec.domains import TRIANGLE, Domain, box, check_point, eigenvalue, qn_parity, triangle
@@ -571,19 +572,19 @@ def test_partition_count_budget_fails_fast():
 
 
 def test_square_subdomain_values():
-    assert folding.square_subdomain_value(1, 0).coeffs == (10,)
-    assert folding.square_subdomain_value(0, 1).coeffs == (10,)
-    assert folding.square_subdomain_value(0, 0).coeffs == (2,)
+    assert square_subdomain_value(1, 0).coeffs == (10,)
+    assert square_subdomain_value(0, 1).coeffs == (10,)
+    assert square_subdomain_value(0, 0).coeffs == (2,)
     with pytest.raises(DomainError):
-        folding.square_subdomain_value(-1, 0)
+        square_subdomain_value(-1, 0)
 
 
 def test_rect_subdomain_values():
-    assert folding.rect_subdomain_value(2, 3, 1).coeffs == (20,)
+    assert rect_subdomain_value(2, 3, 1).coeffs == (20,)
     with pytest.raises(DomainError):
-        folding.rect_subdomain_value(1, 1, 1)
+        rect_subdomain_value(1, 1, 1)
     with pytest.raises(DomainError):
-        folding.rect_subdomain_value(2, 1, 2)  # q must be odd
+        rect_subdomain_value(2, 1, 2)  # q must be odd
 
 
 def brute_square_spectrum(limit: int) -> dict[int, int]:

@@ -514,6 +514,36 @@ def test_grid_dirichlet_box():
     assert nodal.count_grid(eigenfn.basis_fn(box(2, "dirichlet"), (3, 2))).count == 6
 
 
+def _antisymmetric_wrt_cut(f: eigenfn.Combo) -> bool:
+    """Oracle: every eigenfunction of f's eigenvalue is odd across the cut L.
+
+    Neumann functions are odd exactly for odd eigenvalues, Dirichlet functions
+    exactly for even ones (the parity correspondence flips).
+    """
+    return algebra.parity(f.value) == ("even" if f.domain.bc == DIRICHLET else "odd")
+
+
+def test_count_grid_halves_where_the_parity_rule_says(monkeypatch):
+    # count_grid halves a triangle combo when eigenfn.symmetry_check finds it
+    # odd across L; the parity rule agrees on the all-member combo of every
+    # level below 2000 of both triangle problems
+    halves = []
+
+    def record(f, resolutions, halve):
+        halves.append(halve)
+        return [0] * len(resolutions)
+
+    monkeypatch.setattr(nodal, "_grid_counts", record)
+    want = []
+    for bc in ("neumann", "dirichlet"):
+        dom = triangle(bc)
+        for lv in spectrum.build_index(dom, 2000).levels:
+            f = eigenfn.combo(dom, [((-1) ** i * (i + 1.0), m) for i, m in enumerate(lv.members)])
+            assert nodal.count_grid(f).count == 0
+            want.append(_antisymmetric_wrt_cut(f))
+    assert len(want) == 1188 and halves == want
+
+
 def test_antisymmetric_counts_double_the_half_domain():
     # odd Neumann eigenvalues: the count is even, and at coarse frequencies
     # (where the full-domain grid resolves the cut reliably) it equals the

@@ -3,8 +3,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -20,6 +25,8 @@ from foldspec.errors import DomainError, OutOfRangeError
 from foldspec.spectrum import Level
 from boundary_oracle import parity_split, right_boundary
 from triangle_oracle import reference_points_axis, reference_points_diagonal, spectrum_columns
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def brute_triangle_region(cutoff: float, dirichlet: bool = False) -> set:
@@ -503,7 +510,7 @@ def test_counting_matches_brute_counts(case, data):
         return AlgebraicValue(ring, tuple(a + b for a, b in zip(v.coeffs, d)))
 
     coeffs = data.draw(st.lists(st.integers(-3, 40), min_size=r, max_size=r))
-    queries = [algebra.zero(ring), algebra.integer_value(ring, -1)]
+    queries = [algebra.integer_value(ring, 0), algebra.integer_value(ring, -1)]
     queries.append(AlgebraicValue(ring, tuple(coeffs)))
     if si.levels:
         picks = data.draw(
@@ -590,6 +597,67 @@ def test_over_budget_cutoffs_fail_fast():
         with pytest.raises(DomainError, match="budget"):
             qlattice.enumerate_below(dom, cutoff)
         assert time.perf_counter() - t0 < 0.5, (dom.label(), cutoff)
+
+
+def test_wide_box_columns_are_refused_before_they_are_allocated(monkeypatch):
+    # box400 at 2 holds 121,804 int64 entries of kept columns on its last
+    # axis, and 242,600 with the quantum numbers and coefficient rows of its
+    # 201 points
+    monkeypatch.setattr(qlattice, "COLUMN_BUDGET", 8 * 242_600)
+    assert len(qlattice.enumerate_below(box(400), 2)) == 201
+    for budget, needs in ((242_599, "242600 int64 entries for its points"),
+                          (121_803, "121804 int64 entries on axis 399")):
+        monkeypatch.setattr(qlattice, "COLUMN_BUDGET", 8 * budget)
+        with pytest.raises(DomainError, match=f"needs {needs}, over the budget"):
+            qlattice.enumerate_below(box(400), 2)
+    # the smallest contribution of the later axes is a running sum, so a
+    # very wide box reaches its refusal without a pass quadratic in n
+    monkeypatch.setattr(qlattice, "COLUMN_BUDGET", 1 << 20)
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="int64 entries on axis"):
+        qlattice.enumerate_below(box(50000), 2)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "dom,cutoff,points",
+    [(box(6), 200, 198085), (box(8), 40, 20394), (triangle(), 10**6, 393544), (box(1600), 2, 801)],
+    ids=["box6-200", "box8-40", "triangle-1e6", "box1600-2"],
+)
+def test_the_column_budget_admits_the_largest_regions_built(monkeypatch, dom, cutoff, points):
+    # the largest regions that CI builds stay inside the budget, and each
+    # int64 entry it counts stands for at most 20 bytes of traced peak memory
+    counted = []
+    check = qlattice._check_entries
+    monkeypatch.setattr(
+        qlattice, "_check_entries", lambda d, e, w: (counted.append(e), check(d, e, w))
+    )
+    tracemalloc.start()
+    try:
+        assert len(qlattice.enumerate_below(dom, cutoff)) == points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * max(counted)
+
+
+def test_a_wide_box_ends_in_an_error_line_under_a_memory_limit():
+    # foldspec spectrum under `ulimit -v 4000000`: the column budget refuses
+    # box20000 at cutoff 2 within seconds, before numpy runs out of memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (4_000_000 * 1024,) * 2)
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["spectrum", "--domain", "box", "--dim", "20000", "--cutoff", "2", "--format", "csv"]
+    t0 = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "foldspec", *argv], env=env, preexec_fn=limit,
+                         capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - t0 < 10
+    assert run.returncode == 1 and run.stdout == "", run.stderr
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr, run.stderr
 
 
 def test_bad_cutoffs_raise_domain_error():

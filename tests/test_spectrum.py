@@ -79,7 +79,7 @@ def test_odd_core_examples():
 
 def test_odd_core_zero_rejected():
     with pytest.raises(DomainError):
-        spectrum.odd_core(algebra.zero(1))
+        spectrum.odd_core(algebra.integer_value(1, 0))
 
 
 def test_multiplicity_equals_core_multiplicity():

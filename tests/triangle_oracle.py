@@ -2,7 +2,7 @@
 
 The former per-level triangle classifier: one Level and one Verdict at a
 time, the odd core through spectrum.odd_core, the fold through
-folding.fold_qn, the subdomain values through folding's closed forms and
+folding.fold_qn, the subdomain values through the closed forms below and
 the nodal counts through nodal.count_formula.  Every witness is checked as
 it is built, one level after another, and every reference set point by
 point, from the builders below.
@@ -45,6 +45,24 @@ def reference_points_axis(m: int) -> np.ndarray:
     i = np.repeat(np.arange(m + 1, dtype=np.int64), 2 * np.arange(m + 1) + 1)
     j = np.arange(len(i)) - i * i - i  # row i holds i^2 earlier points
     return np.column_stack([m + j, m - i])
+
+
+def square_subdomain_value(p: int, q: int) -> algebra.AlgebraicValue:
+    """Eigenvalue (2p+1)^2 + (2q+1)^2 of the square piece of the 1-frame
+    partition (Dirichlet on the two frame edges, Neumann elsewhere)."""
+    if p < 0 or q < 0:
+        raise DomainError("square subdomain needs p, q >= 0")
+    return algebra.integer_value(1, (2 * p + 1) ** 2 + (2 * q + 1) ** 2)
+
+
+def rect_subdomain_value(k: int, p: int, q: int) -> algebra.AlgebraicValue:
+    """Eigenvalue 2^(k-1) (p^2 + q^2) of the rectangular piece of the k-frame
+    partition (k >= 2), with p >= 1 and q odd >= 1."""
+    if k < 2:
+        raise DomainError("rectangular subdomains exist for k >= 2")
+    if p < 1 or q < 1 or q % 2 == 0:
+        raise DomainError("rect subdomain needs p >= 1 and odd q >= 1")
+    return algebra.integer_value(1, 2 ** (k - 1) * (p * p + q * q))
 
 
 def _base(lv: Level, position: int) -> dict:
@@ -111,11 +129,7 @@ def classify_level(si, lv: Level, position: int) -> Verdict:
             p1, q1 = cm + cn, cm - cn
         pairs = [(p1, q1), (q1, p1)]
         for p, q in pairs:
-            sub = (
-                folding.square_subdomain_value(p, q)
-                if k == 1
-                else folding.rect_subdomain_value(k, p, q)
-            )
+            sub = square_subdomain_value(p, q) if k == 1 else rect_subdomain_value(k, p, q)
             _require(sub.coeffs == value.coeffs, f"subdomain value {sub.text()} != {value.text()}")
         _require(pairs[0] != pairs[1], "subdomain witness pair degenerate")
         return Verdict(
