@@ -75,7 +75,7 @@ def coeffs_floats(rows: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _text_template(n: int, nonzero: tuple[bool, ...]) -> str:
+def text_template(n: int, nonzero: tuple[bool, ...]) -> str:
     """The %-template of coeffs_text for the coefficients that are nonzero
     where nonzero holds: one %d per such coefficient."""
     step = 2 if (n % 2 == 0 and n > 1) else 1  # g-exponent per index
@@ -86,25 +86,7 @@ def _text_template(n: int, nonzero: tuple[bool, ...]) -> str:
 def coeffs_text(n: int, coeffs: tuple[int, ...]) -> str:
     """Canonical form "c0 + c1*g^e1 + ...", g = 2^(1/n), of the value with
     these coefficients, without building it."""
-    return _text_template(n, tuple(c != 0 for c in coeffs)) % tuple(c for c in coeffs if c)
-
-
-def coeffs_texts(n: int, rows: np.ndarray) -> list[str]:
-    """coeffs_text of every row of an int64 coefficient matrix: the rows of
-    one nonzero pattern, sorted together, fill that pattern's template."""
-    if not len(rows):
-        return []
-    nonzero = rows != 0
-    order = np.lexsort(nonzero.T)
-    starts = np.flatnonzero(np.diff(nonzero[order], axis=0).any(axis=1)) + 1
-    texts = [""] * len(rows)
-    for at in np.split(order, starts):
-        pattern = nonzero[at[0]]
-        template = _text_template(n, tuple(pattern.tolist()))
-        args = zip(*rows[at][:, pattern].T.tolist()) if pattern.any() else [()] * len(at)
-        for i, a in zip(at.tolist(), args):
-            texts[i] = template % a
-    return texts
+    return text_template(n, tuple(c != 0 for c in coeffs)) % tuple(c for c in coeffs if c)
 
 
 @dataclass(frozen=True)

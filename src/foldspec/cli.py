@@ -3,19 +3,20 @@
 Subcommands: spectrum, verdicts, nodal, frame, eval, checksym, checkframe,
 deficiency, dirichlet-check, selftest.  Output is deterministic for a fixed
 invocation: ordering is exact-value order and floats are emitted via repr.
-The spectrum and verdict row lists are streamed to text, one template per
-row, by a small writer whose JSON is byte-identical to json.dumps(rows,
-indent=2); spectrum rows come from the index's columns, each encoded once,
-their members (also the CSV's) filled into one %-template per member count,
-and verdict rows, of either domain, from the verdict table's columns, each
-witness filled into one %-template per reason and member count.  Their CSV
-header comes from the row schema, so an empty result prints the header
-alone.  Other JSON goes through json.dumps.  checksym and checkframe decide
-exactly from the quantum number, in any box dimension; checkframe names the
-first facet where the function does not vanish, if there is one.  Start-up
-loads only what argument parsing and spectrum need; every other subcommand
-imports the modules it runs (courant, nodal, eigenfn, folding, and svgout
-under --svg) when it starts, so no command pays for another's.
+Every spectrum and verdict row, JSON or CSV, is one %-fill of its shape's
+template: the serializer's own writing (json.dumps(rows, indent=2), or
+csv.writer) of one placeholder row, filled from the index's or the verdict
+table's int64 columns, so the output is byte-identical to those
+serializers on the row dicts (see _write_rows).  The CSV header comes from
+the row schema, so an empty result prints the header alone.  Other JSON
+goes through json.dumps.  Every -o and --svg file goes through one writer,
+which turns an OS error into an error line naming the path.  checksym
+and checkframe decide exactly from the quantum number, in any box
+dimension; checkframe names the first facet where the function does not
+vanish, if there is one.  Start-up loads only what argument parsing and
+spectrum need; every other subcommand imports the modules it runs (courant,
+nodal, eigenfn, folding, and svgout under --svg) when it starts, so no
+command pays for another's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -96,10 +97,19 @@ def _parse_point(text: str) -> tuple[float, ...]:
         raise SystemExit(f"invalid point {text!r}; expected like 1.2,0.5 or pi/2,0")
 
 
+def _write_file(path: str, text: str) -> None:
+    """Write text to path; an OS error ends the command with an error line
+    naming the path and the reason."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FoldspecError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(args: argparse.Namespace, payload: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _write_file(args.out, payload)
     else:
         sys.stdout.write(payload)
 
@@ -108,71 +118,15 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-_json_str = json.encoder.encode_basestring_ascii
-
-
 def _json_floats(xs: list[float]) -> list[str]:
     """Each float of xs as json.dumps writes it, in one encoder call."""
     return json.dumps(xs)[1:-1].split(", ") if xs else []
 
 
-def _json_list(rows: Iterable[str]) -> str:
-    """The written rows as one JSON list, as json.dumps(..., indent=2) + "\n"
-    writes it."""
-    text = ",\n".join(rows)
-    return f"[\n{text}\n]\n" if text else "[]\n"
-
-
-def _json_field(obj, compact: bool) -> str:
-    """obj as json.dumps writes it, compactly or with indent 2 as the value
-    of a row's field."""
-    return json.dumps(obj) if compact else json.dumps(obj, indent=2).replace("\n", "\n    ")
-
-
-def _spectrum_json(columns: Sequence[Sequence]) -> str:
-    """json.dumps([dict(zip(fields, row)) for row in zip(*columns)], indent=2)
-    + "\n", byte for byte, for columns from _spectrum_columns (fields
-    _SPECTRUM_FIELDS, plus "members" if eight); each is encoded once."""
-    position, value, flt, multiplicity, parity, core, k, *members = columns
-    tail = [f',\n    "members": {m}' for m in members[0]] if members else [""] * len(position)
-    encoded = zip(position, map(_json_str, value), _json_floats(flt), multiplicity,
-                  map(_json_str, parity), ["null" if c is None else _json_str(c) for c in core],
-                  ["null" if i is None else i for i in k], tail)
-    return _json_list([
-        f'  {{\n    "position": {p},\n    "value": {v},\n    "float": {f},\n'
-        f'    "multiplicity": {d},\n    "parity": {a},\n    "odd_core": {c},\n'
-        f'    "k": {i}{t}\n  }}'
-        for p, v, f, d, a, c, i, t in encoded
-    ])
-
-
-def _verdicts_json(columns: Sequence[Sequence]) -> str:
-    """json.dumps([dict(zip(courant.VERDICT_FIELDS, row)) for row in
-    zip(*columns)], indent=2) + "\n", byte for byte, for columns from
-    _verdict_columns whose witness w is already written as
-    json.dumps(w, indent=2) writes it as the value of a row's field; each
-    column is encoded once."""
-    position, value, flt, multiplicity, parity, core, k, sharp, reason, nu, witness = columns
-    encoded = zip(position, map(_json_str, value), _json_floats(flt), multiplicity,
-                  map(_json_str, parity), map(_json_str, core), k,
-                  ["true" if s else "false" for s in sharp], map(_json_str, reason),
-                  ["null" if n is None else n for n in nu], witness)
-    return _json_list([
-        f'  {{\n    "position": {p},\n    "value": {v},\n    "float": {f},\n'
-        f'    "multiplicity": {d},\n    "parity": {a},\n    "core": {c},\n'
-        f'    "k": {i},\n    "sharp": {s},\n    "reason": {r},\n    "nu": {n},\n'
-        f'    "witness": {w}\n  }}'
-        for p, v, f, d, a, c, i, s, r, n, w in encoded
-    ])
-
-
-def _verdicts_table(rows: Iterable[tuple]) -> str:
-    lines = [f"{'pos':>5} {'value':>16} {'d':>2} {'parity':>6} {'sharp':>5}  reason"]
-    lines += [
-        f"{position:>5} {value:>16} {d:>2} {parity:>6} {str(sharp).lower():>5}  {reason}"
-        for position, value, _, d, parity, _, _, sharp, reason, *_ in rows
-    ]
-    return "\n".join(lines) + "\n"
+def _csv_line(values: Sequence) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(values)
+    return buf.getvalue()
 
 
 def _leaves(obj) -> list:
@@ -185,118 +139,211 @@ def _leaves(obj) -> list:
     return [leaf for item in obj for leaf in _leaves(item)]
 
 
-def _witness_texts(t: courant.VerdictTable, compact: bool) -> list[str]:
-    """Every row's witness as json.dumps writes it, compactly or with indent
-    2 as the value of a row's field.  The rows of one reason and member
-    count share a %-template: courant.witness over placeholders, written by
-    json.dumps, filled from courant.witness over the rows' columns."""
+# ---------------------------------------------------------------------------
+# spectrum and verdict rows: one %-fill of a template per row
+
+# Placeholders for a row template's numbers.  The serializers write them as
+# these digits, which _row_template turns into %-specs: %i for ints, %s for
+# floats that json's encoder has already written, %r for floats in CSV
+# (csv.writer writes a float by repr).  No other text of a row holds these
+# digits or a %, but for the value and odd-core texts, which come in as
+# their own %d templates (algebra.text_template), and the subdomain name of
+# a witness, which comes in as "%s"; both serializers keep those as strings.
+_INT = 7777777777777777777
+_FLOAT = 7.777777777777777e-77
+
+# A shape's rows are filled this many at a time, so that only a chunk of
+# its argument columns is held as Python objects at once.
+_CHUNK = 1 << 14
+
+_PARITY = ("even", "odd")
+
+
+def _row_template(fmt: str, names: Sequence[str], values: list) -> str:
+    """The row of these field values, placeholders among them, as fmt
+    writes it, the placeholder numbers turned into %-specs: one item of
+    json.dumps(rows, indent=2)'s list, or one csv.writer line with each
+    nested value written by json.dumps."""
+    if fmt == "json":
+        text = json.dumps([dict(zip(names, values))], indent=2)[2:-2]
+    else:
+        text = _csv_line([json.dumps(v) if isinstance(v, (dict, list)) else v for v in values])
+    return text.replace(repr(_FLOAT), "%s" if fmt == "json" else "%r").replace(repr(_INT), "%i")
+
+
+def _shape_codes(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """One int per row, equal exactly where every key column is: the
+    columns, of nonnegative ints, read as the digits of one mixed-radix
+    number, renumbered densely before it could pass 2^62."""
+    code, size = np.zeros(len(keys[0]), dtype=np.int64), 1
+    for column in keys:
+        base = int(column.max(initial=0)) + 1
+        if size * base >= 1 << 62:
+            code = np.unique(code, return_inverse=True)[1].reshape(-1)
+            size = int(code.max(initial=0)) + 1
+        code, size = code * base + column, size * base
+    return code
+
+
+def _arguments(fmt: str, column: np.ndarray) -> list:
+    """A column's values as its %-spec takes them: in JSON a float column
+    written by json's encoder, otherwise Python objects."""
+    values = column.tolist()
+    return _json_floats(values) if fmt == "json" and column.dtype.kind == "f" else values
+
+
+def _write_rows(fmt: str, names: Sequence[str], keys: Sequence[np.ndarray], shape) -> str:
+    """The rows, byte for byte as json.dumps writes them as dicts of names
+    (indent 2) or as csv.writer writes the names and then the rows.
+
+    The rows whose key columns agree share a shape: shape(at), for the rows
+    at of one shape, gives each field as a pair of its placeholder value and
+    its argument columns (at least one column in all, in the order json.dumps
+    writes the field's leaves).  The placeholder row, written once by the
+    serializer, is the shape's template, and each row is one %-fill of it."""
+    texts = np.empty(len(keys[0]), dtype=object)
+    code = _shape_codes(keys)
+    order = np.argsort(code, kind="stable")
+    for at in np.split(order, np.flatnonzero(np.diff(code[order])) + 1) if len(order) else ():
+        fields = shape(at)
+        template = _row_template(fmt, names, [place for place, _ in fields])
+        columns = [c for _, cs in fields for c in cs]
+        for lo in range(0, len(at), _CHUNK):
+            args = [_arguments(fmt, c[lo : lo + _CHUNK]) for c in columns]
+            texts[at[lo : lo + _CHUNK]] = list(map(template.__mod__, zip(*args)))
+    rows = texts.tolist()  # the brackets join the end rows: one copy of the text
+    if fmt == "csv":
+        return "".join([_csv_line(names), *rows])
+    if not rows:
+        return "[]\n"
+    rows[0] = "[\n" + rows[0]
+    rows[-1] += "\n]\n"
+    return ",\n".join(rows)
+
+
+def _text(n: int, rows: np.ndarray, nonzero: np.ndarray) -> tuple[str, list]:
+    """The value text of coefficient rows of one nonzero pattern: its %d
+    template and the nonzero columns."""
+    return algebra.text_template(n, tuple(nonzero.tolist())), list(rows[:, nonzero].T)
+
+
+def _level_shapes(
+    n: int, coeffs: np.ndarray, position: np.ndarray, counts: np.ndarray,
+    core: np.ndarray, k: np.ndarray, null_ground: bool,
+):
+    """The key columns and the shape fields of the levels' position, value,
+    float, multiplicity, parity, odd core and k, for _write_rows: a shape
+    fixes the nonzero patterns of the value and the core, the parity and the
+    member count.  With null_ground, the ground state's core and k are null."""
+    floats = algebra.coeffs_floats(coeffs)
+
+    def fields(at: np.ndarray) -> list:
+        i = at[0]
+        nonzero = coeffs[i] != 0
+        head = [
+            (_INT, [position[at]]),
+            _text(n, coeffs[at], nonzero),
+            (_FLOAT, [floats[at]]),
+            (int(counts[i]), []),
+            (_PARITY[coeffs[i, 0] % 2], []),
+        ]
+        if null_ground and not nonzero.any():
+            return head + [(None, []), (None, [])]
+        return head + [_text(n, core[at], core[i] != 0), (_INT, [k[at]])]
+
+    return [*(coeffs != 0).T, *(core != 0).T, coeffs[:, 0] % 2, counts], fields
+
+
+_SPECTRUM_FIELDS = ("position", "value", "float", "multiplicity", "parity", "odd_core", "k")
+
+
+def _spectrum_text(si: spectrum.SpectrumIndex, points: bool, fmt: str) -> str:
+    """Every level of the index as a spectrum row, with its members if
+    points; the ground state has no odd core."""
+    n, region = si.domain.ring, si.region
+    core, k = spectrum.odd_core_columns(n, region.coeffs)
+    keys, level = _level_shapes(
+        n, region.coeffs, si.starts + 1, si.multiplicities, core, k, null_ground=True
+    )
+    place = [_INT] * region.members.shape[1]
+
+    def shape(at: np.ndarray) -> list:
+        fields = level(at)
+        if points:
+            count = int(si.multiplicities[at[0]])
+            block = region.members[region.offsets[at][:, None] + np.arange(count)]
+            fields.append(([place] * count, list(block.reshape(len(at), -1).T)))
+        return fields
+
+    names = _SPECTRUM_FIELDS + ("members",) if points else _SPECTRUM_FIELDS
+    return _write_rows(fmt, names, keys, shape)
+
+
+def _verdicts_text(t: courant.VerdictTable, fmt: str) -> str:
+    """Every verdict of the table as a row of courant.VERDICT_FIELDS, its
+    witness shaped by courant.witness: once over placeholders for the
+    template, once over the shape's columns for the arguments."""
     from . import courant
 
     r = t.region
-    texts = ["{}"] * len(t)
-    place = ["%d"] * t.points.shape[2]
-    for reason in set(t.reason.tolist()):
-        of_reason = t.reason == reason
-        for count in np.unique(t.multiplicity[of_reason]).tolist():
-            rows = np.flatnonzero(of_reason & (t.multiplicity == count))
-            w = courant.witness(reason, [place, place], "%d", "%s", [place] * count)
-            text = _json_field(w, compact).replace('"%d"', "%d")
-            ks, at = np.unique(t.k[rows], return_inverse=True)
-            members = r.members[r.offsets[rows][:, None] + np.arange(count)]
-            columns = courant.witness(
-                reason,
-                [tuple(t.points[rows, j].T) for j in (0, 1)],
-                t.nu[rows],
-                np.array([courant.subdomain_name(k) for k in ks.tolist()])[at],
-                [tuple(members[:, j].T) for j in range(count)],
-            )
-            for i, args in zip(rows.tolist(), zip(*(c.tolist() for c in _leaves(columns)))):
-                texts[i] = text % args
-    return texts
+    keys, level = _level_shapes(
+        r.domain.ring, r.coeffs, t.position, t.multiplicity, t.core, t.k, null_ground=False
+    )
+    reasons = t.reason.tolist()
+    codes = {reason: i for i, reason in enumerate(dict.fromkeys(reasons))}
+    subdomains = np.array(
+        [courant.subdomain_name(k) for k in range(int(t.k.max(initial=0)) + 1)], dtype=object
+    )
+    place = [_INT] * t.points.shape[2]
 
+    def shape(at: np.ndarray) -> list:
+        i = at[0]
+        count, reason = int(t.multiplicity[i]), reasons[i]
+        members = r.members[r.offsets[at][:, None] + np.arange(count)]
+        columns = courant.witness(
+            reason,
+            [tuple(t.points[at, j].T) for j in (0, 1)],
+            t.nu[at],
+            subdomains[t.k[at]],
+            [tuple(members[:, j].T) for j in range(count)],
+        )
+        return level(at) + [
+            (bool(t.sharp[i]), []),
+            (reason, []),
+            (None, []) if t.nu[i] < 0 else (_INT, [t.nu[at]]),
+            (courant.witness(reason, [place, place], _INT, "%s", [place] * count),
+             _leaves(columns)),
+        ]
 
-_PARITY = np.array(["even", "odd"], dtype=object)
-
-
-def _level_columns(
-    n: int, position: np.ndarray, coeffs: np.ndarray, multiplicity: np.ndarray,
-    core: np.ndarray, k: np.ndarray,
-) -> list[list]:
-    """The position, value text, float, multiplicity, parity, odd-core text
-    and k of every level of ring n, one list per field, from its columns."""
-    return [
-        position.tolist(),
-        algebra.coeffs_texts(n, coeffs),
-        algebra.coeffs_floats(coeffs).tolist(),
-        multiplicity.tolist(),
-        _PARITY[coeffs[:, 0] % 2].tolist(),
-        algebra.coeffs_texts(n, core),
-        k.tolist(),
+    keys += [
+        np.fromiter(map(codes.__getitem__, reasons), np.int64, len(reasons)),
+        t.nu < 0,
+        t.sharp,
     ]
+    return _write_rows(fmt, courant.VERDICT_FIELDS, keys, shape)
 
 
-def _verdict_columns(t: courant.VerdictTable, compact: bool) -> list[list]:
-    """One column per field of Verdict.row, every level's, with the witness
-    already written (see _witness_texts)."""
-    r = t.region
-    return [
-        *_level_columns(r.domain.ring, t.position, r.coeffs, t.multiplicity, t.core, t.k),
-        t.sharp.tolist(),
-        t.reason.tolist(),
-        [None if nu < 0 else nu for nu in t.nu.tolist()],
-        _witness_texts(t, compact),
+def _verdicts_table(t: courant.VerdictTable) -> str:
+    n = t.region.domain.ring
+    lines = [f"{'pos':>5} {'value':>16} {'d':>2} {'parity':>6} {'sharp':>5}  reason"]
+    lines += [
+        f"{position:>5} {algebra.coeffs_text(n, c):>16} {d:>2} {_PARITY[c[0] % 2]:>6} "
+        f"{str(sharp).lower():>5}  {reason}"
+        for position, c, d, sharp, reason in zip(
+            t.position.tolist(), qlattice.tuples(t.region.coeffs), t.multiplicity.tolist(),
+            t.sharp.tolist(), t.reason.tolist(),
+        )
     ]
-
-
-def _csv(fields: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    """A header of the field names, then the rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-_SPECTRUM_FIELDS = ("position", "value", "float", "multiplicity", "parity", "odd_core", "k")
-
-
-def _member_texts(region: qlattice.LatticeRegion, compact: bool) -> list[str]:
-    """Every level's members as _json_field writes them: the levels of one
-    member count fill one %-template from a (levels, count * coords) block."""
-    texts, sizes = [""] * len(region.coeffs), np.diff(region.offsets)
-    place = ["%d"] * region.members.shape[1]
-    for count in np.unique(sizes).tolist():
-        rows = np.flatnonzero(sizes == count)
-        text = _json_field([place] * count, compact).replace('"%d"', "%d")
-        block = region.members[region.offsets[rows][:, None] + np.arange(count)]
-        for i, args in zip(rows.tolist(), qlattice.tuples(block.reshape(len(rows), -1))):
-            texts[i] = text % args
-    return texts
-
-
-def _spectrum_columns(si: spectrum.SpectrumIndex, points: bool, compact: bool) -> list[list]:
-    """One column per field of _SPECTRUM_FIELDS, then the member texts if
-    points (see _member_texts); every field comes from the index's columns."""
-    n = si.domain.ring
-    region = si.region
-    core, k = spectrum.odd_core_columns(n, region.coeffs)
-    columns = _level_columns(n, si.starts + 1, region.coeffs, si.multiplicities, core, k)
-    for i in np.flatnonzero(~region.coeffs.any(axis=1)).tolist():
-        columns[5][i] = columns[6][i] = None  # the ground state has no odd core
-    if points:
-        columns.append(_member_texts(region, compact))
-    return columns
-
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    domain = _parse_domain(args)
-    si = spectrum.build_index(domain, _parse_cutoff(args.cutoff))
-    fields = _SPECTRUM_FIELDS + ("members",) if args.points else _SPECTRUM_FIELDS
-    columns = _spectrum_columns(si, args.points, compact=args.format == "csv")
-    _emit(args, _csv(fields, zip(*columns)) if args.format == "csv" else _spectrum_json(columns))
+    si = spectrum.build_index(_parse_domain(args), _parse_cutoff(args.cutoff))
+    _emit(args, _spectrum_text(si, args.points, args.format))
     return 0
 
 
@@ -306,14 +353,10 @@ def _cmd_verdicts(args: argparse.Namespace) -> int:
     table = courant.classify(_parse_domain(args), _parse_cutoff(args.cutoff))
     if args.explain is not None:
         _emit(args, _json(courant.explain(table, args.explain).as_dict()))
-        return 0
-    columns = _verdict_columns(table, compact=args.format == "csv")
-    if args.format == "csv":
-        _emit(args, _csv(courant.VERDICT_FIELDS, zip(*columns)))
     elif args.format == "table":
-        _emit(args, _verdicts_table(zip(*columns)))
+        _emit(args, _verdicts_table(table))
     else:
-        _emit(args, _verdicts_json(columns))
+        _emit(args, _verdicts_text(table, args.format))
     return 0
 
 
@@ -336,8 +379,7 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
     if args.svg:
         from . import svgout
 
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svgout.nodal_svg(f))
+        _write_file(args.svg, svgout.nodal_svg(f))
         result["svg"] = args.svg
     _emit(args, _json(result))
     return 0
@@ -362,8 +404,7 @@ def _cmd_frame(args: argparse.Namespace) -> int:
     if args.svg:
         from . import svgout
 
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svgout.frame_svg(frame))
+        _write_file(args.svg, svgout.frame_svg(frame))
     if args.json or not args.svg:
         _emit(
             args,

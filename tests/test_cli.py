@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foldspec import cli, courant, spectrum
+from foldspec import algebra, cli, courant, spectrum
+from foldspec.algebra import AlgebraicValue
 from foldspec.cli import main
-from foldspec.domains import DIRICHLET, box, triangle
+from foldspec.domains import DIRICHLET, NEUMANN, box, triangle
+from foldspec.qlattice import LatticeRegion
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str]:
@@ -585,23 +590,28 @@ def test_an_empty_result_prints_the_header_alone(capsys, argv, header):
     assert code == 0 and out == "[]\n"
 
 
-def indented(witness) -> str:
-    """A witness as json.dumps(..., indent=2) writes it as the value of a
-    row's field."""
-    return json.dumps(witness, indent=2).replace("\n", "\n    ")
+def json_rows(fields, rows) -> str:
+    return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+
+
+def csv_rows(fields, rows) -> str:
+    """The header and rows as csv.writer writes them, each nested value
+    (members, witness) as compact JSON in its cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows(
+        [json.dumps(v) if isinstance(v, (dict, list, tuple)) else v for v in row] for row in rows
+    )
+    return buf.getvalue()
 
 
 def assert_rows_are_the_verdict_rows(table):
-    # one table, two views: every row written from the columns equals
-    # Verdict.row of the same level, its witness as json.dumps writes it
-    # (at a row field's indent for JSON, compact for CSV)
-    verdicts = list(table)
-    for compact, write in ((False, indented), (True, json.dumps)):
-        rows = list(zip(*cli._verdict_columns(table, compact)))
-        assert len(rows) == len(verdicts)
-        for row, v in zip(rows, verdicts):
-            want = v.row()
-            assert row == want[:-1] + (write(want[-1]),)
+    # one table, two views: the rows written from the columns are the
+    # serializers' own writing of Verdict.row, level by level
+    rows = [v.row() for v in table]
+    assert cli._verdicts_text(table, "json") == json_rows(courant.VERDICT_FIELDS, rows)
+    assert cli._verdicts_text(table, "csv") == csv_rows(courant.VERDICT_FIELDS, rows)
 
 
 @pytest.mark.parametrize("cutoff", [0, 1, 2, 61, 5000])
@@ -616,65 +626,126 @@ def test_box_rows_are_the_verdict_rows(n, cutoff):
 
 
 # ---------------------------------------------------------------------------
-# oracle: the row writers against json.dumps(rows, indent=2)
-
-INTS = st.integers() | st.sampled_from([2**64, -(2**64) - 1, 3**200, -(5**150)])
-FLOATS = st.floats() | st.sampled_from(
-    [-0.0, 1e-300, 1e22, 5e-324, math.inf, -math.inf, math.nan]
-)
-TEXT = st.text() | st.sampled_from(['say "1 + 2*g^2"', "back\\slash", "\x00\x1f\n\t", "é ☃ 𝄞"])
-POINTS = st.lists(st.tuples(INTS, INTS) | st.lists(INTS, min_size=1, max_size=6).map(tuple))
-JSON = st.recursive(
-    st.none() | st.booleans() | INTS | FLOATS | TEXT,
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(TEXT, inner),
-    max_leaves=12,
-)
-# every witness shape courant emits, and any str-keyed dict besides
-WITNESSES = st.one_of(
-    st.fixed_dictionaries({"boundary_even_points": POINTS}),
-    st.fixed_dictionaries({"members": POINTS}),
-    st.fixed_dictionaries({"subdomain": TEXT, "pairs": st.lists(st.tuples(INTS, INTS))}),
-    st.fixed_dictionaries({"reference_size": INTS, "extra_point": st.tuples(INTS, INTS)}),
-    st.fixed_dictionaries({"smaller_point": st.lists(INTS, min_size=2, max_size=6).map(tuple)}),
-    st.just({}),
-    st.dictionaries(TEXT, JSON),
-)
-SPECTRUM_ROW = st.tuples(
-    INTS, TEXT, FLOATS, INTS, TEXT, st.none() | TEXT, st.none() | INTS
-)
-VERDICT_ROW = st.tuples(
-    INTS, TEXT, FLOATS, INTS, TEXT, TEXT, INTS, st.booleans(), TEXT, st.none() | INTS,
-    WITNESSES,
-)
+# oracle: the row writers against json.dumps and csv.writer
 
 
-def dumped(fields, rows) -> str:
-    return json.dumps([dict(zip(fields, row)) for row in rows], indent=2) + "\n"
+def spectrum_rows(si, points: bool) -> list[tuple]:
+    """The spectrum rows of an index from its Level objects and the scalar
+    value functions, members included if points."""
+    rows, position = [], 1
+    for level in si.levels:
+        value = level.value
+        core = None if value.is_zero() else spectrum.odd_core(value)
+        row = (
+            position, value.text(), float(value), level.multiplicity, algebra.parity(value),
+            None if core is None else core.core.text(), None if core is None else core.k,
+        )
+        rows.append(row + (list(level.members),) if points else row)
+        position += level.multiplicity
+    return rows
+
+
+def assert_spectrum_rows_are_written_as_the_serializers_write_them(si):
+    for points in (False, True):
+        fields = cli._SPECTRUM_FIELDS + ("members",) if points else cli._SPECTRUM_FIELDS
+        rows = spectrum_rows(si, points)
+        assert cli._spectrum_text(si, points, "json") == json_rows(fields, rows)
+        assert cli._spectrum_text(si, points, "csv") == csv_rows(fields, rows)
+
+
+REASONS = [
+    courant.GROUND_STATE, courant.ORTHOGONALITY_SECOND, courant.EXPLICIT_COUNT,
+    courant.ODD_BOUNDARY, courant.SUBDOMAIN_MULTIPLICITY, courant.MULTIPLE_EIGENVALUE,
+    courant.REFERENCE_SET_STRICT, courant.BOX_CASE_ANALYSIS,
+]
+# int64 coefficients of a core, small or near the int64 edge once scaled
+CORE_COEFFS = st.sampled_from([0, 0, 1, -1, 3, 2**58 - 1, -(2**58)]) | st.integers(
+    -(2**58), 2**58
+)
+
+
+@st.composite
+def levels(draw):
+    """(n, coefficient rows, member counts, seed): rows of ring n (1 is the
+    triangle's) of any nonzero pattern, each gamma^(2k) times an odd core
+    or the zero row, so that every row has an odd core in int64."""
+    n = draw(st.integers(1, 12))
+    r = algebra.basis_len(n)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        core = draw(st.lists(CORE_COEFFS, min_size=r, max_size=r))
+        if any(core):
+            core[0] |= 1
+        value = algebra.scale_gamma2(AlgebraicValue(n, tuple(core)), draw(st.integers(0, 4)))
+        rows.append(value.coeffs)
+    counts = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    return n, rows, counts, draw(st.integers(0, 2**32))
+
+
+def fake_region(n, rows, counts, seed) -> LatticeRegion:
+    """A region of the given levels whose members are random int64 points:
+    the writers check nothing about them."""
+    domain = triangle() if n == 1 else box(n)
+    coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), algebra.basis_len(n))
+    offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+    members = np.random.default_rng(seed).integers(
+        -(2**62), 2**62, size=(int(offsets[-1]), domain.coords)
+    )
+    return LatticeRegion(domain, 0, coeffs, offsets, members)
+
+
+def fake_table(region, reasons, nus, sharp, seed) -> courant.VerdictTable:
+    rng = np.random.default_rng(seed + 1)
+    levels = len(region.coeffs)
+    core, k = spectrum.odd_core_columns(region.domain.ring, region.coeffs)
+    return courant.VerdictTable(
+        region, rng.integers(0, 2**62, size=levels), np.diff(region.offsets), core, k,
+        np.array(sharp, dtype=bool), np.array(reasons, dtype=object),
+        np.array(nus, dtype=np.int64),
+        rng.integers(-(2**62), 2**62, size=(levels, 2, region.domain.coords)),
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.booleans().flatmap(
-        lambda points: st.tuples(
-            st.just(points),
-            st.lists(
-                st.tuples(SPECTRUM_ROW, POINTS).map(lambda r: r[0] + (r[1],))
-                if points
-                else SPECTRUM_ROW,
-                max_size=4,
-            ),
-        )
-    )
-)
+@given(levels())
 def test_spectrum_writer_matches_json_dumps(case):
-    # the writer takes columns, with the members already written (as
-    # _member_texts writes them on real indexes), the way the verdicts
-    # writer takes its witnesses
-    points, rows = case
-    fields = cli._SPECTRUM_FIELDS + ("members",) if points else cli._SPECTRUM_FIELDS
-    written = [row[:7] + tuple(map(indented, row[7:])) for row in rows]
-    columns = [[row[j] for row in written] for j in range(len(fields))]
-    assert cli._spectrum_json(columns) == dumped(fields, rows)
+    # JSON and CSV, with and without members, on int64 rows of every
+    # nonzero pattern in rings 1 to 12
+    assert_spectrum_rows_are_written_as_the_serializers_write_them(
+        spectrum.SpectrumIndex(fake_region(*case))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(levels(), st.data())
+def test_verdicts_writer_matches_json_dumps(case, data):
+    # any reason, sharpness and nu (-1 is null) on the same rows
+    size = len(case[1])
+    each = lambda s: data.draw(st.lists(s, min_size=size, max_size=size))  # noqa: E731
+    table = fake_table(
+        fake_region(*case), each(st.sampled_from(REASONS)),
+        each(st.just(-1) | st.integers(0, 2**62)), each(st.booleans()), case[3],
+    )
+    assert_rows_are_the_verdict_rows(table)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4], ids=["triangle", "box3", "box4"])
+def test_verdicts_writer_covers_every_reason_count_and_null_nu(n):
+    # every reason at member counts 1 to 6 with nu null and not, each value
+    # an odd core scaled k = 0..3 times, after the ground state
+    r = algebra.basis_len(n)
+    cases = [(reason, count, nu) for reason in REASONS for count in range(1, 7) for nu in (-1, 7)]
+    rows = [(0,) * r] + [
+        algebra.scale_gamma2(AlgebraicValue(n, (2 * i + 1,) + (i % 3,) * (r - 1)), i % 4).coeffs
+        for i in range(len(cases))
+    ]
+    region = fake_region(n, rows, [1] + [count for _, count, _ in cases], seed=n)
+    table = fake_table(
+        region, [courant.GROUND_STATE] + [reason for reason, _, _ in cases],
+        [1] + [nu for _, _, nu in cases],
+        [True] + [reason in courant.SHARP_REASONS for reason, _, _ in cases], seed=n,
+    )
+    assert_rows_are_the_verdict_rows(table)
 
 
 @pytest.mark.parametrize(
@@ -682,16 +753,18 @@ def test_spectrum_writer_matches_json_dumps(case):
     [(box(n), c) for n, c in ((2, 400), (3, 120), (4, 60), (5, 40), (6, 30), (7, 20),
                              (8, 16), (9, 14), (10, 12), (11, 12), (12, 12))]
     + [(triangle(), 2000), (triangle(DIRICHLET), 2000), (box(2, DIRICHLET), 300),
-       (box(3), 0), (box(3), 1), (triangle(), 1)],
+       (box(3), 0), (box(3), 1), (triangle(), 1), (box(80), 3)],
     ids=lambda x: x.label() if hasattr(x, "label") else str(x),
 )
 def test_member_texts_match_json_dumps(domain, cutoff):
-    # every member count of each index goes through its template; cutoff 0
-    # leaves no level and cutoff 1 only the ground state
-    region = spectrum.build_index(domain, cutoff).region
-    members = [level.members for level in region.levels]
-    assert cli._member_texts(region, compact=True) == list(map(json.dumps, members))
-    assert cli._member_texts(region, compact=False) == list(map(indented, members))
+    # the whole rows of real indexes, members and all: every member count
+    # and value and core pattern of each index goes through a template;
+    # cutoff 0 leaves no level and cutoff 1 only the ground state; box80's
+    # 80 pattern key columns pass 2^62 as one code, which is renumbered
+    si = spectrum.build_index(domain, cutoff)
+    assert_spectrum_rows_are_written_as_the_serializers_write_them(si)
+    if domain.bc == NEUMANN:
+        assert_rows_are_the_verdict_rows(courant.classify_index(si))
 
 
 @pytest.mark.parametrize("n", [0, 1, 9000])
@@ -703,10 +776,21 @@ def test_float_texts_match_json_dumps(n):
     assert list(cli._json_floats(xs)) == [json.dumps(x) for x in xs]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(VERDICT_ROW, max_size=4))
-def test_verdicts_writer_matches_json_dumps(rows):
-    # columns, as the spectrum writer takes them
-    written = [row[:-1] + (indented(row[-1]),) for row in rows]
-    columns = [[row[j] for row in written] for j in range(len(courant.VERDICT_FIELDS))]
-    assert cli._verdicts_json(columns) == dumped(courant.VERDICT_FIELDS, rows)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--domain", "triangle", "--cutoff", "5", "-o", "{dir}"],
+        ["deficiency", "--domain", "triangle", "--lambda", "50", "-o", "{missing}/d.json"],
+        ["nodal", "--domain", "triangle", "--qn", "2,1", "--svg", "{missing}/x.svg"],
+        ["frame", "--domain", "triangle", "--k", "2", "--svg", "{missing}/x.svg"],
+    ],
+    ids=["spectrum-directory", "deficiency", "nodal-svg", "frame-svg"],
+)
+def test_an_unwritable_output_ends_in_an_error_line(tmp_path: Path, capsys, argv):
+    argv = [a.format(dir=tmp_path, missing=tmp_path / "missing") for a in argv]
+    path = argv[-1]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    reason = "Is a directory" if path == str(tmp_path) else "No such file or directory"
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+    assert captured.out == ""
