@@ -33,12 +33,21 @@ from .errors import DivisibilityError, DomainError
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+# Most coefficients a value may have: one int64 coefficient row of this
+# length fills qlattice.COLUMN_BUDGET (128 MiB).  basis_len refuses a wider
+# ring, so no row, float or tuple of its length is ever built.
+MAX_BASIS_LEN = 1 << 24
+
+
 def basis_len(n: int) -> int:
     if n < 1:
         raise DomainError(f"ring dimension must be >= 1, got {n}")
-    if n == 1:
-        return 1
-    return n if n % 2 else n // 2
+    r = 1 if n == 1 else n if n % 2 else n // 2
+    if r > MAX_BASIS_LEN:
+        raise DomainError(
+            f"ring n={n} needs {r} coefficients per value, over the budget of {MAX_BASIS_LEN}"
+        )
+    return r
 
 
 def gamma2_steps(n: int) -> int:

@@ -16,6 +16,7 @@ and by a rational test per frame facet.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,8 +39,19 @@ class Combo:
 
 
 def combo(domain: Domain, terms) -> Combo:
-    """Build a combination, verifying a shared eigenvalue and a nonzero term."""
-    terms = tuple((float(c), check_qn(domain, m)) for c, m in terms)
+    """Build a combination, verifying finite coefficients, a shared
+    eigenvalue and a nonzero term."""
+    checked = []
+    for c, m in terms:
+        m = check_qn(domain, m)
+        try:
+            c = float(c)
+        except OverflowError:  # an int past the float range
+            c = math.inf
+        if not math.isfinite(c):
+            raise DomainError(f"the coefficient of term {m} is not a finite float: {c}")
+        checked.append((c, m))
+    terms = tuple(checked)
     if not terms or all(c == 0.0 for c, _ in terms):
         raise DomainError("combo needs at least one nonzero coefficient")
     value = eigenvalue(domain, terms[0][1])
@@ -54,20 +66,22 @@ def basis_fn(domain: Domain, m: QN) -> Combo:
 
 
 def product_terms(f: Combo) -> list[tuple[float, tuple[float, ...]]]:
-    """Expand to a plain sum of trig products: (coefficient, per-axis frequencies)."""
+    """Expand to a plain sum of trig products: (coefficient, per-axis
+    frequencies).  A quantum number with a frequency past the float range
+    is refused, since none of its samples would be a number."""
     out: list[tuple[float, tuple[float, ...]]] = []
-    if f.domain.kind == TRIANGLE:
-        for c, (m, n) in f.terms:
-            if f.domain.bc == NEUMANN:
-                out.append((c, (float(m), float(n))))
-                out.append((c, (float(n), float(m))))
-            else:
-                out.append((c, (float(m), float(n))))
-                out.append((-c, (float(n), float(m))))
-    else:
-        g = 2.0 ** (1.0 / f.domain.n)
-        for c, m in f.terms:
-            out.append((c, tuple(g**j * mj for j, mj in enumerate(m))))
+    triangle = f.domain.kind == TRIANGLE
+    g = 2.0 ** (1.0 / f.domain.n)
+    for c, m in f.terms:
+        try:
+            freqs = tuple(map(float, m)) if triangle else tuple(g**j * mj for j, mj in enumerate(m))
+        except OverflowError:  # an int past the float range
+            freqs = (math.inf,)
+        if math.inf in freqs:
+            raise DomainError(f"the frequencies of {m} pass the float range of the evaluation")
+        out.append((c, freqs))
+        if triangle:  # the term with x and y swapped
+            out.append((c if f.domain.bc == NEUMANN else -c, freqs[::-1]))
     return out
 
 

@@ -6,7 +6,7 @@ everything from samples on an irrationally offset grid and certifies the
 count by agreement under one resolution doubling.  A box basis function is
 a product of one factor per axis, so the oracle counts the runs of one
 strict sign on each sampled axis and multiplies them; it never reads the
-quantum number.  Box combos of several terms are refused.  A triangle combo
+quantum number, and it samples every axis of a batch from one index column.  Box combos of several terms are refused.  A triangle combo
 is sampled on the full grid, and two same-sign orthogonal neighbors are
 joined only where f is proven to keep that sign on the segment between them:
 by the interpolation-error bound of its second derivative along the
@@ -24,6 +24,7 @@ across the cut L is counted on the half triangle and doubled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -77,8 +78,9 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # half of the n x n plane).  A doubling pair, at 512 and 1024 or 1024 and 2048 cells,
 # at most 16.5 (9.2) per point of its larger grid, whose samples are taken
 # while the signs of the smaller are live.  A live interval takes about 283
-# bytes and the axes of a box basis function at most about 19 per sample,
-# so the budget holds peak memory near 0.5, 1.1 and 0.6 GiB.  In the test
+# bytes and the axes of a box basis function 40 per sample (the samples and
+# their axis's four terms repeated beside them, see _box_phases), so the
+# budget holds peak memory near 0.5, 1.1 and 1.3 GiB.  In the test
 # suite, the largest grid count_grid samples has 4.2e6 points (a triangle at
 # 2048 cells) and its largest batch of axes 885 samples (a box at 64 and
 # 128 cells).
@@ -143,7 +145,7 @@ def count_formula(domain: Domain, m: QN) -> NodalCount:
 def _max_halfperiods(f: Combo) -> int:
     """Max number of sign half-periods along any axis, rescaled to axis 0:
     w l_j / pi along axis j, times l_0 / l_j for one cell size everywhere."""
-    l0 = f.domain.edge_lengths()[0]
+    l0 = math.pi  # edge_lengths()[0], bit for bit, on every domain
     return math.ceil(max([1.0] + [w * l0 / math.pi for _, freqs in product_terms(f) for w in freqs]))
 
 
@@ -233,15 +235,6 @@ def _cut_edges(
     )
 
 
-def _grid_shape(domain: Domain, cells: int) -> tuple[int, ...]:
-    """Sample counts per axis of the grid with `cells` cells along axis 0."""
-    if domain.kind == TRIANGLE:
-        n = max(8, cells)
-        return (n, n)
-    lengths = domain.edge_lengths()
-    return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
-
-
 def _triangle_grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -> list[int]:
     """Triangle counts with proven joins, one labelling per grid.
 
@@ -281,7 +274,7 @@ def _signs_and_edges(f: Combo, cells0: int, halve: bool, curv: np.ndarray, eps: 
     as the cell (i, j) of its lower end, its axis, its end points and the
     values of f there.  The float samples live here alone, so they are
     freed before the bisection."""
-    n, _ = _grid_shape(f.domain, cells0)
+    n = max(8, cells0)
     h = math.pi / n
     ax, ay = ((np.arange(n) + off) * h for off in _GRID_OFFS[:2])
     step = max(np.diff(ax).max(), np.diff(ay).max())
@@ -397,22 +390,50 @@ def _sign_plane(sign: np.ndarray, cuts) -> np.ndarray:
     return img
 
 
-def _box_axes(shape: tuple[int, ...], lengths: tuple[float, ...]) -> list[np.ndarray]:
-    """Sample coordinates per axis of the box grid of that shape (_grid_shape)
-    over those edge lengths."""
-    return [
-        (np.arange(nj) + _GRID_OFFS[j % 3]) * (lj / nj)
-        for j, (nj, lj) in enumerate(zip(shape, lengths))
+def _box_phases(f: Combo, resolutions: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The phase w_j x_j of every sample of every axis of the box grids at
+    these resolutions, axis by axis and grid by grid in one array, and where
+    each axis starts in it.
+
+    f must be one product of a factor per axis, of frequencies w_j.  Axis j
+    of the grid with `cells` cells along axis 0 holds the n_j = max(8,
+    ceil(cells l_j / l_0)) samples x = (k + off_j) (l_j / n_j), k < n_j, over
+    the edge lengths l_j.  Their total is held to GRID_BUDGET before anything
+    is allocated.  Every axis comes from one index column: k is the index
+    minus the start of its axis, and each phase is rounded as ((k + off_j) *
+    (l_j / n_j)) * w_j, with the terms of its axis repeated along the column.
+    """
+    terms = product_terms(f)
+    if len(terms) != 1:
+        raise DomainError(
+            f"no grid nodal count for box combos of several terms ({len(terms)} given)"
+        )
+    [(_, freqs)] = terms
+    lengths = f.domain.edge_lengths()
+    sizes = [max(8, math.ceil(cells * lj / lengths[0])) for cells in resolutions for lj in lengths]
+    _check_budget(sum(sizes), resolutions, "axes")
+    starts = list(itertools.accumulate(sizes[:-1], initial=0))
+    per_axis = [
+        (start, _GRID_OFFS[j % 3], lengths[j] / nj, freqs[j])
+        for start, nj, j in zip(starts, sizes, itertools.cycle(range(len(lengths))))
     ]
+    start, off, step, w = np.repeat(np.array(per_axis), sizes, axis=0).T
+    x = np.arange(len(start), dtype=float)
+    x -= start
+    x += off
+    x *= step
+    x *= w
+    return x, np.array(starts)
 
 
 def _sign_runs(s: np.ndarray, starts) -> np.ndarray:
     """Maximal runs of one nonzero sign on each sampled axis, where axis k
-    holds the signs s[starts[k]:starts[k + 1]]; a zero splits a run."""
-    first = np.ones(s.size, dtype=bool)
+    holds the signs s[starts[k]:starts[k + 1]] and starts[0] is 0; a zero
+    splits a run."""
+    first = np.empty(s.size, dtype=bool)
     np.not_equal(s[1:], s[:-1], out=first[1:])
     first[starts] = True
-    return np.add.reduceat(first & (s != 0), starts, dtype=np.intp)
+    return np.add.reduceat(np.logical_and(first, s, out=first), starts, dtype=np.intp)
 
 
 def _check_budget(points: int, cells, what: str) -> None:
@@ -429,37 +450,26 @@ def _grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -> list[in
     """The grid count of f at each resolution, in one batch: the triangle
     grids share one edge bisection, and every axis of a box basis function
     at every resolution is evaluated at once."""
-    dom = f.domain
-    if dom.kind == TRIANGLE:
+    if f.domain.kind == TRIANGLE:
         for cells0 in resolutions:
-            _check_budget(math.prod(_grid_shape(dom, cells0)), [cells0], "grid")
+            _check_budget(max(8, cells0) ** 2, [cells0], "grid")
         return _triangle_grid_counts(f, resolutions, halve)
-    terms = product_terms(f)
-    if len(terms) != 1:
-        raise DomainError(
-            f"no grid nodal count for box combos of several terms ({len(terms)} given)"
-        )
     # one product of a factor per axis: two same-sign neighbours of the grid
     # differ in one factor only, so the components of {f > 0} and {f < 0} are
     # the products of the sign runs on each axis
-    shapes = [_grid_shape(dom, cells) for cells in resolutions]
-    sizes = [nj for shape in shapes for nj in shape]
-    _check_budget(sum(sizes), resolutions, "axes")
-    trig = np.cos if dom.bc == NEUMANN else np.sin
-    [(_, freqs)] = terms
-    lengths = dom.edge_lengths()
-    x = np.concatenate([ax for shape in shapes for ax in _box_axes(shape, lengths)])
-    x *= np.repeat(freqs * len(resolutions), sizes)  # the tuple freqs once per resolution
+    x, starts = _box_phases(f, resolutions)
+    trig = np.cos if f.domain.bc == NEUMANN else np.sin
     s = np.sign(trig(x, out=x), out=x)
-    runs = _sign_runs(s, np.cumsum([0] + sizes[:-1])).reshape(len(resolutions), -1)
+    runs = _sign_runs(s, starts).reshape(len(resolutions), -1)
     return [math.prod(r) for r in runs.tolist()]
 
 
 def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
     """Grid nodal count with a stability certificate.
 
-    resolution is the cell count along the first axis; the default gives at
-    least 8 cells per sign half-period of the fastest term.  The grids at
+    resolution is the cell count along the first axis, from 16 to
+    GRID_BUDGET; the default gives at least 8 cells per sign half-period of
+    the fastest term.  The grids at
     resolution and twice it are counted in one batch (_grid_counts), each
     later doubling alone.  A box basis function is counted as the product
     of its sign runs along each sampled axis, which equals the labelled
@@ -480,6 +490,10 @@ def count_grid(f: Combo, resolution: int | None = None) -> NodalCount:
         resolution = max(16, 8 * _max_halfperiods(f))
     if resolution < 16:
         raise DomainError("resolution must be >= 16 cells along the first axis")
+    if resolution > GRID_BUDGET:  # axis 0 alone: refused before any float arithmetic on it
+        raise DomainError(
+            f"the nodal grid at {resolution} cells is over the budget of {GRID_BUDGET} points"
+        )
     halve = f.domain.kind == TRIANGLE and symmetry_check(f) == "odd"
     cells = resolution
     c1, c2 = _grid_counts(f, (cells, 2 * cells), halve)

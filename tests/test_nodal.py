@@ -4,9 +4,15 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import re
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +210,7 @@ def _signs_and_joins(f, cells0, halve, cut_signs):
     triangle, 0 outside, and per axis the same-sign edges that are proven,
     each axis's unproven edges bisected on their own.  cut_signs collects
     the sign of every cut edge."""
-    n, _ = nodal._grid_shape(f.domain, cells0)
+    n = max(8, cells0)
     h = math.pi / n
     axes = tuple((np.arange(n) + off) * h for off in nodal._GRID_OFFS[:2])
     ax, ay = axes
@@ -737,6 +743,21 @@ def test_triangle_grid_peak_memory_per_point_is_as_stated():
                 assert per_point <= stated, (qn, resolutions, halve, per_point)
 
 
+def test_box_axes_peak_memory_per_sample_is_as_stated():
+    # the figure of the GRID_BUDGET comment: 40 bytes per sample of a batch
+    for dom, m in ((box(2), (1, 0)), (box(3, DIRICHLET), (2, 1, 1)), (box(6), (1, 0, 0, 0, 0, 1))):
+        f = eigenfn.basis_fn(dom, m)
+        resolutions = (1 << 17, 1 << 18)
+        samples = sum(sum(_box_shape(dom, cells)) for cells in resolutions)
+        tracemalloc.start()
+        try:
+            nodal._grid_counts(f, resolutions, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / samples <= 40.1, (dom.label(), peak / samples)
+
+
 def test_box_combos_of_several_terms_are_refused():
     f = eigenfn.combo(box(2), [(1.0, (3, 0)), (1.0, (1, 2))])
     with pytest.raises(DomainError, match="several terms"):
@@ -757,11 +778,26 @@ def test_sign_runs_are_split_by_sign_changes_and_zeros():
     assert runs(vals, (0, 2, 5, 7, 9)) == [1, 0, 2, 1, 2]
 
 
+def _box_shape(dom, cells):
+    """Sample counts per axis of the box grid with `cells` cells along axis 0."""
+    lengths = dom.edge_lengths()
+    return tuple(max(8, int(math.ceil(cells * lj / lengths[0]))) for lj in lengths)
+
+
+def _box_axes(dom, cells):
+    """Per-axis oracle of the box samples: each axis's coordinates built on
+    their own, (arange(n_j) + off_j) * (l_j / n_j)."""
+    shape, lengths = _box_shape(dom, cells), dom.edge_lengths()
+    return [
+        (np.arange(nj) + nodal._GRID_OFFS[j % 3]) * (lj / nj)
+        for j, (nj, lj) in enumerate(zip(shape, lengths))
+    ]
+
+
 def _label_count(f, cells):
     """n-D oracle: components of {f > 0} plus those of {f < 0} on the full
     sampling grid, 4-connected (2n-connected in n dimensions)."""
-    shape, lengths = nodal._grid_shape(f.domain, cells), f.domain.edge_lengths()
-    vals = eigenfn.eval_on_axes(f, tuple(nodal._box_axes(shape, lengths)))
+    vals = eigenfn.eval_on_axes(f, tuple(_box_axes(f.domain, cells)))
     return ndimage.label(vals > 0.0)[1] + ndimage.label(vals < 0.0)[1]
 
 
@@ -783,7 +819,7 @@ def test_axis_runs_match_the_labelled_grid():
                 f = eigenfn.basis_fn(dom, m)
                 default = max(16, 8 * nodal._max_halfperiods(f))
                 for cells in (default, 2 * default):
-                    if math.prod(nodal._grid_shape(dom, cells)) > _ORACLE_POINTS:
+                    if math.prod(_box_shape(dom, cells)) > _ORACLE_POINTS:
                         skipped += 1
                         continue
                     got = _count_once(f, cells, False)
@@ -819,6 +855,174 @@ def test_axis_count_comes_from_the_samples(monkeypatch):
     for m in ((1, 0), (2, 3), (0, 4), (2, 1, 3)):
         f = eigenfn.basis_fn(box(len(m)), m)
         assert nodal.count_grid(f).count == math.prod(2 * mj + 1 for mj in m), m
+
+
+# box2-8 indexes of a few dozen to a few hundred members each, per
+# boundary condition
+_PHASE_CUTOFFS = {
+    2: (100, 100), 3: (40, 50), 4: (24, 38), 5: (18, 34), 6: (16, 34), 7: (14, 34), 8: (14, 36),
+}
+
+
+def test_one_pass_phases_equal_the_per_axis_oracle():
+    # bit for bit: every axis of the batch at 1x, 2x and 4x the default
+    # resolution against each axis built on its own, times its frequency
+    members = 0
+    for n, cutoffs in _PHASE_CUTOFFS.items():
+        for bc, cutoff in zip(("neumann", DIRICHLET), cutoffs):
+            dom = box(n, bc)
+            for m in spectrum.build_index(dom, cutoff).region.points:
+                f = eigenfn.basis_fn(dom, m)
+                default = max(16, 8 * nodal._max_halfperiods(f))
+                resolutions = (default, 2 * default, 4 * default)
+                x, starts = nodal._box_phases(f, resolutions)
+                [(_, freqs)] = product_terms(f)
+                axes = [
+                    ax * w for cells in resolutions for ax, w in zip(_box_axes(dom, cells), freqs)
+                ]
+                assert np.array_equal(x, np.concatenate(axes)), (dom.label(), m)
+                assert starts.tolist() == list(itertools.accumulate(map(len, axes[:-1]), initial=0))
+                members += 1
+    assert members == 2654
+
+
+# sha256 of json.dumps of [label, member, count, resolution, stable] from
+# count_grid on every member of box2@400, box3@60, box4@30, box5@16 and
+# box6@12, Neumann and Dirichlet, recorded before the axes of a batch were
+# sampled in one pass
+BOX_GRID_PIN = "aeef55eb41cf7303356b45a415cce8ec498d817afec4a24630b1229065ca8963"
+
+
+def test_box_grid_counts_are_pinned():
+    rows = []
+    for n, cutoff in ((2, 400), (3, 60), (4, 30), (5, 16), (6, 12)):
+        for bc in ("neumann", DIRICHLET):
+            dom = box(n, bc)
+            for m in spectrum.build_index(dom, cutoff).region.points:
+                c = nodal.count_grid(eigenfn.basis_fn(dom, m))
+                rows.append([dom.label(), list(m), c.count, c.resolution, c.stable])
+    assert len(rows) == 1257
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == BOX_GRID_PIN
+
+
+_NINES = int("9" * 400)  # past the float range
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dom,m", [(triangle(), (3, 1)), (box(2), (2, 1))])
+def test_a_non_finite_coefficient_is_refused(dom, m, c):
+    # a NaN coefficient was counted: 0 nodal domains on the triangle, 6 on box2
+    message = rf"^the coefficient of term {re.escape(str(m))} is not a finite float: {c}$"
+    with pytest.raises(DomainError, match=message):
+        eigenfn.combo(dom, [(c, m)])
+
+
+def test_an_int_coefficient_past_the_float_range_is_refused():
+    with pytest.raises(DomainError, match=r"term \(2, 1\) is not a finite float: inf$"):
+        eigenfn.combo(triangle(), [(1.0, (1, 0)), (10**400, (2, 1))])
+
+
+@pytest.mark.parametrize("dom", [triangle(), box(2)])
+def test_a_frequency_past_the_float_range_is_refused(dom):
+    f = eigenfn.basis_fn(dom, (_NINES, 1))
+    for call in (
+        lambda: product_terms(f), lambda: eigenfn.eval_at(f, (1.0, 0.5)),
+        lambda: nodal.count_grid(f),
+    ):
+        with pytest.raises(DomainError, match=r"pass the float range of the evaluation$"):
+            call()
+    # the exact checks read the quantum number alone and still answer
+    assert eigenfn.symmetry_check(f) in ("even", "odd", "neither")
+
+
+@pytest.mark.parametrize("dom", [triangle(), box(2)])
+def test_a_resolution_past_the_budget_is_refused_before_float_arithmetic(dom):
+    f = eigenfn.basis_fn(dom, (3, 1))
+    for resolution in (nodal.GRID_BUDGET + 1, _NINES):
+        message = rf"^the nodal grid at {resolution} cells is over the budget"
+        with pytest.raises(DomainError, match=message):
+            nodal.count_grid(f, resolution)
+
+
+def test_a_ring_too_wide_for_one_coefficient_row_is_refused():
+    # one int64 row of the widest ring fills the lattice's column budget
+    assert 8 * algebra.MAX_BASIS_LEN == qlattice.COLUMN_BUDGET
+    assert algebra.basis_len(2 * algebra.MAX_BASIS_LEN) == algebra.MAX_BASIS_LEN
+    for n in (2 * algebra.MAX_BASIS_LEN + 2, 10**9, _NINES):
+        message = rf"^ring n={n} needs \d+ coefficients per value, over the budget"
+        with pytest.raises(DomainError, match=message):
+            algebra.basis_len(n)
+    # a 400-digit ring fails before anything n-sized, so a wrong guess here
+    # cannot take the memory a 10^9-wide one would
+    for call in (
+        lambda: algebra.integer_value(_NINES, 1),
+        lambda: spectrum.build_index(box(_NINES), 2),
+    ):
+        with pytest.raises(DomainError, match="coefficients per value, over the budget"):
+            call()
+
+
+_WIDE = [
+    ["spectrum", "--domain", "box", "--dim", "{dim}", "--cutoff", "2"],
+    ["verdicts", "--domain", "box", "--dim", "{dim}", "--cutoff", "2"],
+    ["deficiency", "--domain", "box", "--dim", "{dim}", "--lambda", "1"],
+    ["dirichlet-check", "--dim", "{dim}", "--lambda", "5"],
+]
+
+
+def _refused(code: int, out: str, err: str) -> bool:
+    """Exit 1 with one error line and nothing else."""
+    return code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nodal", "--domain", "triangle", "--qn", f"{_NINES},1"],
+        ["eval", "--domain", "triangle", "--qn", f"{_NINES},1", "--at", "1,0.5"],
+        ["eval", "--domain", "box", "--qn", f"{_NINES},1", "--at", "1,0.5"],
+        ["nodal", "--domain", "triangle", "--qn", "3,1", "--grid", str(_NINES)],
+        ["nodal", "--domain", "box", "--qn", "3,1", "--grid", str(_NINES)],
+        *([a.format(dim=_NINES) for a in argv] for argv in _WIDE),
+    ],
+    ids=["nodal-qn", "eval-triangle-qn", "eval-box-qn", "nodal-triangle-grid", "nodal-box-grid"]
+    + [f"{argv[0]}-dim-400-digits" for argv in _WIDE],
+)
+def test_a_huge_integer_ends_in_one_error_line(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert _refused(code, captured.out, captured.err), captured.err
+
+
+def _fresh_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """foldspec in a new interpreter whose address space is held to 2 GiB,
+    so that a wide input that reached an n-sized allocation would end in
+    MemoryError there rather than take the machine's memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "foldspec", *argv], env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=limit,
+    )
+
+
+@pytest.mark.parametrize("argv", _WIDE, ids=[argv[0] for argv in _WIDE])
+def test_a_dimension_too_wide_for_one_coefficient_row_ends_in_one_error_line(argv):
+    run = _fresh_cli([a.format(dim=10**9) for a in argv])
+    assert _refused(run.returncode, run.stdout, run.stderr), run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("dim", [10**9, _NINES], ids=["1e9", "400-digits"])
+def test_a_frame_of_a_wide_box_is_still_drawn(dim):
+    run = _fresh_cli(["frame", "--domain", "box", "--dim", str(dim), "--k", "2"])
+    assert run.returncode == 0 and run.stderr == "", run.stderr
+    assert json.loads(run.stdout)["facets"] == [{"axis": 2, "position": "1/2"}]
 
 
 @pytest.mark.parametrize("n,below", [(4, 5), (5, 3), (6, 3)])
