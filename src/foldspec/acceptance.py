@@ -165,7 +165,7 @@ def criterion_partitions_and_deficiency() -> CriterionResult:
             if lv.multiplicity != 1 or lv.value.is_zero():
                 continue
             report = nodal.deficiency_bound(si, lv.value)
-            nu = nodal.count_grid(eigenfn.basis_fn(dom, lv.members[0])).count
+            nu = nodal.count_auto(dom, lv.members[0]).count
             delta = si.position_of(lv.value) - nu
             if delta < 0:
                 return _fail(f"{dom.label()} {lv.value.text()}: delta {delta} < 0")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -95,7 +96,11 @@ def text_template(n: int, nonzero: tuple[bool, ...]) -> str:
 def coeffs_text(n: int, coeffs: tuple[int, ...]) -> str:
     """Canonical form "c0 + c1*g^e1 + ...", g = 2^(1/n), of the value with
     these coefficients, without building it."""
-    return text_template(n, tuple(c != 0 for c in coeffs)) % tuple(c for c in coeffs if c)
+    try:
+        return text_template(n, tuple(c != 0 for c in coeffs)) % tuple(c for c in coeffs if c)
+    except ValueError:  # a coefficient past Python's int-to-str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"a coefficient passes Python's {limit}-digit int-to-str limit") from None
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ dimension; checkframe names the first facet where the function does not
 vanish, if there is one.  Start-up loads only what argument parsing and
 spectrum need; every other subcommand imports the modules it runs (courant,
 nodal, eigenfn, folding, and svgout under --svg) when it starts, so no
-command pays for another's.
+command pays for another's.  Every refusal, a malformed argument included,
+is a FoldspecError that main prints as one "error:" line, exit status 1;
+argparse refuses unknown flags and choices itself, with exit status 2.
 """
 
 from __future__ import annotations
@@ -56,14 +58,14 @@ def _parse_cutoff(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"invalid cutoff {text!r}: {exc}")
+        raise DomainError(f"invalid cutoff {text!r}: {exc}") from None
 
 
 def _parse_qn(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise SystemExit(f"invalid quantum number {text!r}; expected like 2,1")
+        raise DomainError(f"invalid quantum number {text!r}; expected like 2,1") from None
 
 
 def _parse_value(domain: Domain, text: str) -> AlgebraicValue:
@@ -71,7 +73,7 @@ def _parse_value(domain: Domain, text: str) -> AlgebraicValue:
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
-        raise SystemExit(f"invalid eigenvalue {text!r}; expected like 12 or 1,0")
+        raise DomainError(f"invalid eigenvalue {text!r}; expected like 12 or 1,0") from None
     if len(parts) == 1:
         return algebra.integer_value(domain.ring, parts[0])
     return AlgebraicValue(domain.ring, tuple(parts))
@@ -94,7 +96,7 @@ def _parse_point(text: str) -> tuple[float, ...]:
     try:
         return tuple(_parse_coordinate(p) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(f"invalid point {text!r}; expected like 1.2,0.5 or pi/2,0")
+        raise DomainError(f"invalid point {text!r}; expected like 1.2,0.5 or pi/2,0") from None
 
 
 def _write_file(path: str, text: str) -> None:
@@ -368,14 +370,10 @@ def _cmd_nodal(args: argparse.Namespace) -> int:
     f = eigenfn.basis_fn(domain, qn)
     result: dict = {"domain": domain.label(), "qn": list(qn), "value": f.value.text()}
     count = nodal.count_auto(domain, qn, resolution=args.grid)
-    result.update(
-        {
-            "nu": count.count,
-            "method": count.method,
-            "resolution": count.resolution,
-            "stable": count.stable,
-        }
-    )
+    result |= {
+        "nu": count.count, "method": count.method, "resolution": count.resolution,
+        "stable": count.stable,
+    }
     if args.svg:
         from . import svgout
 
@@ -406,18 +404,12 @@ def _cmd_frame(args: argparse.Namespace) -> int:
 
         _write_file(args.svg, svgout.frame_svg(frame))
     if args.json or not args.svg:
-        _emit(
-            args,
-            _json(
-                {
-                    "domain": domain.label(),
-                    "k": args.k,
-                    "facet_count": len(frame.facets),
-                    "facets": [_facet_json(facet) for facet in frame.facets],
-                    "units": "pi (triangle) / edge-length fraction (box)",
-                }
-            ),
-        )
+        result = {
+            "domain": domain.label(), "k": args.k, "facet_count": len(frame.facets),
+            "facets": [_facet_json(facet) for facet in frame.facets],
+            "units": "pi (triangle) / edge-length fraction (box)",
+        }
+        _emit(args, _json(result))
     return 0
 
 
@@ -500,7 +492,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     ids = [crit.cid for crit in acceptance.CRITERIA]
     unknown = [cid for cid in args.only or () if cid not in ids]
     if unknown:
-        raise SystemExit(
+        raise DomainError(
             f"unknown criterion id {', '.join(unknown)}; valid ids: {', '.join(ids)}"
         )
     failures = 0
@@ -545,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(p, bc=False)
     p.add_argument("--cutoff", required=True)
     p.add_argument("--format", choices=["json", "csv", "table"], default="table")
-    p.add_argument("--explain", type=int, help="print the witness chain for one position")
+    p.add_argument("--explain", type=int, help="print the verdict of one position as JSON")
     p.add_argument("-o", "--out")
     p.set_defaults(fn=_cmd_verdicts)
 

@@ -10,7 +10,9 @@ Basis functions:
 A combo is a finite real linear combination over one eigenspace.  Values
 are floats; reflection symmetry and frame vanishing are decided exactly
 from the quantum numbers, by the reflection's action on the product terms
-and by a rational test per frame facet.
+and by a rational test per frame facet.  Evaluation, counting, symmetry
+and (un)folding read no eigenvalue: a combo computes its eigenvalue when it
+is read, or to check that several terms share it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import algebra, folding
+from . import folding
 from .algebra import AlgebraicValue
-from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_point, check_qn, eigenvalue
-from .errors import DomainError, FoldParityError
+from .domains import NEUMANN, TRIANGLE, Domain, check_point, check_qn, eigenvalue
+from .errors import DomainError
 from .folding import KFrame, Segment, Slab
 from .qlattice import QN
 from .spectrum import odd_core
@@ -35,12 +37,16 @@ from .spectrum import odd_core
 class Combo:
     domain: Domain
     terms: tuple[tuple[float, QN], ...]
-    value: AlgebraicValue
+
+    @functools.cached_property
+    def value(self) -> AlgebraicValue:
+        """The eigenvalue, which every term shares (see combo)."""
+        return eigenvalue(self.domain, self.terms[0][1])
 
 
 def combo(domain: Domain, terms) -> Combo:
-    """Build a combination, verifying finite coefficients, a shared
-    eigenvalue and a nonzero term."""
+    """Build a combination, verifying finite coefficients, a nonzero term
+    and, when there are several terms, a shared eigenvalue."""
     checked = []
     for c, m in terms:
         m = check_qn(domain, m)
@@ -54,15 +60,22 @@ def combo(domain: Domain, terms) -> Combo:
     terms = tuple(checked)
     if not terms or all(c == 0.0 for c, _ in terms):
         raise DomainError("combo needs at least one nonzero coefficient")
-    value = eigenvalue(domain, terms[0][1])
-    for _, m in terms[1:]:
-        if eigenvalue(domain, m).coeffs != value.coeffs:
-            raise DomainError(f"terms do not share one eigenvalue: {terms}")
-    return Combo(domain, terms, value)
+    if len(terms) > 1 and len({eigenvalue(domain, m).coeffs for _, m in terms}) > 1:
+        raise DomainError(f"terms do not share one eigenvalue: {terms}")
+    return Combo(domain, terms)
 
 
 def basis_fn(domain: Domain, m: QN) -> Combo:
     return combo(domain, [(1.0, tuple(m))])
+
+
+def _product_qns(f: Combo):
+    """(c, m) of each trig product of f: each term and, on the triangle, the
+    term with x and y swapped, whose sign flips under Dirichlet."""
+    for c, m in f.terms:
+        yield c, m
+        if f.domain.kind == TRIANGLE:
+            yield (c if f.domain.bc == NEUMANN else -c), m[::-1]
 
 
 def product_terms(f: Combo) -> list[tuple[float, tuple[float, ...]]]:
@@ -70,22 +83,20 @@ def product_terms(f: Combo) -> list[tuple[float, tuple[float, ...]]]:
     frequencies).  A quantum number with a frequency past the float range
     is refused, since none of its samples would be a number."""
     out: list[tuple[float, tuple[float, ...]]] = []
-    triangle = f.domain.kind == TRIANGLE
-    g = 2.0 ** (1.0 / f.domain.n)
-    for c, m in f.terms:
+    g = 1.0 if f.domain.kind == TRIANGLE else 2.0 ** (1.0 / f.domain.n)  # l_j = pi / g^j
+    for c, m in _product_qns(f):
         try:
-            freqs = tuple(map(float, m)) if triangle else tuple(g**j * mj for j, mj in enumerate(m))
+            freqs = tuple(g**j * mj for j, mj in enumerate(m))
         except OverflowError:  # an int past the float range
             freqs = (math.inf,)
         if math.inf in freqs:
             raise DomainError(f"the frequencies of {m} pass the float range of the evaluation")
         out.append((c, freqs))
-        if triangle:  # the term with x and y swapped
-            out.append((c if f.domain.bc == NEUMANN else -c, freqs[::-1]))
     return out
 
 
-def _trig(f: Combo):
+def trig(f: Combo):
+    """The factor of every axis: cos under Neumann, sin under Dirichlet."""
     return np.cos if f.domain.bc == NEUMANN else np.sin
 
 
@@ -97,24 +108,24 @@ def eval_at(f: Combo, p: tuple[float, ...]) -> float:
 
 def eval_points(f: Combo, pts: np.ndarray) -> np.ndarray:
     """Vectorised evaluation at an (N, dim) array of points."""
-    trig = _trig(f)
+    wave = trig(f)
     total = np.zeros(len(pts))
     for c, freqs in product_terms(f):
         term = np.full(len(pts), c)
         for j, w in enumerate(freqs):
-            term *= trig(w * pts[:, j])
+            term *= wave(w * pts[:, j])
         total += term
     return total
 
 
 def eval_on_axes(f: Combo, axes: tuple[np.ndarray, ...]) -> np.ndarray:
     """Evaluate on the tensor grid axes[0] x axes[1] x ...; no domain mask."""
-    trig = _trig(f)
+    wave = trig(f)
     total = np.zeros(tuple(len(a) for a in axes))
     for c, freqs in product_terms(f):
         # ((c * v0) * v1) * ... element by element, as a broadcast product
         # would round it, without a full array of c to start from
-        v0, *rest = (trig(w * ax) for w, ax in zip(freqs, axes))
+        v0, *rest = (wave(w * ax) for w, ax in zip(freqs, axes))
         total += functools.reduce(np.multiply.outer, rest, c * v0)
     return total
 
@@ -125,14 +136,8 @@ def normalised_terms(f: Combo) -> dict[QN, float]:
     triangle, t_j = x_j / l_j on the box (so k is the box quantum number).
     Terms that cancel are dropped."""
     out: dict[QN, float] = {}
-    for c, m in f.terms:
-        if f.domain.kind == TRIANGLE:
-            swapped = -c if f.domain.bc == DIRICHLET else c
-            pairs = ((m, c), (m[::-1], swapped))
-        else:
-            pairs = ((m, c),)
-        for k, w in pairs:
-            out[k] = out.get(k, 0.0) + w
+    for c, k in _product_qns(f):
+        out[k] = out.get(k, 0.0) + c
     return {k: c for k, c in out.items() if c != 0.0}
 
 
@@ -170,11 +175,10 @@ def unfold_fn(f: Combo) -> Combo:
 
 
 def fold_fn(f: Combo) -> Combo:
-    """Folded combo; requires an even eigenvalue."""
+    """Folded combo; requires an even eigenvalue, whose parity is each
+    member's lattice parity: folding.fold_qn names an odd member."""
     if f.domain.bc != NEUMANN:
         raise DomainError("function folding is defined for the Neumann problem")
-    if algebra.parity(f.value) == "odd":
-        raise FoldParityError(f"eigenvalue {f.value.text()} is odd; cannot fold")
     return combo(f.domain, [(c, folding.fold_qn(f.domain, m)) for c, m in f.terms])
 
 

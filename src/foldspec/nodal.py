@@ -4,11 +4,13 @@ The closed-form counts cover box basis functions and the two Neumann triangle
 shapes with straight nodal lines, (a, a) and every (a, 0); the grid oracle counts
 everything from samples on an irrationally offset grid and certifies the
 count by agreement under one resolution doubling.  A box basis function is
-a product of one factor per axis, so the oracle counts the runs of one
-strict sign on each sampled axis and multiplies them; it never reads the
-quantum number, and it samples every axis of a batch from one index column.  Box combos of several terms are refused.  A triangle combo
-is sampled on the full grid, and two same-sign orthogonal neighbors are
-joined only where f is proven to keep that sign on the segment between them:
+a product of one factor per axis (eigenfn.trig), so the oracle counts the
+runs of one strict sign on each sampled axis and multiplies them; it never
+reads the quantum number or the eigenvalue, and it samples every axis of a
+batch from one index column.  Box combos of several terms are refused.  A
+triangle combo is sampled on the full grid, and two same-sign orthogonal
+neighbors are joined only where f is proven to keep that sign on the
+segment between them:
 by the interpolation-error bound of its second derivative along the
 segment, bisecting where that bound does not suffice.  So no join bridges
 two nodal domains; what the grid can still miss is a neck of one domain
@@ -34,7 +36,7 @@ import numpy as np
 from . import algebra, folding
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn
-from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms, symmetry_check
+from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms, symmetry_check, trig
 from .errors import DivisibilityError, DomainError, GridInstabilityError
 from .qlattice import QN
 from .spectrum import SpectrumIndex, odd_core
@@ -458,8 +460,7 @@ def _grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -> list[in
     # differ in one factor only, so the components of {f > 0} and {f < 0} are
     # the products of the sign runs on each axis
     x, starts = _box_phases(f, resolutions)
-    trig = np.cos if f.domain.bc == NEUMANN else np.sin
-    s = np.sign(trig(x, out=x), out=x)
+    s = np.sign(trig(f)(x, out=x), out=x)
     runs = _sign_runs(s, starts).reshape(len(resolutions), -1)
     return [math.prod(r) for r in runs.tolist()]
 

@@ -313,6 +313,8 @@ def _open_pairs(srt: np.ndarray) -> np.ndarray:
     only on the rows where that is below 2^63, that is max|d_j| * r below
     2^(62-p) = 2^22, and every other row stays open.
     """
+    if len(srt) < 2:  # no pair, and no F_j to compute
+        return np.empty(0, dtype=np.intp)
     r = srt.shape[1]
     d = srt[1:] - srt[:-1]
     size = np.abs(d)

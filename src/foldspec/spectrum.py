@@ -249,15 +249,8 @@ def rect_multiplicity(z: int) -> int:
     """Multiplicity of z in the Neumann rectangle spectrum: #{(a,b) >= 0 : a^2 + 2b^2 = z}."""
     if z < 0:
         return 0
-    count = 0
-    b = 0
-    while 2 * b * b <= z:
-        rest = z - 2 * b * b
-        a = math.isqrt(rest)
-        if a * a == rest:
-            count += 1
-        b += 1
-    return count
+    rests = (z - 2 * b * b for b in range(math.isqrt(z // 2) + 1))
+    return sum(math.isqrt(rest) ** 2 == rest for rest in rests)
 
 
 def multiplicity_by_factorization(n: int, v: AlgebraicValue) -> int:

@@ -14,6 +14,8 @@ from .folding import KFrame
 _HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _POS_FILL = "#d95f02"
 _NEG_FILL = "#7570b3"
+# cells of a nodal pattern along the first axis
+RESOLUTION = 200
 
 
 def _svg(width: float, height: float, body: list[str]) -> str:
@@ -77,14 +79,14 @@ def frame_svg(frame: KFrame) -> str:
     return _svg(width, height, body)
 
 
-def nodal_svg(f: Combo, resolution: int = 200) -> str:
+def nodal_svg(f: Combo) -> str:
     """Sign pattern of a planar eigenfunction, one colour per sign."""
     domain = f.domain
     if domain.coords != 2:
         raise DomainError("nodal SVG output covers planar domains only")
     lengths = domain.edge_lengths()
-    nx = resolution
-    ny = max(8, int(round(resolution * lengths[1] / lengths[0])))
+    nx = RESOLUTION
+    ny = max(8, int(round(RESOLUTION * lengths[1] / lengths[0])))
     hx, hy = lengths[0] / nx, lengths[1] / ny
     ax = (np.arange(nx) + 0.5) * hx
     ay = (np.arange(ny) + 0.5) * hy

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import time
 from pathlib import Path
 
@@ -24,6 +25,18 @@ def run_cli(capsys, argv: list[str]) -> tuple[int, str]:
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def refusal(capsys, argv: list[str]) -> str:
+    """The one stderr line of a refused invocation: exit status 1, one line
+    that starts with "error:", and nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1, argv
+    assert captured.out == "", argv
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
 
 
 def test_spectrum_json(capsys):
@@ -191,10 +204,10 @@ def test_selftest_single_criterion(capsys):
 
 
 def test_selftest_unknown_id_names_the_valid_ids(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["selftest", "--only", "9", "99"])
-    assert exc.value.code == "unknown criterion id 99; valid ids: 1, 2, 3, 4, 5, 6, 7, 8, 9"
-    assert capsys.readouterr().out == ""  # no criterion ran
+    # refused before any criterion runs, so stdout stays empty
+    for only in (["9", "99"], ["0"]):
+        err = refusal(capsys, ["selftest", "--only", *only])
+        assert err == f"error: unknown criterion id {only[-1]}; valid ids: 1, 2, 3, 4, 5, 6, 7, 8, 9"
 
 
 def test_selftest_only_needs_an_id(capsys):
@@ -224,14 +237,39 @@ def test_bad_flags_exit_2():
     assert exc.value.code == 2
 
 
-def test_bad_eigenvalue_exits_cleanly():
-    with pytest.raises(SystemExit, match="invalid eigenvalue '1,x'"):
-        main(["deficiency", "--domain", "box", "--lambda", "1,x"])
+def test_bad_eigenvalue_exits_cleanly(capsys):
+    err = refusal(capsys, ["deficiency", "--domain", "box", "--lambda", "1,x"])
+    assert err == "error: invalid eigenvalue '1,x'; expected like 12 or 1,0"
 
 
-def test_point_with_zero_denominator_exits_cleanly():
-    with pytest.raises(SystemExit, match="invalid point 'pi/0,0'"):
-        main(["eval", "--domain", "triangle", "--qn", "2,1", "--at", "pi/0,0"])
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["deficiency", "--domain", "triangle", "--lambda", "2.5"],
+         "invalid eigenvalue '2.5'; expected like 12 or 1,0"),
+        (["spectrum", "--domain", "triangle", "--cutoff", "nan"],
+         "invalid cutoff 'nan': Invalid literal for Fraction: 'nan'"),
+        (["nodal", "--domain", "triangle", "--qn", "2;1"],
+         "invalid quantum number '2;1'; expected like 2,1"),
+    ],
+    ids=["fractional-lambda", "nan-cutoff", "qn"],
+)
+def test_bad_arguments_are_refused_on_one_error_line(capsys, argv, message):
+    assert refusal(capsys, argv) == f"error: {message}"
+
+
+def test_point_with_zero_denominator_exits_cleanly(capsys):
+    err = refusal(capsys, ["eval", "--domain", "triangle", "--qn", "2,1", "--at", "pi/0,0"])
+    assert err.startswith("error: invalid point 'pi/0,0'")
+
+
+@pytest.mark.parametrize("command", ["nodal", "checksym", "checkframe"])
+def test_a_value_past_the_int_to_str_limit_is_refused(capsys, command):
+    # (10^3000 - 1)^2 + 1 has 6000 digits, over Python's default of 4300
+    nines = "9" * 3000
+    err = refusal(capsys, [command, "--domain", "triangle", "--qn", f"{nines},1"])
+    limit = sys.get_int_max_str_digits()
+    assert err == f"error: a coefficient passes Python's {limit}-digit int-to-str limit"
 
 
 @pytest.mark.parametrize(
@@ -246,9 +284,9 @@ def test_documented_coordinates_parse(text, value):
 
 
 @pytest.mark.parametrize("at", ["pipi,0", "pi2,0", "pi/pi,0", "1/2,0", "2pipi/3,0", "pi/,0", "x,0"])
-def test_malformed_coordinates_exit_cleanly(at):
-    with pytest.raises(SystemExit, match=f"invalid point '{at}'"):
-        main(["eval", "--domain", "triangle", "--qn", "1,0", "--at", at])
+def test_malformed_coordinates_exit_cleanly(capsys, at):
+    err = refusal(capsys, ["eval", "--domain", "triangle", "--qn", "1,0", "--at", at])
+    assert err == f"error: invalid point '{at}'; expected like 1.2,0.5 or pi/2,0"
 
 
 @pytest.mark.parametrize(

@@ -14,8 +14,8 @@ from sampled_oracle import (
     sampled_vanishing,
 )
 
-from foldspec import algebra, eigenfn, folding, spectrum
-from foldspec.domains import DIRICHLET, NEUMANN, box, is_valid_qn, triangle
+from foldspec import algebra, eigenfn, folding, nodal, spectrum
+from foldspec.domains import DIRICHLET, NEUMANN, box, eigenvalue, is_valid_qn, triangle
 from foldspec.errors import DomainError, FoldParityError
 from foldspec.folding import KFrame
 
@@ -65,8 +65,13 @@ def test_eval_at_matches_the_math_module(kind, cutoff, bc):
 
 
 def test_combo_requires_shared_eigenvalue():
-    with pytest.raises(DomainError):
+    with pytest.raises(
+        DomainError,
+        match=r"^terms do not share one eigenvalue: \(\(1\.0, \(1, 0\)\), \(1\.0, \(1, 1\)\)\)$",
+    ):
         eigenfn.combo(triangle(), [(1.0, (1, 0)), (1.0, (1, 1))])
+    with pytest.raises(DomainError, match=r"^terms do not share one eigenvalue: "):
+        eigenfn.combo(box(3), [(1.0, (2, 0, 0)), (-2.0, (0, 2, 0)), (1.0, (2, 0, 0))])
     with pytest.raises(DomainError):
         eigenfn.combo(triangle(), [(0.0, (1, 0))])
     # (5, 0) and (4, 3) share the eigenvalue 25
@@ -104,8 +109,32 @@ def test_unfold_examples():
 
 
 def test_fold_odd_eigenvalue_rejected():
-    with pytest.raises(FoldParityError):
+    # the odd eigenvalue is refused by the lattice parity of its member
+    with pytest.raises(FoldParityError, match=r"^\(2, 1\) has odd parity and cannot be folded$"):
         eigenfn.fold_fn(eigenfn.basis_fn(triangle(), (2, 1)))
+    with pytest.raises(FoldParityError, match=r"^\(1, 0\) has odd first entry and cannot be folded$"):
+        eigenfn.fold_fn(eigenfn.basis_fn(box(2), (1, 0)))
+
+
+def test_basis_functions_and_their_grid_counts_build_no_eigenvalue(monkeypatch):
+    calls = []
+    real = algebra.from_quantum_number
+    monkeypatch.setattr(algebra, "from_quantum_number", lambda n, m: calls.append(m) or real(n, m))
+    for dom, m in ((triangle(), (3, 1)), (triangle(), (2, 1)), (box(2), (6, 8)), (box(3), (1, 2, 0))):
+        nodal.count_grid(eigenfn.basis_fn(dom, m))
+    assert calls == []
+
+
+@pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET])
+@pytest.mark.parametrize("n,cutoff", [(2, 200), (3, 60), (0, 400)], ids=["box2", "box3", "triangle"])
+def test_combo_value_is_the_eigenvalue_of_every_member(n, cutoff, bc):
+    # n = 0 stands for the triangle
+    dom = triangle(bc) if n == 0 else box(n, bc)
+    for lv in spectrum.build_index(dom, cutoff).levels:
+        for m in lv.members:
+            assert eigenfn.basis_fn(dom, m).value == eigenvalue(dom, m) == lv.value, m
+        terms = [(1.0 + i, m) for i, m in enumerate(lv.members)]
+        assert eigenfn.combo(dom, terms).value == lv.value
 
 
 def test_unfolded_functions_are_even():

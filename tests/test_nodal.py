@@ -196,6 +196,22 @@ def test_triangle_counts_agree_across_resolutions():
         assert len(counts) == 1, (lv.members[0], counts)
 
 
+@pytest.mark.parametrize("dom", [triangle(), box(2), box(3)], ids=lambda d: d.label())
+def test_criterion_5_counts_equal_the_grid_counts(dom):
+    # criterion 5 reads nu by count_auto, a closed form on every box level
+    # and on the triangle's (a, a) and (a, 0); the grid stays its oracle
+    methods = []
+    for lv in spectrum.build_index(dom, 200).levels:
+        if lv.multiplicity != 1 or lv.value.is_zero():
+            continue
+        m = lv.members[0]
+        auto = nodal.count_auto(dom, m)
+        assert auto.count == nodal.count_grid(eigenfn.basis_fn(dom, m)).count, m
+        methods.append(auto.method)
+    assert "formula" in methods
+    assert dom.kind == "triangle" or set(methods) == {"formula"}
+
+
 def test_triangle_deficiency_band_counts_without_refusal():
     # 403 is the top of the triangle cutoffs of the nodal-deficiency benchmark
     si, levels = _simple_triangle_levels(403)

@@ -619,6 +619,16 @@ def test_wide_box_columns_are_refused_before_they_are_allocated(monkeypatch):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_a_wide_box_with_one_level_orders_no_pair():
+    # one level leaves no adjacent pair, so the 2500 scaled basis
+    # powers of box5000 are never computed
+    t0 = time.perf_counter()
+    region = qlattice.enumerate_below(box(5000), 1)
+    assert time.perf_counter() - t0 < 2.0
+    assert region.points == ((0,) * 5000,)
+    assert region.coeffs.tolist() == [[0] * 2500]
+
+
 @pytest.mark.parametrize(
     "dom,cutoff,points",
     [(box(6), 200, 198085), (box(8), 40, 20394), (triangle(), 10**6, 393544), (box(1600), 2, 801)],
