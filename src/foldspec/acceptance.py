@@ -135,7 +135,7 @@ def criterion_multiplicity_arithmetic() -> CriterionResult:
     for n in (2, 4):
         si = spectrum.build_index(box(n), 200)
         for lv in si.levels:
-            by_fact = spectrum.multiplicity_by_factorization(n, lv.value)
+            by_fact = spectrum.multiplicity_by_factorization(lv.value)
             if by_fact != lv.multiplicity:
                 return _fail(
                     f"n={n} {lv.value.text()}: factorization {by_fact} != "
@@ -198,14 +198,15 @@ def criterion_frame_vanishing() -> CriterionResult:
         si = spectrum.build_index(dom, 120)
         levels = [np.array(lv.members) for lv in si.levels if algebra.parity(lv.value) == "odd"]
         for k in range(5):
-            frame = folding.build_frame(dom, k)
             for rows in levels:
-                unfolded = [(1.0, tuple(m)) for m in rows.tolist()]
-                failing = eigenfn.frame_vanishing(eigenfn.combo(dom, unfolded), frame)
+                f = eigenfn.combo(dom, [(1.0, tuple(m)) for m in rows.tolist()])
+                if spectrum.odd_core(f.value).k != k:
+                    return _fail(f"{dom.label()} {f.value.text()}: unfolding {k} is not of depth {k}")
+                failing = eigenfn.frame_vanishing(f)
                 if failing is not None:
                     m, facet = failing
                     return _fail(f"{dom.label()} {m} k={k}: does not vanish on {facet}")
-                members += len(unfolded)
+                members += len(rows)
             levels = [folding.unfold_rows(dom, rows) for rows in levels]
     return _ok(
         f"{members} unfolded members of the odd levels below 120, k=0..4, "

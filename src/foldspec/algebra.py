@@ -159,16 +159,11 @@ def from_quantum_number(n: int, m: tuple[int, ...]) -> AlgebraicValue:
     """
     if any(not isinstance(e, int) or e < 0 for e in m):
         raise DomainError(f"quantum number entries must be nonnegative integers: {m}")
-    if n == 1:
-        if len(m) != 2:
-            raise DomainError("triangle quantum numbers are pairs")
-        return AlgebraicValue(1, (m[0] ** 2 + m[1] ** 2,))
-    if len(m) != n:
+    if n == 1 and len(m) != 2:
+        raise DomainError("triangle quantum numbers are pairs")
+    if n != 1 and len(m) != n:
         raise DomainError(f"expected {n} entries, got {len(m)}")
-    coeffs = [0] * basis_len(n)
-    for mj, (q, rem) in zip(m, _axis_slots(n)):
-        coeffs[rem] += (mj * mj) << q
-    return AlgebraicValue(n, tuple(coeffs))
+    return AlgebraicValue(n, tuple(coefficient_rows(n, np.array([m], dtype=object))[0].tolist()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -180,12 +175,13 @@ def _axis_slots(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def coefficient_rows(n: int, pts: np.ndarray) -> np.ndarray:
-    """from_quantum_number over an int64 array of quantum numbers, one
-    coefficient row per point; entries must stay below 2^62."""
+    """The eigenvalue coefficients of each row of a 2-d array of quantum
+    numbers, one coefficient row per point, in the array's dtype: object
+    rows of Python ints are exact, int64 entries must stay below 2^62."""
     sq = pts * pts
     if n == 1:
         return sq.sum(axis=1, keepdims=True)
-    rows = np.zeros((len(pts), basis_len(n)), dtype=np.int64)
+    rows = np.zeros((len(pts), basis_len(n)), dtype=pts.dtype)
     for j, (q, rem) in enumerate(_axis_slots(n)):
         rows[:, rem] += sq[:, j] << q
     return rows

@@ -441,14 +441,14 @@ def _cmd_checksym(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkframe(args: argparse.Namespace) -> int:
-    from . import eigenfn, folding
+    from . import eigenfn
 
     domain, qn = _parse_domain(args), _parse_qn(args.qn)
     f = eigenfn.basis_fn(domain, qn)
-    oc = spectrum.odd_core(f.value)
-    failing = eigenfn.frame_vanishing(f, folding.build_frame(domain, oc.k))
+    failing = eigenfn.frame_vanishing(f)
     result = {
-        "qn": list(qn), "eigenvalue": f.value.text(), "k": oc.k, "vanishes": failing is None,
+        "qn": list(qn), "eigenvalue": f.value.text(), "k": spectrum.odd_core(f.value).k,
+        "vanishes": failing is None,
         "failing_facet": None if failing is None else _facet_json(failing[1]),
     }
     _emit(args, _json(result))

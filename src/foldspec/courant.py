@@ -163,7 +163,7 @@ def classify_index(si: SpectrumIndex) -> VerdictTable:
         sharp=np.zeros(levels, dtype=bool),
         reason=np.empty(levels, dtype=object),
         nu=np.full(levels, -1, dtype=np.int64),
-        points=np.zeros((levels, 2, domain.coords), dtype=np.int64),
+        points=np.zeros((levels, 2, domain.n), dtype=np.int64),
     )
     zero = ~region.coeffs.any(axis=1)
     t.reason[zero] = GROUND_STATE

@@ -45,10 +45,6 @@ class Domain:
         """Ring dimension tag for AlgebraicValue (1 = integers)."""
         return 1 if self.kind == TRIANGLE else self.n
 
-    @property
-    def coords(self) -> int:
-        return self.n
-
     def edge_lengths(self) -> tuple[float, ...]:
         if self.kind == TRIANGLE:
             return (math.pi, math.pi)
@@ -69,7 +65,7 @@ def box(n: int, bc: str = NEUMANN) -> Domain:
 
 
 def is_valid_qn(domain: Domain, m: tuple[int, ...]) -> bool:
-    if len(m) != domain.coords or any(not isinstance(e, int) for e in m):
+    if len(m) != domain.n or any(not isinstance(e, int) for e in m):
         return False
     if domain.kind == TRIANGLE:
         if domain.bc == NEUMANN:
@@ -99,10 +95,10 @@ def qn_parity(domain: Domain, m: tuple[int, ...]) -> str:
 
 def check_point(domain: Domain, p: tuple[float, ...]) -> None:
     """Refuse a point of the wrong arity or outside the closed domain (to 1e-9)."""
-    if len(p) != domain.coords:
+    if len(p) != domain.n:
         raise DomainError(
             f"point {p} has {len(p)} coordinates; the {domain.label()} domain "
-            f"takes {domain.coords}"
+            f"takes {domain.n}"
         )
     tol = 1e-9
     if domain.kind == TRIANGLE:

@@ -28,7 +28,7 @@ from . import folding
 from .algebra import AlgebraicValue
 from .domains import NEUMANN, TRIANGLE, Domain, check_point, check_qn, eigenvalue
 from .errors import DomainError
-from .folding import KFrame, Segment, Slab
+from .folding import Segment, Slab
 from .qlattice import QN
 from .spectrum import odd_core
 
@@ -212,20 +212,14 @@ def vanishes_on(domain: Domain, m: QN, facet: Segment | Slab) -> bool:
     return all(_odd(2 * w * c) for w in freqs)
 
 
-def frame_vanishing(f: Combo, frame: KFrame) -> tuple[QN, Segment | Slab] | None:
+def frame_vanishing(f: Combo) -> tuple[QN, Segment | Slab] | None:
     """The first (member, facet) of f where the member does not vanish, or
-    None when every member vanishes on every facet of the frame, and then f
-    with them by linearity.  Exact (see vanishes_on); Neumann only, and the
-    eigenvalue's unfolding depth must equal the frame index."""
+    None when every member vanishes on every facet of the k-frame, k the
+    unfolding depth of f's eigenvalue, and then f with them by linearity.
+    Exact (see vanishes_on); Neumann only."""
     if f.domain.bc != NEUMANN:
         raise DomainError("frame vanishing is defined for the Neumann problem")
-    if f.domain.kind != frame.domain.kind or f.domain.n != frame.domain.n:
-        raise DomainError("frame and combo domains differ")
-    if odd_core(f.value).k != frame.k:
-        raise DomainError(
-            f"eigenvalue {f.value.text()} has unfolding depth "
-            f"{odd_core(f.value).k}, frame is k={frame.k}"
-        )
+    frame = folding.build_frame(f.domain, odd_core(f.value).k)
     for _, m in f.terms:
         for facet in frame.facets:
             if not vanishes_on(f.domain, m, facet):

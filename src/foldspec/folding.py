@@ -20,7 +20,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .domains import TRIANGLE, Domain
+from .domains import TRIANGLE, Domain, triangle
 from .errors import DomainError, FoldParityError
 from .qlattice import QN
 
@@ -106,10 +106,13 @@ class KFrame:
     facets: tuple
 
 
-# Memory budget of one frame or partition count, checked before anything is
-# built: a facet costs about 1 KiB of Python objects in build_frame
-# (measured: 300 B per box slab, 470 B per triangle segment, with the frame
-# arrays still alive); a partition count costs three times its answer.
+# Memory budget of one frame, partition count or boundary word count, checked
+# before anything is built: a facet costs about 1 KiB of Python objects in
+# build_frame (measured: 300 B per box slab, 470 B per triangle segment, with
+# the frame arrays still alive); a partition count costs three times its
+# answer; a boundary piece costs about 256 B at the last step of
+# boundary_word_counts (tracemalloc peak: 188 B per piece at k = 28, 208 B at
+# k = 29, with the union-find, the labels and the side words alive).
 FRAME_BUDGET = 256 << 20
 
 
@@ -168,19 +171,12 @@ def build_frame(domain: Domain, k: int) -> KFrame:
             for ax, ay, bx, by in rows.tolist()
         )
         return KFrame(domain, k, segs)
-    # box: hyperplanes cycle through the axes; wrapping from the last axis to
-    # the first splits each plane in two
-    slabs = [Slab(0, Fraction(1, 2))]
-    for _ in range(k):
-        nxt = []
-        for s in slabs:
-            if s.axis < domain.n - 1:
-                nxt.append(Slab(s.axis + 1, s.frac))
-            else:
-                nxt.append(Slab(0, s.frac / 2))
-                nxt.append(Slab(0, 1 - s.frac / 2))
-        slabs = nxt
-    return KFrame(domain, k, tuple(slabs))
+    # box: a step moves every plane to the next axis, and each of the k // n
+    # wraps to the first axis splits a plane at f into f/2 and 1 - f/2
+    fracs = [Fraction(1, 2)]
+    for _ in range(k // domain.n):
+        fracs = [g for f in fracs for g in (f / 2, 1 - f / 2)]
+    return KFrame(domain, k, tuple(Slab(k % domain.n, f) for f in fracs))
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +235,16 @@ def boundary_word_counts(k: int) -> list[int]:
     also meets BC_k, is merged across the copies.  So M(k+1) = 2 M(k) -
     |BC_k|, |BC_k| = 2^floor((k-1)/2) + 1 (k >= 1), and partition_count's
     closed form follows.  This count trusts neither invariant, and its
-    union-find holds only the pieces on the boundary.
+    union-find holds only the pieces on the boundary: after step k there
+    are 2^(k/2 + 1) of them for even k and 3 * 2^((k-1)/2) for odd k, the
+    size checked against FRAME_BUDGET before the first step.
     """
+    k = _frame_index(k)
+    _check_budget(triangle(), k, "boundary word count", 256 * ((2 + k % 2) << (k // 2)))
     counts = [2]
     ab, bc, ca = [0], [1], [1, 0]  # P = 0, Q = 1
     n = 2  # boundary pieces, labelled 0 .. n-1
-    for _ in range(_frame_index(k)):
+    for _ in range(k):
         # node p is piece p in copy 1, node n + p the same piece in copy 2
         parent = list(range(2 * n))
 

@@ -102,13 +102,13 @@ class LatticeRegion:
     def __len__(self) -> int:
         return len(self.members)
 
-    def select(self, keep: np.ndarray, cutoff: Cutoff) -> LatticeRegion:
-        """The levels where the boolean mask keep holds, as a region below
+    def select(self, keep: np.ndarray) -> LatticeRegion:
+        """The levels where the boolean mask keep holds, below the same
         cutoff."""
         sizes = np.diff(self.offsets)
         offsets = np.concatenate([[0], np.cumsum(sizes[keep])])
         return LatticeRegion(
-            self.domain, cutoff, self.coeffs[keep], offsets,
+            self.domain, self.cutoff, self.coeffs[keep], offsets,
             self.members[np.repeat(keep, sizes)],
         )
 
@@ -141,7 +141,7 @@ def _float_cutoff(domain: Domain, cutoff: Cutoff) -> tuple[float, float]:
     """
     if isinstance(cutoff, float) and not math.isfinite(cutoff):
         raise DomainError("cutoff must be finite")
-    n = domain.coords
+    n = domain.n
     r = algebra.basis_len(domain.ring)
     try:
         if isinstance(cutoff, AlgebraicValue):

@@ -144,7 +144,7 @@ class SpectrumIndex:
         its right neighbour (len(self) if none); its parity is coeffs[:, 0] % 2."""
         n, r = len(self), self.region
         level = np.repeat(np.arange(n), self.multiplicities)
-        right = r.members + (np.arange(self.domain.coords) == 0)  # m + e_0
+        right = r.members + (np.arange(self.domain.n) == 0)  # m + e_0
         after = self.level_indices(algebra.coefficient_rows(self._ring, right))
         odd = r.coeffs[level, 0] % 2
         steps = np.bincount(2 * level + odd, minlength=2 * n + 2)
@@ -175,7 +175,7 @@ def build_dnn_index(cutoff: Cutoff) -> SpectrumIndex:
     level is odd exactly when its members have m - n odd, as
     m - n = m^2 + n^2 mod 2)."""
     region = enumerate_below(triangle(NEUMANN), cutoff)
-    return SpectrumIndex(region.select(region.coeffs[:, 0] % 2 == 1, cutoff))
+    return SpectrumIndex(region.select(region.coeffs[:, 0] % 2 == 1))
 
 
 def odd_core(value: AlgebraicValue) -> OddCore:
@@ -253,13 +253,11 @@ def rect_multiplicity(z: int) -> int:
     return sum(math.isqrt(rest) ** 2 == rest for rest in rests)
 
 
-def multiplicity_by_factorization(n: int, v: AlgebraicValue) -> int:
-    """Multiplicity of a box eigenvalue (even n) as a product of rectangle
-    multiplicities of its basis coefficients."""
-    if n < 2 or n % 2:
+def multiplicity_by_factorization(v: AlgebraicValue) -> int:
+    """Multiplicity of a box eigenvalue (even ring dimension v.n) as a
+    product of rectangle multiplicities of its basis coefficients."""
+    if v.n < 2 or v.n % 2:
         raise DomainError("factorization needs even box dimension")
-    if v.n != n:
-        raise DomainError(f"value lives in ring n={v.n}, expected {n}")
     product = 1
     for z in v.coeffs:
         d = rect_multiplicity(z)

@@ -82,7 +82,7 @@ def frame_svg(frame: KFrame) -> str:
 def nodal_svg(f: Combo) -> str:
     """Sign pattern of a planar eigenfunction, one colour per sign."""
     domain = f.domain
-    if domain.coords != 2:
+    if domain.n != 2:
         raise DomainError("nodal SVG output covers planar domains only")
     lengths = domain.edge_lengths()
     nx = RESOLUTION

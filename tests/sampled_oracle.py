@@ -48,7 +48,7 @@ def sup_estimate(f: eigenfn.Combo) -> float:
 
 def sample_interior(domain: Domain, count: int, seed: int = 0) -> np.ndarray:
     """count interior points, deterministic for a given seed."""
-    u = kronecker(count, domain.coords, seed)
+    u = kronecker(count, domain.n, seed)
     if domain.kind == TRIANGLE:
         x = np.maximum(u[:, 0], u[:, 1]) * math.pi
         y = np.minimum(u[:, 0], u[:, 1]) * math.pi

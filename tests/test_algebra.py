@@ -7,6 +7,7 @@ import types
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -40,6 +41,32 @@ def test_rectangle_value_is_integer():
 def test_from_quantum_number_rejects_negatives():
     with pytest.raises(DomainError):
         algebra.from_quantum_number(2, (-1, 0))
+
+
+def slot_loop(n: int, m: tuple[int, ...]) -> tuple[int, ...]:
+    """The coefficients of m's eigenvalue in Python ints, one axis at a time:
+    gamma^(2j) = 2^q * t^rem adds m_j^2 << q to coefficient rem."""
+    if n == 1:
+        return (m[0] ** 2 + m[1] ** 2,)
+    r = algebra.basis_len(n)
+    coeffs = [0] * r
+    for j, mj in enumerate(m):
+        q, rem = divmod(2 * j if n % 2 else j, r)
+        coeffs[rem] += (mj * mj) << q
+    return tuple(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_from_quantum_number_matches_the_slot_loop(n, data):
+    size = 2 if n == 1 else n
+    m = tuple(data.draw(st.lists(st.integers(0, 2**100), min_size=size, max_size=size)))
+    v = algebra.from_quantum_number(n, m)
+    assert v.coeffs == slot_loop(n, m) and all(type(c) is int for c in v.coeffs)
+    # on int64 rows too: squares below 2^40, shifted at most once, stay below 2^62
+    small = tuple(e % 2**20 for e in m)
+    rows = algebra.coefficient_rows(n, np.array([small], dtype=np.int64))
+    assert rows.dtype == np.int64 and tuple(rows[0].tolist()) == slot_loop(n, small)
 
 
 def test_scale_gamma2():

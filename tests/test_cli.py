@@ -606,6 +606,43 @@ def test_nodal_svg_bytes_are_pinned(tmp_path: Path, capsys, argv, digest):
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
+# sha256 of stdout, recorded before frame_vanishing built the frame of its own
+# depth and the box frame was built by wraps alone
+PINNED_FRAME_OUTPUTS = [
+    (["checkframe", "--domain", "triangle", "--qn", "2,2"],
+     "2710fcd6a81be9f0a7a90dc52113fe1cafee521421b028922988f02973609224"),
+    (["checkframe", "--domain", "triangle", "--qn", "2,1"],
+     "b53849d45360b7f4d9ded11a334b708811db78b782bb031650769bc484f72a2e"),
+    (["checkframe", "--domain", "triangle", "--qn", "3,1"],
+     "70514aa6a536319646c212929f4945de6a5b4651aa366718a54c0b9fcf249a71"),
+    (["checkframe", "--domain", "box", "--dim", "3", "--qn", "2,1,1"],
+     "e3e83839d340a44bc18012b56106758284bed23594c59df62a99f7ab26e4d818"),
+    (["checkframe", "--domain", "box", "--dim", "8", "--qn", "1,0,0,0,0,0,0,0"],
+     "ca3230c0c6022d3215c007663bea77208c85aca6e247989ac012f2431b2bd975"),
+    (["frame", "--domain", "box", "--dim", "3", "--k", "7", "--json"],
+     "d591b7f9c7839417320edb1afbf69f69397e0103195295a11547155d10bf43a4"),
+    (["frame", "--domain", "box", "--dim", "2", "--k", "9", "--json"],
+     "bee369cbb76ad2505c7f8feafbda3dfb8eee4fcd26fe5ff4af7919c41ded1d31"),
+    (["frame", "--domain", "triangle", "--k", "3", "--json"],
+     "67d487523ea69b3e2dd7528174607579e90ed55b67ff249011da19c8e279af14"),
+    (["checksym", "--domain", "box", "--dim", "3", "--qn", "3,1,2"],
+     "d09cd2a3539ce79188d1d827d7cedd1e9f7b436b64ae6d8b99c62667fd5ad7ef"),
+    (["nodal", "--domain", "box", "--dim", "3", "--qn", "3,1,2"],
+     "d634d0298a8d5b0069c474f8df728b26dd8d802f11a25d57a16a5817a02e65ba"),
+    (["eval", "--domain", "box", "--dim", "3", "--qn", "3,1,2", "--at", "1,1,1"],
+     "0f5c59653731aaa4f7693800e683982af83b883981fea096954cebda328e2717"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_FRAME_OUTPUTS, ids=[" ".join(a) for a, _ in PINNED_FRAME_OUTPUTS]
+)
+def test_frame_and_basis_function_bytes_are_pinned(capsys, argv, digest):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 SPECTRUM_HEADER = "position,value,float,multiplicity,parity,odd_core,k"
 VERDICT_HEADER = "position,value,float,multiplicity,parity,core,k,sharp,reason,nu,witness"
 
@@ -727,7 +764,7 @@ def fake_region(n, rows, counts, seed) -> LatticeRegion:
     coeffs = np.array(rows, dtype=np.int64).reshape(len(rows), algebra.basis_len(n))
     offsets = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
     members = np.random.default_rng(seed).integers(
-        -(2**62), 2**62, size=(int(offsets[-1]), domain.coords)
+        -(2**62), 2**62, size=(int(offsets[-1]), domain.n)
     )
     return LatticeRegion(domain, 0, coeffs, offsets, members)
 
@@ -740,7 +777,7 @@ def fake_table(region, reasons, nus, sharp, seed) -> courant.VerdictTable:
         region, rng.integers(0, 2**62, size=levels), np.diff(region.offsets), core, k,
         np.array(sharp, dtype=bool), np.array(reasons, dtype=object),
         np.array(nus, dtype=np.int64),
-        rng.integers(-(2**62), 2**62, size=(levels, 2, region.domain.coords)),
+        rng.integers(-(2**62), 2**62, size=(levels, 2, region.domain.n)),
     )
 
 

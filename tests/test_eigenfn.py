@@ -155,19 +155,14 @@ def test_frame_vanishing_examples():
     cases = [((2, 2), 3), ((2, 0), 2), ((2, 1), 0)]
     for qn, k in cases:
         f = eigenfn.basis_fn(dom, qn)
-        frame = folding.build_frame(dom, k)
-        assert eigenfn.frame_vanishing(f, frame) is None
-        assert sampled_vanishing(f, frame, samples=2000)
+        assert spectrum.odd_core(f.value).k == k
+        assert eigenfn.frame_vanishing(f) is None
+        assert sampled_vanishing(f, folding.build_frame(dom, k), samples=2000)
 
 
 def test_frame_vanishing_depth_mismatch():
-    f = eigenfn.basis_fn(triangle(), (2, 2))
-    with pytest.raises(DomainError):
-        eigenfn.frame_vanishing(f, folding.build_frame(triangle(), 1))
     with pytest.raises(DomainError, match="Neumann"):
-        eigenfn.frame_vanishing(
-            eigenfn.basis_fn(triangle(DIRICHLET), (2, 1)), folding.build_frame(triangle(), 0)
-        )
+        eigenfn.frame_vanishing(eigenfn.basis_fn(triangle(DIRICHLET), (2, 1)))
 
 
 def test_vanishing_rule_names_each_facet():
@@ -245,7 +240,8 @@ def test_frame_rule_matches_the_oracle_on_every_criterion_6_member():
                         exact = all(eigenfn.vanishes_on(dom, m, s) for s in frame.facets)
                         assert exact == sampled_vanishing(f, frame, samples=2000), (dom, m, frame.k)
                         if frame.k == j:
-                            assert exact and eigenfn.frame_vanishing(f, frame) is None
+                            assert spectrum.odd_core(f.value).k == j
+                            assert exact and eigenfn.frame_vanishing(f) is None
                         pairs += 1
                         vanishing += exact
                     m = folding.unfold_qn(dom, m)
@@ -301,8 +297,7 @@ def test_exact_rules_beyond_the_sampled_dimensions(n):
         flipped = "odd" if algebra.parity(g.value) == "even" else "even"
         assert eigenfn.symmetry_check(g) == flipped
         for k in range(n + 2):
-            frame = folding.build_frame(box(n), spectrum.odd_core(f.value).k)
-            assert frame.k == k and eigenfn.frame_vanishing(f, frame) is None
+            assert spectrum.odd_core(f.value).k == k and eigenfn.frame_vanishing(f) is None
             f = eigenfn.unfold_fn(f)
             assert eigenfn.symmetry_check(f) == "even"
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -226,6 +227,27 @@ def test_frame_facet_counts():
             assert len(frame.facets) == 2 ** (k // n)
             axes = {slab.axis for slab in frame.facets}
             assert axes == {k % n}
+
+
+def slab_recursion(n: int, k: int) -> tuple[folding.Slab, ...]:
+    """The box k-frame step by step: a plane moves to the next axis, and a
+    plane at f on the last axis splits into f/2 and 1 - f/2 on the first."""
+    slabs = [folding.Slab(0, Fraction(1, 2))]
+    for _ in range(k):
+        nxt = []
+        for s in slabs:
+            if s.axis < n - 1:
+                nxt.append(folding.Slab(s.axis + 1, s.frac))
+            else:
+                nxt += [folding.Slab(0, s.frac / 2), folding.Slab(0, 1 - s.frac / 2)]
+        slabs = nxt
+    return tuple(slabs)
+
+
+def test_box_frames_equal_the_per_step_recursion():
+    for n in range(2, 9):
+        for k in range(3 * n + 3):
+            assert folding.build_frame(box(n), k).facets == slab_recursion(n, k), (n, k)
 
 
 def test_frame_zero_is_the_cut():
@@ -569,6 +591,27 @@ def test_partition_count_budget_fails_fast():
     for dom, k in ((triangle(), 60), (box(2), 120)):
         with pytest.raises(DomainError, match="frame .* budget"):
             folding.build_frame(dom, k)
+
+
+def test_boundary_word_count_budget_fails_fast():
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="boundary word count of triangle-neumann k=64 .* budget"):
+        folding.boundary_word_counts(64)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_boundary_word_count_budget_admits_its_limit(monkeypatch):
+    # 256 B per boundary piece: 2^(k/2 + 1) pieces at even k, 3 * 2^((k-1)/2)
+    # at odd k
+    for k, pieces in ((10, 64), (11, 96)):
+        monkeypatch.setattr(folding, "FRAME_BUDGET", 256 * pieces)
+        assert folding.boundary_word_counts(k)[-1] == folding.partition_count(triangle(), k)
+        monkeypatch.setattr(folding, "FRAME_BUDGET", 256 * pieces - 1)
+        with pytest.raises(DomainError, match="budget"):
+            folding.boundary_word_counts(k)
+    # criterion 5 counts to k = 30 under the real budget
+    monkeypatch.undo()
+    assert folding.boundary_word_counts(30)[-1] == folding.partition_count(triangle(), 30)
 
 
 def test_square_subdomain_values():

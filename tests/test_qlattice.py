@@ -485,7 +485,7 @@ def _index_case(draw):
     dom, cutoff = draw(_domain_and_cutoff())
     if draw(st.booleans()):
         # a rational within 1e-14 of a lattice value
-        limit, n = _CUTOFF_LIMITS[dom.label().split("-")[0]], dom.coords
+        limit, n = _CUTOFF_LIMITS[dom.label().split("-")[0]], dom.n
         entries = st.integers(0, math.isqrt(limit // n))
         qn = tuple(draw(st.lists(entries, min_size=n, max_size=n)))
         v = float(algebra.from_quantum_number(dom.ring, qn))
