@@ -8,9 +8,9 @@ a product of one factor per axis (eigenfn.trig), so the oracle counts the
 runs of one strict sign on each sampled axis and multiplies them; it never
 reads the quantum number or the eigenvalue, and it samples every axis of a
 batch from one index column.  Box combos of several terms are refused.  A
-triangle combo is sampled on the full grid, and two same-sign orthogonal
-neighbors are joined only where f is proven to keep that sign on the
-segment between them:
+triangle combo is sampled on the full grid, in one matrix product over
+its product terms, and two same-sign orthogonal neighbors are joined only
+where f is proven to keep that sign on the segment between them:
 by the interpolation-error bound of its second derivative along the
 segment, bisecting where that bound does not suffice.  So no join bridges
 two nodal domains; what the grid can still miss is a neck of one domain
@@ -36,7 +36,7 @@ import numpy as np
 from . import algebra, folding
 from .algebra import AlgebraicValue
 from .domains import DIRICHLET, NEUMANN, TRIANGLE, Domain, check_qn
-from .eigenfn import Combo, basis_fn, eval_on_axes, eval_points, product_terms, symmetry_check, trig
+from .eigenfn import Combo, basis_fn, eval_points, product_terms, symmetry_check, trig
 from .errors import DivisibilityError, DomainError, GridInstabilityError
 from .qlattice import QN
 from .spectrum import SpectrumIndex, odd_core
@@ -72,17 +72,19 @@ _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # batch holds the live intervals of both axes of all its grids together to
 # the budget too, counting _INTERVAL_POINTS points for each.  Peak memory,
 # measured with tracemalloc over the simple triangle levels below 403 at
-# 1024 and 2048 cells: a triangle grid at most 16.2 bytes per point of the
-# n x n grid with or without a cut edge (9.1 when halved), while f is
-# evaluated (the float samples and one product term); its sign plane and
+# 1024 and 2048 cells: a triangle grid at most 12.1 bytes per point of the
+# n x n grid with or without a cut edge, while its signs are taken (the float
+# samples of one matrix product, the inside mask and the two masks of
+# strict signs), and 9.1 when halved, while the mask is (half the samples and
+# the float sums ax + ay of its second test); its sign plane and
 # the plane's int32 labels, which come after the samples are freed, hold
 # about 5.1, halved or not (the negative cells turned into the empty upper
 # half of the n x n plane).  A doubling pair, at 512 and 1024 or 1024 and 2048 cells,
-# at most 16.5 (9.2) per point of its larger grid, whose samples are taken
+# at most 12.4 (9.2) per point of its larger grid, whose samples are taken
 # while the signs of the smaller are live.  A live interval takes about 283
 # bytes and the axes of a box basis function 40 per sample (the samples and
 # their axis's four terms repeated beside them, see _box_phases), so the
-# budget holds peak memory near 0.5, 1.1 and 1.3 GiB.  In the test
+# budget holds peak memory near 0.4, 1.1 and 1.3 GiB.  In the test
 # suite, the largest grid count_grid samples has 4.2e6 points (a triangle at
 # 2048 cells) and its largest batch of axes 885 samples (a box at 64 and
 # 128 cells).
@@ -158,14 +160,22 @@ _BISECT_DEPTH = 32
 
 
 def _rounding_margin(terms) -> float:
-    """Bound on the rounding error of one value of f at a point of [0, pi]^2.
+    """Bound on the rounding error of one value of f at a point of [0, pi]^2,
+    a sum of its T product terms taken in any order, with or without fused
+    multiply-adds (as BLAS may take it, see _grid_samples).
 
-    A term c * trig(wx x) * trig(wy y) is evaluated within a few units in the
-    last place of |c| * (1 + pi (wx + wy)): the phases w x are rounded once,
-    and trig, the products and the sum add a few more roundings.  2^-46 is
-    over a hundred times that.
+    A term c * trig(wx x) * trig(wy y) is evaluated within a few units u =
+    2^-53 in the last place of |c| * (1 + pi (wx + wy)): the phases w x are
+    rounded once, and trig and the products add a few more roundings (a
+    fused multiply-add rounds once where a product and a sum round twice).
+    2^-46 = 128 u is over a hundred times that.  Summing the T terms rounds
+    at most T - 1 partial sums, each at most sum |c| in size since |trig|
+    <= 1, whatever the order; 2^-46 T / 64 = 2 T u per unit of |c| covers
+    those (T - 1) u sum |c|.
     """
-    return 2.0**-46 * sum(abs(c) * (4.0 + math.pi * sum(freqs)) for c, freqs in terms)
+    return 2.0**-46 * sum(
+        abs(c) * (4.0 + len(terms) / 64 + math.pi * sum(freqs)) for c, freqs in terms
+    )
 
 
 def _interval_floor(a, b, k):
@@ -270,6 +280,19 @@ def _triangle_grid_counts(f: Combo, resolutions: tuple[int, ...], halve: bool) -
     return counts
 
 
+def _grid_samples(f: Combo, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+    """f on the grid ax x ay of a triangle, as one matrix product X @ Y over
+    the product terms t: column t of X is c_t trig(wx_t ax) and row t of Y is
+    trig(wy_t ay).  Each sample is written once, and no grid-sized array is
+    made per term; BLAS sums the terms in an order of its own, so a sample
+    can differ from eigenfn.eval_on_axes in the last places, within
+    _rounding_margin."""
+    wave = trig(f)
+    c, w = zip(*product_terms(f))
+    wx, wy = np.array(w).T
+    return (np.array(c) * wave(np.multiply.outer(ax, wx))) @ wave(np.multiply.outer(wy, ay))
+
+
 def _signs_and_edges(f: Combo, cells0: int, halve: bool, curv: np.ndarray, eps: float):
     """The sign of f at each cell of the (half) triangle, 0 outside, and its
     unsure edges: the same-sign edges whose join is not proven at once, each
@@ -284,7 +307,7 @@ def _signs_and_edges(f: Combo, cells0: int, halve: bool, curv: np.ndarray, eps: 
         # ax > ay >= fl(pi/2) = fl(pi) / 2 puts fl(ax + ay) at or above
         # fl(pi), so no cell of the half domain lies in a later column
         ay = ay[: np.searchsorted(ay, math.pi / 2)]
-    vals = eval_on_axes(f, (ax, ay))
+    vals = _grid_samples(f, ax, ay)
     inside = ay[None, :] < ax[:, None]
     if halve:
         inside &= ax[:, None] + ay[None, :] < math.pi

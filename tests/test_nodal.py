@@ -739,14 +739,14 @@ def test_grid_budget_is_checked_before_evaluating():
 
 
 def test_triangle_grid_peak_memory_per_point_is_as_stated():
-    # the figures of the GRID_BUDGET comment: at most 16.2 bytes per point of
+    # the figures of the GRID_BUDGET comment: at most 12.1 bytes per point of
     # the n x n grid, 9.1 when halved, with and without cut edges; a doubling
-    # pair at most 16.5 (9.2) per point of its larger grid
+    # pair at most 12.4 (9.2) per point of its larger grid
     for qn in ((16, 6), (17, 4), (8, 2)):
         f = eigenfn.basis_fn(triangle(), qn)
         for resolutions, full, halved in (
-            ((1024,), 16.2, 9.1), ((2048,), 16.2, 9.1),
-            ((512, 1024), 16.5, 9.2), ((1024, 2048), 16.5, 9.2),
+            ((1024,), 12.1, 9.1), ((2048,), 12.1, 9.1),
+            ((512, 1024), 12.4, 9.2), ((1024, 2048), 12.4, 9.2),
         ):
             for halve, stated in ((False, full), (True, halved)):
                 tracemalloc.start()
@@ -920,6 +920,61 @@ def test_box_grid_counts_are_pinned():
     assert len(rows) == 1257
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == BOX_GRID_PIN
 
+
+# sha256 of json.dumps of [label, member, count, resolution, stable] from
+# count_grid on every member of the Neumann triangle below 1210 and of the
+# Dirichlet triangle below 600, recorded before the samples of a triangle
+# grid were taken as one matrix product
+TRIANGLE_GRID_PIN = "716baa2714dd76e5b92a78bfb8dc399474acffdff5f2837c1013bc529965bc6d"
+
+
+def test_triangle_grid_counts_are_pinned():
+    rows = []
+    for bc, cutoff in (("neumann", 1210), (DIRICHLET, 600)):
+        dom = triangle(bc)
+        for m in spectrum.build_index(dom, cutoff).region.points:
+            c = nodal.count_grid(eigenfn.basis_fn(dom, m))
+            rows.append([dom.label(), list(m), c.count, c.resolution, c.stable])
+    assert len(rows) == 719
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == TRIANGLE_GRID_PIN
+
+
+def _assert_samples_match_the_exact_oracle(f, cells):
+    """The matrix-product samples of f on the full and the halved grid at
+    `cells` lie within the rounding margin of eval_on_axes and have its strict
+    sign wherever it clears the margin."""
+    eps = nodal._rounding_margin(product_terms(f))
+    n = max(8, cells)
+    ax, ay = ((np.arange(n) + off) * (math.pi / n) for off in nodal._GRID_OFFS[:2])
+    for cols in (ay, ay[: np.searchsorted(ay, math.pi / 2)]):
+        got = nodal._grid_samples(f, ax, cols)
+        exact = eigenfn.eval_on_axes(f, (ax, cols))
+        assert np.abs(got - exact).max() <= eps, (f.terms, cells, cols.size)
+        clear = np.abs(exact) > eps
+        assert (np.sign(got[clear]) == np.sign(exact[clear])).all(), (f.terms, cells, cols.size)
+
+
+@pytest.mark.parametrize("bc,simple", [("neumann", 118), (DIRICHLET, 100)])
+def test_matrix_product_samples_match_the_exact_oracle(bc, simple):
+    # every simple level below 400, at the default resolution pair
+    dom = triangle(bc)
+    levels = [lv for lv in spectrum.build_index(dom, 400).levels if lv.multiplicity == 1]
+    for lv in levels:
+        f = eigenfn.basis_fn(dom, lv.members[0])
+        default = max(16, 8 * nodal._max_halfperiods(f))
+        for cells in (default, 2 * default):
+            _assert_samples_match_the_exact_oracle(f, cells)
+    assert len(levels) == simple
+
+
+@settings(max_examples=40, deadline=None)
+@given(bc=st.sampled_from(sorted(_MULTIPLE_LEVELS)), data=st.data())
+def test_matrix_product_samples_match_the_exact_oracle_on_random_combos(bc, data):
+    # several terms, so more than two product terms per sample
+    lv = data.draw(st.sampled_from(_MULTIPLE_LEVELS[bc]))
+    coeffs = st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: abs(c) > 1e-3)
+    f = eigenfn.combo(triangle(bc), [(data.draw(coeffs), m) for m in lv.members])
+    _assert_samples_match_the_exact_oracle(f, max(16, 8 * nodal._max_halfperiods(f)))
 
 _NINES = int("9" * 400)  # past the float range
 
